@@ -37,26 +37,19 @@ from .experiment import (
     read_survival_table,
     report_to_json_dict,
     run_experiment,
+    train_on_split,
     write_survival_table,
 )
 from .flowdata import (
     FlowSchema,
     SyntheticSpec,
-    binary_dataset,
     cicids2017_schema,
     filter_label,
     parse_flow_csv,
     serialize_flow_csv,
-    subset,
     synthesize_flows,
 )
-from .models import (
-    evaluate_accuracy,
-    model_to_json,
-    regressor_from_dict,
-    train,
-)
-from .seeding import rng_from
+from .models import model_to_json, regressor_from_dict
 from .survival import (
     CoxOptions,
     cox_convergence_report,
@@ -299,14 +292,8 @@ def cmd_train(args) -> int:
     cfg = load_pipeline_config(args.config, args)
     exp = cfg.experiment
     benign, pre_attack, _ = _load_role_datasets(cfg)
-    pre = binary_dataset(benign, pre_attack, seed=(exp.master_seed, 0, 0))
-    rng = rng_from(exp.master_seed, 0, 1)
-    n_hold = max(1, int(round(exp.holdout_fraction * len(pre))))
-    perm = rng.permutation(len(pre))
-    train_ds = subset(pre, perm[n_hold:])
-    holdout = subset(pre, perm[:n_hold])
-    model = train(exp.regressor, train_ds, seed=(exp.master_seed, 0, 2))
-    holdout_acc = evaluate_accuracy(model, holdout)
+    split = train_on_split(exp, benign, pre_attack, iteration=0)
+    model, holdout_acc = split.model, split.accuracy
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "model.json")
@@ -314,8 +301,8 @@ def cmd_train(args) -> int:
         fh.write(model_to_json(model))
     report = {
         "kind": exp.regressor.kind,
-        "n_train": len(train_ds),
-        "n_holdout": len(holdout),
+        "n_train": len(split.train),
+        "n_holdout": len(split.holdout),
         "train_accuracy": model.train_report.train_accuracy,
         "holdout_accuracy": holdout_acc,
         "master_seed": exp.master_seed,

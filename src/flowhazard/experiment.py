@@ -9,6 +9,12 @@ distance from the pre-novelty feature means; censored sequences carry the
 per-sequence mean of those distances (the model requires a covariate
 vector for every record).
 
+Sequences are rows of an index matrix into the post-novelty flows.  Each
+iteration scores every distinct drawn flow once, gathers the scores into
+an (n_sequences, seq_len) array and finds every sequence's first in-band
+hit in one scan of that array; the outcome is the same as streaming each
+sequence flow by flow.
+
 Iterations retrain the classifier and resample sequences from RNG
 streams derived as (master_seed, iteration, purpose), so a whole
 experiment is reproducible bit for bit.
@@ -145,14 +151,28 @@ class ExperimentReport:
         )
 
 
+def _draw_indices(
+    post: FlowDataset, n_sequences: int, seq_len: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_sequences, seq_len) row indices into ``post``, drawn uniformly
+    with replacement."""
+    if len(post) == 0:
+        raise EmptyInput("post-novelty dataset is empty")
+    return rng.integers(0, len(post), size=(n_sequences, seq_len))
+
+
 def build_sequences(
     post: FlowDataset, n_sequences: int, seq_len: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_sequences, seq_len, F) flows drawn uniformly with replacement."""
-    if len(post) == 0:
-        raise EmptyInput("post-novelty dataset is empty")
-    idx = rng.integers(0, len(post), size=(n_sequences, seq_len))
-    return post.features[idx]
+    return post.features[_draw_indices(post, n_sequences, seq_len, rng)]
+
+
+def _first_hits(scores: np.ndarray, low: float, high: float):
+    """Per row of ``scores``: whether any score lies in the closed band
+    [low, high], and the index of the first one that does (0 if none)."""
+    in_band = (scores >= low) & (scores <= high)
+    return in_band.any(axis=1), in_band.argmax(axis=1)
 
 
 def run_sequence(
@@ -171,11 +191,10 @@ def run_sequence(
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2:
         raise SchemaMismatch("sequence must be a (seq_len, F) matrix")
-    low, high = band
     scores = predict_many(model, sequence)
-    hits = np.flatnonzero((scores >= low) & (scores <= high))
-    if hits.size:
-        i = int(hits[0])
+    hit, first = _first_hits(scores[None], *band)
+    if hit[0]:
+        i = int(first[0])
         record = SurvivalRecord(
             time=float(i),
             event=1,
@@ -190,11 +209,72 @@ def run_sequence(
     return SequenceResult(sequence_id, record, None, scores)
 
 
+def _scan_sequences(
+    model: TrainedModel,
+    post: FlowDataset,
+    band: tuple[float, float],
+    pre_summary: FeatureSummary,
+    idx: np.ndarray,
+) -> tuple[SequenceResult, ...]:
+    """:func:`run_sequence` for every row of the index matrix ``idx``,
+    scoring each distinct drawn flow once."""
+    uniq, inv = np.unique(idx, return_inverse=True)
+    scores = predict_many(model, post.features[uniq])[inv].reshape(idx.shape)
+    hit, first = _first_hits(scores, *band)
+
+    means = pre_summary.means
+    covs = np.empty((idx.shape[0], post.features.shape[1]))
+    covs[hit] = np.abs(post.features[idx[hit, first[hit]]] - means)
+    covs[~hit] = np.abs(post.features[idx[~hit]] - means).mean(axis=1)
+
+    seq_len = idx.shape[1]
+    results = []
+    for i in range(idx.shape[0]):
+        if hit[i]:
+            j = int(first[i])
+            record = SurvivalRecord(float(j), 1, covs[i])
+            results.append(SequenceResult(i, record, j, scores[i, : j + 1]))
+        else:
+            record = SurvivalRecord(float(seq_len), 0, covs[i])
+            results.append(SequenceResult(i, record, None, scores[i]))
+    return tuple(results)
+
+
 def _split_train_holdout(data: FlowDataset, fraction: float, rng):
     n = len(data)
     n_hold = max(1, int(round(fraction * n)))
     perm = rng.permutation(n)
     return subset(data, perm[n_hold:]), subset(data, perm[:n_hold])
+
+
+@dataclass(frozen=True)
+class TrainedSplit:
+    """One iteration's classifier with the data it was trained and gated on."""
+
+    pre: FlowDataset  # benign + known attack, before the split
+    train: FlowDataset
+    holdout: FlowDataset
+    model: TrainedModel
+    accuracy: float  # on the holdout
+
+
+def train_on_split(
+    config: ExperimentConfig,
+    pre_benign: FlowDataset,
+    pre_attack: FlowDataset,
+    iteration: int = 0,
+) -> TrainedSplit:
+    """Label, split and train as iteration ``iteration`` of the protocol
+    does, from the RNG streams (master_seed, iteration, 0..2)."""
+    seed = config.master_seed
+    pre = binary_dataset(pre_benign, pre_attack, seed=(seed, iteration, 0))
+    train_ds, holdout = _split_train_holdout(
+        pre, config.holdout_fraction, rng_from(seed, iteration, 1)
+    )
+    model = train(config.regressor, train_ds, seed=(seed, iteration, 2))
+    return TrainedSplit(
+        pre, train_ds, holdout, model, evaluate_accuracy(model, holdout)
+    )
 
 
 def run_iteration(
@@ -215,24 +295,18 @@ def run_iteration(
         raise SchemaMismatch(
             "post-novelty dataset does not share the pre-novelty schema"
         )
-    seed = config.master_seed
-    pre = binary_dataset(pre_benign, pre_attack, seed=(seed, iteration, 0))
-    train_ds, holdout = _split_train_holdout(
-        pre, config.holdout_fraction, rng_from(seed, iteration, 1)
-    )
-    model = train(config.regressor, train_ds, seed=(seed, iteration, 2))
-    accuracy = evaluate_accuracy(model, holdout)
+    split = train_on_split(config, pre_benign, pre_attack, iteration)
+    model, accuracy = split.model, split.accuracy
     if accuracy < config.accuracy_gate:
         raise AccuracyGateFailed(accuracy, config.accuracy_gate)
 
-    pre_summary = feature_summary(pre)
-    sequences = build_sequences(
-        post, config.n_sequences, config.seq_len, rng_from(seed, iteration, 3)
+    idx = _draw_indices(
+        post, config.n_sequences, config.seq_len,
+        rng_from(config.master_seed, iteration, 3),
     )
-    band = (config.band_low, config.band_high)
-    results = tuple(
-        run_sequence(model, sequences[i], band, pre_summary, sequence_id=i)
-        for i in range(config.n_sequences)
+    results = _scan_sequences(
+        model, post, (config.band_low, config.band_high),
+        feature_summary(split.pre), idx,
     )
     records = [r.survival for r in results]
     km = km_fit(records)

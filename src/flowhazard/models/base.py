@@ -172,7 +172,10 @@ def predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     if isinstance(model.state, ForestState):
         return forest_predict(model.state, X)
     Z = (X - model.scale_mean) / model.scale_std
-    return Z @ model.state.weights + model.state.intercept
+    # a row-wise reduction, not ``Z @ w``: BLAS matrix-vector kernels may
+    # sum a batch's remainder rows (the last n % 4 at 78 features) in
+    # another order, so a flow's score would depend on its batch
+    return (Z * model.state.weights).sum(axis=1) + model.state.intercept
 
 
 def predict(model: TrainedModel, flow) -> float:

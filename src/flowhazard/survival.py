@@ -202,6 +202,16 @@ def _as_arrays(records, beta=None):
     return times, events, X, beta
 
 
+def _risk_set_sums(eta, X, risk, order):
+    """S0, S1, S2 of one risk set under its own max(eta) shift."""
+    shift = float(eta[risk].max())
+    w = np.exp(eta[risk] - shift)
+    Xr = X[risk]
+    s1 = w @ Xr if order >= 1 else None
+    s2 = (Xr * w[:, None]).T @ Xr if order >= 2 else None
+    return float(w.sum()), s1, s2, shift
+
+
 def _breslow_scan(times, events, X, beta, order=2):
     """Log partial likelihood and its derivatives in one descending pass.
 
@@ -209,7 +219,8 @@ def _breslow_scan(times, events, X, beta, order=2):
     time >= that time; tied events share the risk-set denominator (the
     Breslow approximation).  Exponentials are shifted by max(eta) so the
     scan tolerates large linear predictors; the shift cancels in every
-    ratio and is restored in the log terms.
+    ratio and is restored in the log terms.  A late risk set whose shifted
+    weights all underflow to 0 is summed again under its own max shift.
     """
     n, width = X.shape
     eta = X @ beta
@@ -241,12 +252,15 @@ def _breslow_scan(times, events, X, beta, order=2):
         ev = block[events[block] == 1]
         n_dead = ev.shape[0]
         if n_dead:
-            ll += float(eta[ev].sum()) - n_dead * (math.log(s0) + shift)
+            r0, r1, r2, r_shift = s0, s1, s2, shift
+            if s0 == 0.0:
+                r0, r1, r2, r_shift = _risk_set_sums(eta, X, desc[:j], order)
+            ll += float(eta[ev].sum()) - n_dead * (math.log(r0) + r_shift)
             if order >= 1:
-                xbar = s1 / s0
+                xbar = r1 / r0
                 grad += X[ev].sum(axis=0) - n_dead * xbar
             if order >= 2:
-                hess -= n_dead * (s2 / s0 - np.outer(xbar, xbar))
+                hess -= n_dead * (r2 / r0 - np.outer(xbar, xbar))
         i = j
     return ll, grad, hess
 

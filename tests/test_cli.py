@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,7 +7,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from flowhazard.cli import main
+from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
+from flowhazard.experiment import run_iteration
+from flowhazard.models import model_to_json
 
 from _oracles import grid_search_beta
 
@@ -121,6 +124,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path),
                      "--out", str(out_b)]) == 0
         assert file_hash(out_a / "model.json") == file_hash(out_b / "model.json")
+
+    def test_model_matches_pipeline_iteration_zero(self, workspace):
+        # train and pipeline share one label/split/train path
+        tmp, config_path, _ = workspace
+        assert main(["train", "--config", str(config_path)]) == 0
+        cfg = load_pipeline_config(str(config_path), argparse.Namespace())
+        benign, attack, post = _load_role_datasets(cfg)
+        it = run_iteration(cfg.experiment, benign, attack, post, iteration=0)
+        assert (tmp / "out" / "model.json").read_text() == model_to_json(
+            it.model
+        )
 
 
 class TestPipelineCommand:

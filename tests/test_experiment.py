@@ -1,8 +1,11 @@
+import functools
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhazard import (
     AccuracyGateFailed,
@@ -12,6 +15,8 @@ from flowhazard import (
     EmptyInput,
     ExperimentConfig,
     FlowDataset,
+    LinearSVRParams,
+    RandomForestParams,
     SelectionRule,
     TrainedModel,
     build_sequences,
@@ -25,12 +30,19 @@ from flowhazard import (
     write_survival_table,
 )
 from flowhazard.experiment import (
+    _draw_indices,
+    _scan_sequences,
     aggregate_cox_from_csv,
     aggregate_cox_to_csv,
     report_to_json_dict,
+    train_on_split,
 )
-from flowhazard.models import TrainReport
+from flowhazard.flowdata import subset
+from flowhazard.models import TrainReport, predict_many
 from flowhazard.models.bayes_ridge import LinearState
+from flowhazard.seeding import rng_from
+
+from _oracles import per_sequence_scan
 
 from _worlds import (
     DRIVER,
@@ -163,6 +175,97 @@ class TestRunSequence:
             else:
                 assert res.survival.time == 8.0
                 assert res.detected_flow_index is None
+
+
+def _same_results(bulk, oracle):
+    """Bit-for-bit equality of two tuples of sequence results."""
+    assert len(bulk) == len(oracle)
+    for a, b in zip(bulk, oracle):
+        assert a.sequence_id == b.sequence_id
+        assert a.detected_flow_index == b.detected_flow_index
+        assert a.survival.time == b.survival.time
+        assert a.survival.event == b.survival.event
+        assert a.survival.covariates.tobytes() == b.survival.covariates.tobytes()
+        assert a.score_trace.tobytes() == b.score_trace.tobytes()
+
+
+_SCAN_KINDS = {
+    "random_forest": RandomForestParams(n_trees=5),
+    "bayesian_ridge": BayesianRidgeParams(),
+    "linear_svr": LinearSVRParams(epochs=5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scan_world(kind):
+    """A model of ``kind`` trained on a small planted world, its post pool,
+    the pool's scores and the pre-novelty summary."""
+    benign, attack, post = planted_world(seed=21, n_pre=200, n_post=60, q=0.3)
+    split = train_on_split(small_config(regressor=_SCAN_KINDS[kind]),
+                           benign, attack)
+    return (split.model, post, predict_many(split.model, post.features),
+            feature_summary(split.pre))
+
+
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(sorted(_SCAN_KINDS)))
+    model, pool, pool_scores, summary = scan_world(kind)
+    n_post = draw(st.integers(1, len(pool)))
+    # band edges: infinities, arbitrary values, and exact scores of flows
+    # in the post pool, so a score can sit on either edge
+    edge = st.one_of(
+        st.sampled_from([-np.inf, np.inf]),
+        st.floats(-0.5, 1.5),
+        st.integers(0, n_post - 1).map(lambda k: float(pool_scores[k])),
+    )
+    low, high = sorted([draw(edge), draw(edge)])
+    return dict(
+        model=model,
+        post=subset(pool, np.arange(n_post)),
+        band=(low, high),
+        pre_summary=summary,
+        n_sequences=draw(st.integers(1, 12)),
+        seq_len=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBulkScanMatchesPerSequenceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=scan_cases())
+    def test_bulk_scan_equals_per_sequence_loop(self, case):
+        seed = case.pop("seed")
+        n, length = case["n_sequences"], case["seq_len"]
+        idx = _draw_indices(case["post"], n, length,
+                            np.random.default_rng(seed))
+        bulk = _scan_sequences(case["model"], case["post"], case["band"],
+                               case["pre_summary"], idx)
+        oracle = per_sequence_scan(rng=np.random.default_rng(seed), **case)
+        _same_results(bulk, oracle)
+        # run_sequence over build_sequences is the same scan, one row at a time
+        seqs = build_sequences(case["post"], n, length,
+                               np.random.default_rng(seed))
+        one_by_one = tuple(
+            run_sequence(case["model"], seqs[i], case["band"],
+                         case["pre_summary"], sequence_id=i)
+            for i in range(n)
+        )
+        _same_results(one_by_one, oracle)
+
+    @pytest.mark.parametrize("kind", sorted(_SCAN_KINDS))
+    def test_run_iteration_equals_oracle(self, kind):
+        benign, attack, post = planted_world(seed=4, n_pre=200, n_post=400,
+                                             q=0.05)
+        cfg = small_config(regressor=_SCAN_KINDS[kind], n_sequences=40,
+                           seq_len=30, accuracy_gate=0.0)
+        it = run_iteration(cfg, benign, attack, post, iteration=1)
+        oracle = per_sequence_scan(
+            it.model, post, (cfg.band_low, cfg.band_high),
+            feature_summary(train_on_split(cfg, benign, attack, 1).pre),
+            cfg.n_sequences, cfg.seq_len, rng_from(cfg.master_seed, 1, 3),
+        )
+        _same_results(it.results, oracle)
 
 
 class TestRunIteration:

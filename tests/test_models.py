@@ -137,16 +137,29 @@ class TestPredict:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_predict_matches_predict_many(self, kind):
-        # batched and single-row BLAS paths may differ by an ulp
         data = separable_toy(seed=11)
         model = train(kind, data, seed=2)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(10, 2))
         many = predict_many(model, X)
         for i in range(10):
-            assert predict(model, X[i]) == pytest.approx(
-                many[i], rel=1e-12, abs=1e-12
-            )
+            assert predict(model, X[i]) == many[i]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS[1:], ids=lambda k: k.kind)
+    def test_score_does_not_depend_on_batch_at_cic_width(self, kind):
+        # 78 features: wide enough for BLAS matrix-vector kernels to treat
+        # a batch's remainder rows differently
+        rng = np.random.default_rng(19)
+        width = 78
+        y = np.repeat([0.0, 1.0], 40)
+        feats = rng.normal(size=(80, width)) + y[:, None]
+        model = train(kind, dataset(feats, y), seed=0)
+        X = rng.normal(size=(40, width))
+        full = predict_many(model, X)
+        for start in range(4):
+            for n in range(1, 12):
+                part = predict_many(model, X[start:start + n])
+                assert part.tobytes() == full[start:start + n].tobytes()
 
 
 class TestInvariances:

@@ -85,6 +85,16 @@ class TestLogPartialLikelihood:
         with pytest.raises(LengthMismatch):
             cox_log_partial_likelihood(np.zeros(2), [rec(1, 1, [1.0])])
 
+    def test_late_risk_set_underflow_stays_finite(self):
+        # under the global max(eta) shift of 1000 every weight in the risk
+        # set at t=2 underflows to 0; that set needs its own shift
+        records = [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        beta = np.array([100.0])
+        got = cox_log_partial_likelihood(beta, records)
+        assert got == pytest.approx(-math.log(2), abs=1e-12)
+        assert cox_gradient(beta, records).tolist() == [0.0]
+        assert cox_hessian(beta, records).tolist() == [[0.0]]
+
 
 def fd_gradient(beta, records, h=1e-5):
     beta = np.asarray(beta, dtype=float)
@@ -277,6 +287,18 @@ class TestCoxFit:
         model = cox_fit(records, CoxOptions(ridge=0.0))
         assert model.converged
         assert 0.55 <= model.beta[0] <= 0.85
+
+
+    def test_step_halving_through_underflowed_risk_set_does_not_crash(self):
+        # a Newton trial on this separated design drives the risk set at
+        # t=1 to all-zero shifted weights; the fit must end without a raw
+        # ValueError.  The design is separated, which the fit does not flag
+        # yet, so its baseline hazard overflows.
+        records = [rec(3, 0, [-34.6]), rec(3, 1, [-34.5]), rec(1, 1, [-11.5])]
+        with np.errstate(over="ignore"):
+            model = cox_fit(records, CoxOptions(ridge=0.0))
+        assert np.isfinite(model.beta).all()
+        assert np.isfinite(model.log_partial_likelihood)
 
 
 class TestHazardRatiosAndWald:
