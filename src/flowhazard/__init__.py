@@ -13,6 +13,7 @@ from .errors import (
     EmptyInput,
     FlowHazardError,
     InvalidSpec,
+    InvalidValue,
     LengthMismatch,
     MissingColumn,
     MissingInput,
@@ -77,6 +78,7 @@ from .survival import (
     KMCurve,
     StepFunction,
     SurvivalRecord,
+    SurvivalTable,
     breslow_baseline,
     cox_fit,
     cox_gradient,

@@ -361,9 +361,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_cox(args) -> int:
-    records, names = read_survival_table(_require_path(args.table))
+    table, names = read_survival_table(_require_path(args.table))
     options = CoxOptions(ridge=args.ridge, tol=args.tol, max_iter=args.max_iter)
-    model = cox_fit(records, options, feature_names=names)
+    model = cox_fit(table, options)
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "cox_table.csv")
     cox_to_csv(model, table_path)
@@ -372,7 +372,7 @@ def cmd_cox(args) -> int:
         os.path.join(args.out, "cox_convergence.json"),
     )
     print(
-        f"fit {len(names)} covariates on {len(records)} records: "
+        f"fit {len(names)} covariates on {len(table)} records: "
         f"converged={model.converged} iterations={model.iterations} "
         f"-> {table_path}"
     )
@@ -380,8 +380,8 @@ def cmd_cox(args) -> int:
 
 
 def cmd_km(args) -> int:
-    records, _ = read_survival_table(_require_path(args.table))
-    curve = km_fit(records)
+    table, _ = read_survival_table(_require_path(args.table))
+    curve = km_fit(table)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "km_curve.csv")
     km_to_csv(curve, curve_path)

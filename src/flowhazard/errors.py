@@ -41,6 +41,10 @@ class LengthMismatch(FlowHazardError):
     """Vector lengths disagree."""
 
 
+class InvalidValue(FlowHazardError, ValueError):
+    """A value in the input data is malformed or outside its allowed range."""
+
+
 class InvalidSpec(FlowHazardError):
     """A synthetic-data spec or configuration value is invalid."""
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -34,6 +33,8 @@ from .errors import (
     AllIterationsFailed,
     EmptyInput,
     FlowHazardError,
+    InvalidValue,
+    LengthMismatch,
     SchemaMismatch,
 )
 from .flowdata import (
@@ -42,6 +43,7 @@ from .flowdata import (
     abs_diff_covariates,
     binary_dataset,
     feature_summary,
+    open_text,
     subset,
 )
 from .models import (
@@ -52,7 +54,15 @@ from .models import (
     train,
 )
 from .seeding import rng_from
-from .survival import CoxModel, CoxOptions, KMCurve, SurvivalRecord, cox_fit, km_fit
+from .survival import (
+    CoxModel,
+    CoxOptions,
+    KMCurve,
+    SurvivalRecord,
+    SurvivalTable,
+    cox_fit,
+    km_fit,
+)
 
 log = logging.getLogger("flowhazard.experiment")
 
@@ -115,6 +125,7 @@ class IterationResult:
     accuracy: float
     model: TrainedModel
     results: tuple[SequenceResult, ...]
+    table: SurvivalTable  # the results' survival records, in columns
     km: KMCurve
     cox: CoxModel | None
     cox_error: str | None
@@ -123,7 +134,7 @@ class IterationResult:
 
     @property
     def n_events(self) -> int:
-        return sum(r.survival.event for r in self.results)
+        return int(self.table.events.sum())
 
 
 @dataclass(frozen=True)
@@ -215,9 +226,10 @@ def _scan_sequences(
     band: tuple[float, float],
     pre_summary: FeatureSummary,
     idx: np.ndarray,
-) -> tuple[SequenceResult, ...]:
+) -> tuple[SurvivalTable, tuple[SequenceResult, ...]]:
     """:func:`run_sequence` for every row of the index matrix ``idx``,
-    scoring each distinct drawn flow once."""
+    scoring each distinct drawn flow once.  Returns the survival records
+    as one table and the per-sequence results whose records are its rows."""
     uniq, inv = np.unique(idx, return_inverse=True)
     scores = predict_many(model, post.features[uniq])[inv].reshape(idx.shape)
     hit, first = _first_hits(scores, *band)
@@ -227,17 +239,19 @@ def _scan_sequences(
     covs[hit] = np.abs(post.features[idx[hit, first[hit]]] - means)
     covs[~hit] = np.abs(post.features[idx[~hit]] - means).mean(axis=1)
 
-    seq_len = idx.shape[1]
-    results = []
-    for i in range(idx.shape[0]):
-        if hit[i]:
-            j = int(first[i])
-            record = SurvivalRecord(float(j), 1, covs[i])
-            results.append(SequenceResult(i, record, j, scores[i, : j + 1]))
-        else:
-            record = SurvivalRecord(float(seq_len), 0, covs[i])
-            results.append(SequenceResult(i, record, None, scores[i]))
-    return tuple(results)
+    table = SurvivalTable(
+        np.where(hit, first, idx.shape[1]).astype(np.float64),
+        hit.astype(np.int64),
+        covs,
+        post.schema.feature_names,
+    )
+    results = tuple(
+        SequenceResult(i, table[i], int(first[i]), scores[i, : first[i] + 1])
+        if hit[i]
+        else SequenceResult(i, table[i], None, scores[i])
+        for i in range(idx.shape[0])
+    )
+    return table, results
 
 
 def _split_train_holdout(data: FlowDataset, fraction: float, rng):
@@ -304,16 +318,14 @@ def run_iteration(
         post, config.n_sequences, config.seq_len,
         rng_from(config.master_seed, iteration, 3),
     )
-    results = _scan_sequences(
+    table, results = _scan_sequences(
         model, post, (config.band_low, config.band_high),
         feature_summary(split.pre), idx,
     )
-    records = [r.survival for r in results]
-    km = km_fit(records)
+    km = km_fit(table)
 
-    names = post.schema.feature_names
-    covs = np.array([r.covariates for r in records])
-    keep = np.flatnonzero(covs.std(axis=0) > 0.0)
+    names = table.feature_names
+    keep = np.flatnonzero(table.X.std(axis=0) > 0.0)
     dropped = tuple(names[j] for j in range(len(names)) if j not in set(keep))
 
     cox = None
@@ -322,15 +334,12 @@ def run_iteration(
     if keep.size == 0:
         cox_error = "all covariate columns are constant"
     else:
-        reduced = [
-            SurvivalRecord(r.time, r.event, r.covariates[keep]) for r in records
-        ]
+        reduced = SurvivalTable(
+            table.times, table.events, table.X[:, keep],
+            tuple(names[j] for j in keep),
+        )
         try:
-            cox = cox_fit(
-                reduced,
-                config.cox_options,
-                feature_names=tuple(names[j] for j in keep),
-            )
+            cox = cox_fit(reduced, config.cox_options)
             beta_full[keep] = cox.beta
         except FlowHazardError as err:
             cox_error = f"{err.kind}: {err}"
@@ -340,6 +349,7 @@ def run_iteration(
         accuracy=accuracy,
         model=model,
         results=results,
+        table=table,
         km=km,
         cox=cox,
         cox_error=cox_error,
@@ -395,10 +405,13 @@ def run_experiment(
         np.mean(converged, axis=0) if converged else np.zeros(len(names))
     )
 
-    pooled_records = [r.survival for o in successes for r in o.results]
-    pooled_km = km_fit(pooled_records)
-    n_events = sum(r.event for r in pooled_records)
-    detection_rate = n_events / len(pooled_records)
+    pooled = SurvivalTable(
+        *(np.concatenate([getattr(o.table, col) for o in successes])
+          for col in ("times", "events", "X")),
+        tuple(names),
+    )
+    pooled_km = km_fit(pooled)
+    detection_rate = int(pooled.events.sum()) / len(pooled)
 
     report = ExperimentReport(
         config=config,
@@ -445,8 +458,7 @@ _FIXED_COLUMNS = ("sequence_id", "time", "event")
 
 def write_survival_table(results, feature_names, sink) -> None:
     """CSV of sequence outcomes: id, time, event, one column per covariate."""
-    fh, own = _open_sink(sink)
-    try:
+    with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_FIXED_COLUMNS) + list(feature_names))
         for res in results:
@@ -456,22 +468,21 @@ def write_survival_table(results, feature_names, sink) -> None:
                 [seq_id, repr(float(rec.time)), rec.event]
                 + [repr(float(v)) for v in rec.covariates]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def read_survival_table(source):
     """Parse :func:`write_survival_table` output.
 
-    Returns ``(records, feature_names)``; offending columns are named in
-    the error when the fixed header prefix is missing.
+    Returns ``(table, feature_names)``: a :class:`SurvivalTable`, which
+    iterates as :class:`SurvivalRecord` rows, and its covariate names.
+    Blank lines are skipped, and data rows are numbered from 1 without
+    them.  A missing fixed header column is named in the error; a row
+    whose length differs from the header's, a cell that is not a number
+    and an out-of-range value are reported with their data row and
+    column.  The ``sequence_id`` column is not read.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        rows = list(csv.reader(source))
+    with open_text(source) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise EmptyInput("empty survival table")
     header = [h.strip() for h in rows[0]]
@@ -482,29 +493,37 @@ def read_survival_table(source):
                 f"got {header[i] if i < len(header) else 'nothing'!r}"
             )
     feature_names = tuple(header[len(_FIXED_COLUMNS):])
-    records = []
-    for row in rows[1:]:
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        records.append(
-            SurvivalRecord(
-                time=float(row[1]),
-                event=int(row[2]),
-                covariates=np.array(
-                    [float(v) for v in row[3:]], dtype=np.float64
-                ),
-            )
-        )
-    if not records:
+    body = [row for row in rows[1:] if any(c.strip() for c in row)]
+    if not body:
         raise EmptyInput("survival table has no data rows")
-    return tuple(records), feature_names
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise LengthMismatch(
+                f"data row {i + 1} has {len(row)} cells, the header has "
+                f"{len(header)}"
+            )
+    cells = [row[1:] for row in body]
+    try:
+        data = np.array(cells, dtype=np.float64)
+    except ValueError:
+        for i, row in enumerate(cells):
+            for name, cell in zip(header[1:], row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InvalidValue(
+                        f"data row {i + 1}, column {name!r}: not a number, "
+                        f"got {cell!r}"
+                    ) from None
+        raise
+    table = SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
+    return table, feature_names
 
 
 def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
     """Mean-coefficient table: feature, mean beta, hazard ratio, how often
     the coefficient was non-negligible, and whether it was selected."""
-    fh, own = _open_sink(sink)
-    try:
+    with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["feature", "mean_beta", "hazard_ratio", "nonzero_fraction",
@@ -532,17 +551,11 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
                 repr(float(frac[j])),
                 int(name in chosen),
             ])
-    finally:
-        if own:
-            fh.close()
 
 
 def aggregate_cox_from_csv(source) -> dict:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
+    with open_text(source) as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise EmptyInput("empty aggregate Cox CSV")
     return {
@@ -554,12 +567,6 @@ def aggregate_cox_from_csv(source) -> dict:
         ),
         "selected": np.array([int(r["selected"]) for r in rows]),
     }
-
-
-def _open_sink(sink):
-    if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", newline=""), True
-    return sink, False
 
 
 def report_to_json_dict(report: ExperimentReport) -> dict:

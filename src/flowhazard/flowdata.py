@@ -15,6 +15,7 @@ import io
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -210,13 +211,27 @@ def _normalize_name(name: str) -> str:
     return name.strip().casefold()
 
 
-def _read_text(source) -> str:
+@contextmanager
+def open_text(source, mode: str = "r"):
+    """A text handle on ``source``.
+
+    A path is opened (UTF-8, undecodable bytes replaced, no newline
+    translation, as the csv module expects) and closed on exit; an open
+    handle is passed through and left open.
+    """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return fh.read().decode("utf-8", errors="replace")
+        with open(source, mode, encoding="utf-8", errors="replace",
+                  newline="") as fh:
+            yield fh
+    else:
+        yield source
+
+
+def _read_text(source) -> str:
     if isinstance(source, bytes):
         return source.decode("utf-8", errors="replace")
-    data = source.read()
+    with open_text(source) as fh:
+        data = fh.read()
     if isinstance(data, bytes):
         return data.decode("utf-8", errors="replace")
     return data

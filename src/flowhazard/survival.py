@@ -13,21 +13,31 @@ Two estimators live here:
   ``-lambda * ||beta||^2 / 2``.  Covariates are standardized internally;
   reported coefficients are on the original scale.
 
-All operations are pure functions over immutable inputs.  Risk-set sums
-are reduced in a fixed (descending time, stable) order so repeated runs
-are bit-identical.
+Both read columnar data (:class:`SurvivalTable`).  Rows are sorted once
+per fit by descending time (stable) and cut into blocks of tied times, so
+every risk set is a prefix of that order: the Kaplan-Meier counts, the
+Cox risk-set sums and the Breslow baseline are cumulative sums over the
+blocks, read at the block ends, with no loop over times.  The reduction
+order is fixed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NoEvents, NonFinite, SingularHessian
+from .errors import (
+    EmptyInput,
+    InvalidValue,
+    LengthMismatch,
+    NoEvents,
+    NonFinite,
+    SingularHessian,
+)
+from .flowdata import open_text
 
 # two-sided 95% normal quantile used for confidence bounds
 Z95 = 1.959964
@@ -47,9 +57,9 @@ class SurvivalRecord:
 
     def __post_init__(self):
         if self.time < 0:
-            raise ValueError("survival time must be non-negative")
+            raise InvalidValue("survival time must be non-negative")
         if self.event not in (0, 1):
-            raise ValueError("event indicator must be 0 or 1")
+            raise InvalidValue("event indicator must be 0 or 1")
         cov = np.asarray(self.covariates, dtype=np.float64)
         if cov.ndim != 1:
             raise LengthMismatch("covariates must be a 1-D vector")
@@ -58,6 +68,139 @@ class SurvivalRecord:
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "event", int(self.event))
+
+
+def _reject(bad: np.ndarray, column: str, problem: str, values, error):
+    """Raise ``error`` naming the first 1-based row flagged in ``bad``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        i = int(rows[0])
+        raise error(
+            f"data row {i + 1}, column {column!r}: {problem}, "
+            f"got {values[i].item()!r}"
+        )
+
+
+@dataclass(frozen=True)
+class SurvivalTable:
+    """Survival data in columns, one row per subject.
+
+    ``times`` (n,) on study, ``events`` (n,) with 1 for an observed event
+    and 0 for a censoring, covariate matrix ``X`` (n, F), and one name per
+    column (``x0``, ``x1``, ... when none are given).  The columns are
+    checked once, when the table is built; an invalid value is reported
+    with its 1-based data row and its column.  ``len``, iteration and
+    integer indexing give :class:`SurvivalRecord` rows.
+    """
+
+    times: np.ndarray
+    events: np.ndarray
+    X: np.ndarray
+    feature_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=np.float64)
+        events = np.asarray(self.events)
+        X = np.asarray(self.X, dtype=np.float64)
+        n = times.shape[0] if times.ndim == 1 else -1
+        if events.shape != (n,) or X.ndim != 2 or X.shape[0] != n:
+            raise LengthMismatch(
+                f"times {times.shape}, events {events.shape} and covariates "
+                f"{X.shape} do not describe the same rows"
+            )
+        if n == 0:
+            raise EmptyInput("no survival records")
+        names = self.feature_names
+        if names is None:
+            names = tuple(f"x{j}" for j in range(X.shape[1]))
+        if len(names) != X.shape[1]:
+            raise LengthMismatch("one feature name per covariate required")
+        _reject(~(np.isfinite(times) & (times >= 0.0)), "time",
+                "survival time must be a finite number >= 0", times,
+                InvalidValue)
+        _reject((events != 0) & (events != 1), "event",
+                "event indicator must be 0 or 1", events, InvalidValue)
+        finite = np.isfinite(X)
+        if not finite.all():
+            j = int(np.flatnonzero(~finite.all(axis=0))[0])
+            _reject(~finite[:, j], names[j], "covariates must be finite",
+                    X[:, j], NonFinite)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "events", events.astype(np.int64))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "feature_names", tuple(names))
+
+    @classmethod
+    def from_records(cls, records, feature_names=None) -> SurvivalTable:
+        """Stack :class:`SurvivalRecord` rows into columns."""
+        records = list(records)
+        if not records:
+            raise EmptyInput("no survival records")
+        width = records[0].covariates.shape[0]
+        if any(r.covariates.shape[0] != width for r in records):
+            raise LengthMismatch("records carry covariates of unequal length")
+        return cls(
+            np.array([r.time for r in records]),
+            np.array([r.event for r in records], dtype=np.int64),
+            np.array([r.covariates for r in records]).reshape(
+                len(records), width
+            ),
+            feature_names,
+        )
+
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    def __getitem__(self, i: int) -> SurvivalRecord:
+        return SurvivalRecord(self.times[i], self.events[i], self.X[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _as_table(data) -> SurvivalTable:
+    """A :class:`SurvivalTable` as is; records are stacked into one."""
+    if isinstance(data, SurvivalTable):
+        return data
+    return SurvivalTable.from_records(data)
+
+
+@dataclass(frozen=True)
+class _TieBlocks:
+    """Rows in descending time order, cut into blocks of tied times.
+
+    The risk set of block k (every row with time >= its time) is the
+    prefix ``order[:ends[k]]``, so a sum over each risk set is a
+    cumulative sum over the blocks.
+    """
+
+    order: np.ndarray       # row indices; descending time, ties in row order
+    starts: np.ndarray      # first position of each block in ``order``
+    ends: np.ndarray        # one past its last position: the risk-set size
+    times: np.ndarray       # time of each block
+    dead: np.ndarray        # events in each block
+    event_rows: np.ndarray  # rows with an observed event
+
+
+def _tie_blocks(times: np.ndarray, events: np.ndarray) -> _TieBlocks:
+    order = np.argsort(-times, kind="stable")
+    t = times[order]
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    return _TieBlocks(
+        order=order,
+        starts=starts,
+        ends=np.r_[starts[1:], t.shape[0]],
+        times=t[starts],
+        dead=np.add.reduceat(events[order], starts),
+        event_rows=np.flatnonzero(events),
+    )
+
+
+def _censored_before(censored: np.ndarray, has_event: np.ndarray) -> np.ndarray:
+    """Censorings in the gap [previous event time, this event time) for
+    each event time, from per-time counts in ascending time order."""
+    earlier = np.cumsum(censored) - censored
+    return np.diff(earlier[has_event], prepend=0)
 
 
 @dataclass(frozen=True)
@@ -110,13 +253,11 @@ class KMCurve:
             expected = self.n_total - int(self.censored_before[0])
             if self.n_risk[0] != expected:
                 raise ValueError("at-risk count inconsistent at first event")
-            for i in range(1, k):
-                if self.n_risk[i] != (
-                    self.n_risk[i - 1]
-                    - self.n_event[i - 1]
-                    - self.censored_before[i]
-                ):
-                    raise ValueError("at-risk recursion violated")
+            recursion = (
+                self.n_risk[:-1] - self.n_event[:-1] - self.censored_before[1:]
+            )
+            if np.any(self.n_risk[1:] != recursion):
+                raise ValueError("at-risk recursion violated")
             if np.any(np.diff(self.survival) > 1e-15):
                 raise ValueError("survival estimates must be non-increasing")
 
@@ -126,32 +267,22 @@ def km_fit(records) -> KMCurve:
 
     Greenwood's variance ``S_i^2 * sum_{j<=i} d_j / (r_j (r_j - d_j))`` is
     attached per step (0 where the curve reaches exactly zero).
+    ``records`` is a :class:`SurvivalTable` or an iterable of
+    :class:`SurvivalRecord`.
     """
-    records = list(records)
-    if not records:
-        raise EmptyInput("no survival records")
-    times = np.array([r.time for r in records])
-    events = np.array([r.event for r in records])
-    n = times.shape[0]
-
-    event_times = np.unique(times[events == 1])
-    censor_times = np.sort(times[events == 0])
-    all_sorted = np.sort(times)
+    table = _as_table(records)
+    blocks = _tie_blocks(table.times, table.events)
+    # per distinct time, ascending; r is the size of the risk set
+    dead = blocks.dead[::-1]
+    censored = (blocks.ends - blocks.starts)[::-1] - dead
+    has_event = dead > 0
+    d = dead[has_event]
+    r = blocks.ends[::-1][has_event]
+    c_before = _censored_before(censored, has_event)
+    event_times = blocks.times[::-1][has_event]
+    censor_times = np.sort(table.times[table.events == 0])
 
     k = event_times.shape[0]
-    d = np.zeros(k, dtype=np.int64)
-    r = np.zeros(k, dtype=np.int64)
-    c_before = np.zeros(k, dtype=np.int64)
-    prev = -np.inf
-    for i, t in enumerate(event_times):
-        d[i] = int(np.sum((times == t) & (events == 1)))
-        r[i] = n - int(np.searchsorted(all_sorted, t, side="left"))
-        c_before[i] = int(
-            np.searchsorted(censor_times, t, side="left")
-            - np.searchsorted(censor_times, prev, side="left")
-        )
-        prev = t
-
     frac = 1.0 - d / r if k else np.zeros(0)
     survival = np.cumprod(frac)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,7 +297,7 @@ def km_fit(records) -> KMCurve:
         censored_before=c_before,
         survival=survival,
         greenwood_var=gw,
-        n_total=n,
+        n_total=len(table),
         censor_times=censor_times.astype(np.float64),
     )
 
@@ -182,26 +313,6 @@ def cumulative_death_at(curve: KMCurve, t) -> float:
     return 1.0 - km_survival_at(curve, t)
 
 
-def _as_arrays(records, beta=None):
-    records = list(records)
-    if not records:
-        raise EmptyInput("no survival records")
-    width = records[0].covariates.shape[0]
-    for r in records:
-        if r.covariates.shape[0] != width:
-            raise LengthMismatch("records carry covariates of unequal length")
-    X = np.array([r.covariates for r in records])
-    times = np.array([r.time for r in records])
-    events = np.array([r.event for r in records], dtype=np.int64)
-    if beta is not None:
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != (width,):
-            raise LengthMismatch(
-                f"beta has shape {beta.shape}, covariates have width {width}"
-            )
-    return times, events, X, beta
-
-
 def _risk_set_sums(eta, X, risk, order):
     """S0, S1, S2 of one risk set under its own max(eta) shift."""
     shift = float(eta[risk].max())
@@ -212,78 +323,95 @@ def _risk_set_sums(eta, X, risk, order):
     return float(w.sum()), s1, s2, shift
 
 
-def _breslow_scan(times, events, X, beta, order=2):
-    """Log partial likelihood and its derivatives in one descending pass.
+# A globally shifted S0 below this is summed again under its own shift.
+# Above it S0 is a normal float, and every d / S0 in the Hessian's
+# reverse cumulative sum, and their total over <= 1e18 events, is finite.
+_S0_FLOOR = 1e-290
 
-    For each distinct event time the risk set is everyone with observed
-    time >= that time; tied events share the risk-set denominator (the
-    Breslow approximation).  Exponentials are shifted by max(eta) so the
-    scan tolerates large linear predictors; the shift cancels in every
-    ratio and is restored in the log terms.  A late risk set whose shifted
-    weights all underflow to 0 is summed again under its own max shift.
+
+def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
+    """Log partial likelihood and its derivatives from cumulative sums.
+
+    The risk set of an event block is a prefix of the descending-time
+    order, so its S0 = sum w and S1 = sum w x are cumulative sums of
+    per-block sums, read at the block; tied events share the denominator
+    (the Breslow approximation).  The Hessian needs sum_k d_k S2_k / S0_k,
+    which equals X' diag(w a) X with a_i = sum of d_k / S0_k over the event
+    blocks whose risk set holds row i (a reverse cumulative sum), so no
+    per-block F x F matrix is formed.  Exponentials are shifted by the
+    global max(eta); the shift cancels in every ratio and is restored in
+    the log terms.  An event block whose shifted S0 falls below
+    ``_S0_FLOOR`` is summed again under its own max shift.
     """
-    n, width = X.shape
     eta = X @ beta
-    shift = float(eta.max()) if n else 0.0
-    w = np.exp(eta - shift)
+    shift = float(eta.max())
+    w = np.exp(eta[blocks.order] - shift)
+    ev = np.flatnonzero(blocks.dead)
+    d = blocks.dead[ev].astype(np.float64)
+    s0 = np.cumsum(np.add.reduceat(w, blocks.starts))[ev]
+    shifts = np.full(ev.shape, shift)
+    low = np.flatnonzero(s0 < _S0_FLOOR)
+    redo = [
+        _risk_set_sums(eta, X, blocks.order[: blocks.ends[ev[k]]], order)
+        for k in low
+    ]
+    for k, (r0, _, _, r_shift) in zip(low, redo):
+        s0[k], shifts[k] = r0, r_shift
 
-    desc = np.argsort(-times, kind="stable")
-    ll = 0.0
-    grad = np.zeros(width) if order >= 1 else None
-    hess = np.zeros((width, width)) if order >= 2 else None
-
-    s0 = 0.0
-    s1 = np.zeros(width)
-    s2 = np.zeros((width, width))
-    i = 0
-    while i < n:
-        t = times[desc[i]]
-        j = i
-        while j < n and times[desc[j]] == t:
-            j += 1
-        block = desc[i:j]
-        wb = w[block]
-        Xb = X[block]
-        s0 += float(wb.sum())
-        if order >= 1:
-            s1 += wb @ Xb
-        if order >= 2:
-            s2 += (Xb * wb[:, None]).T @ Xb
-        ev = block[events[block] == 1]
-        n_dead = ev.shape[0]
-        if n_dead:
-            r0, r1, r2, r_shift = s0, s1, s2, shift
-            if s0 == 0.0:
-                r0, r1, r2, r_shift = _risk_set_sums(eta, X, desc[:j], order)
-            ll += float(eta[ev].sum()) - n_dead * (math.log(r0) + r_shift)
-            if order >= 1:
-                xbar = r1 / r0
-                grad += X[ev].sum(axis=0) - n_dead * xbar
-            if order >= 2:
-                hess -= n_dead * (r2 / r0 - np.outer(xbar, xbar))
-        i = j
+    ll = float(eta[blocks.event_rows].sum()) - float(d @ (np.log(s0) + shifts))
+    if order < 1:
+        return ll, None, None
+    Xd = X[blocks.order]
+    s1 = np.cumsum(
+        np.add.reduceat(w[:, None] * Xd, blocks.starts, axis=0), axis=0
+    )[ev]
+    for k, (_, r1, _, _) in zip(low, redo):
+        s1[k] = r1
+    xbar = s1 / s0[:, None]
+    grad = X[blocks.event_rows].sum(axis=0) - d @ xbar
+    if order < 2:
+        return ll, grad, None
+    coef = np.zeros(blocks.starts.shape[0])
+    coef[ev] = d / s0
+    coef[ev[low]] = 0.0
+    a = np.repeat(np.cumsum(coef[::-1])[::-1], blocks.ends - blocks.starts)
+    s2 = (Xd * (w * a)[:, None]).T @ Xd
+    for k, (r0, _, r2, _) in zip(low, redo):
+        s2 += d[k] * r2 / r0
+    hess = (xbar * d[:, None]).T @ xbar - s2
     return ll, grad, hess
+
+
+def _table_and_beta(records, beta):
+    table = _as_table(records)
+    beta = np.asarray(beta, dtype=np.float64)
+    width = table.X.shape[1]
+    if beta.shape != (width,):
+        raise LengthMismatch(
+            f"beta has shape {beta.shape}, covariates have width {width}"
+        )
+    return table, beta
+
+
+def _scan_at(beta, records, order):
+    table, beta = _table_and_beta(records, beta)
+    blocks = _tie_blocks(table.times, table.events)
+    return _breslow_scan(blocks, table.X, beta, order)
 
 
 def cox_log_partial_likelihood(beta, records) -> float:
     """Breslow log partial likelihood at ``beta``; 0.0 with no events."""
-    times, events, X, beta = _as_arrays(records, beta)
-    ll, _, _ = _breslow_scan(times, events, X, beta, order=0)
-    return ll
+    return _scan_at(beta, records, order=0)[0]
 
 
 def cox_gradient(beta, records) -> np.ndarray:
     """Analytic first derivative of the Breslow log partial likelihood."""
-    times, events, X, beta = _as_arrays(records, beta)
-    _, grad, _ = _breslow_scan(times, events, X, beta, order=1)
-    return grad
+    return _scan_at(beta, records, order=1)[1]
 
 
 def cox_hessian(beta, records) -> np.ndarray:
     """Analytic second derivative; negative semi-definite."""
-    times, events, X, beta = _as_arrays(records, beta)
-    _, _, hess = _breslow_scan(times, events, X, beta, order=2)
-    return hess
+    return _scan_at(beta, records, order=2)[2]
 
 
 @dataclass(frozen=True)
@@ -322,10 +450,10 @@ class CoxModel:
     warnings: tuple[str, ...] = ()
 
 
-def _newton(times, events, Z, lam, tol, max_iter):
+def _newton(blocks, Z, lam, tol, max_iter):
     width = Z.shape[1]
     beta = np.zeros(width)
-    ll, grad, hess = _breslow_scan(times, events, Z, beta, order=2)
+    ll, grad, hess = _breslow_scan(blocks, Z, beta, order=2)
     ll_pen = ll - 0.5 * lam * float(beta @ beta)
     iterations = 0
     converged = False
@@ -352,11 +480,11 @@ def _newton(times, events, Z, lam, tol, max_iter):
         accepted = False
         for _ in range(20):  # step-halving; trials only need the objective
             trial = beta + scale * step
-            ll_t, _, _ = _breslow_scan(times, events, Z, trial, order=0)
+            ll_t, _, _ = _breslow_scan(blocks, Z, trial, order=0)
             ll_t_pen = ll_t - 0.5 * lam * float(trial @ trial)
             if np.isfinite(ll_t_pen) and ll_t_pen >= floor:
                 beta = trial
-                ll, grad, hess = _breslow_scan(times, events, Z, beta, order=2)
+                ll, grad, hess = _breslow_scan(blocks, Z, beta, order=2)
                 ll_pen = ll_t_pen
                 accepted = True
                 break
@@ -370,32 +498,16 @@ def _newton(times, events, Z, lam, tol, max_iter):
     return beta, ll, hess, converged, iterations, grad_norm
 
 
-def _breslow_cumhaz(times, events, X, beta) -> StepFunction:
+def _breslow_cumhaz(blocks: _TieBlocks, X, beta) -> StepFunction:
     """Cumulative baseline hazard: at each event time add
-    ``d / sum_{risk set} exp(beta . x)``, computed in log space."""
-    eta = X @ beta
-    desc = np.argsort(-times, kind="stable")
-    log_denoms = []
-    event_ts = []
-    log_s0 = -np.inf
-    i = 0
-    n = times.shape[0]
-    while i < n:
-        t = times[desc[i]]
-        j = i
-        while j < n and times[desc[j]] == t:
-            j += 1
-        block = desc[i:j]
-        log_s0 = np.logaddexp.reduce(np.concatenate([[log_s0], eta[block]]))
-        n_dead = int(events[block].sum())
-        if n_dead:
-            event_ts.append(t)
-            log_denoms.append(math.log(n_dead) - log_s0)
-        i = j
-    event_ts = np.array(event_ts[::-1])
-    increments = np.exp(np.array(log_denoms[::-1]))
+    ``d / sum_{risk set} exp(beta . x)``, with the risk-set sums taken in
+    log space as a running ``logaddexp`` over per-block reductions."""
+    eta = (X @ beta)[blocks.order]
+    log_s0 = np.logaddexp.accumulate(np.logaddexp.reduceat(eta, blocks.starts))
+    ev = np.flatnonzero(blocks.dead)[::-1]  # ascending time
+    increments = np.exp(np.log(blocks.dead[ev]) - log_s0[ev])
     return StepFunction(
-        times=event_ts, values=np.cumsum(increments), initial=0.0
+        times=blocks.times[ev], values=np.cumsum(increments), initial=0.0
     )
 
 
@@ -403,6 +515,14 @@ def normal_two_sided_p(z) -> np.ndarray:
     """Two-sided tail probability of a standard normal statistic."""
     z = np.asarray(z, dtype=np.float64)
     return np.vectorize(math.erfc)(np.abs(z) / math.sqrt(2.0))
+
+
+# Largest |beta| on the standardized scale that a fit may report as an
+# optimum.  Past it the partial likelihood is taken to be monotone
+# (separated data) and the fit is reported as not converged.  Fits of
+# real structure stay far below it: the largest in the benchmark
+# workloads is about 6.2.
+MONOTONE_BETA_BOUND = 20.0
 
 
 def cox_fit(
@@ -417,18 +537,27 @@ def cox_fit(
     singular Hessian triggers one automatic retry with the penalty raised
     to at least 1e-4 and a warning recorded on the model.  After
     ``max_iter`` iterations without meeting ``tol`` the model is returned
-    with ``converged=False`` (monotone-likelihood and separation cases).
+    with ``converged=False``.  So is a fit that ends with some |beta| on
+    the standardized scale above :data:`MONOTONE_BETA_BOUND`: the
+    likelihood is monotone there (separated data), and a warning on the
+    model says so.
 
+    ``records`` is a :class:`SurvivalTable` or an iterable of
+    :class:`SurvivalRecord`; ``feature_names`` defaults to the table's.
     Raises :class:`NoEvents` when every record is censored.
     """
-    times, events, X, _ = _as_arrays(records)
-    n, width = X.shape
-    if events.sum() == 0:
+    table = _as_table(records)
+    X = table.X
+    width = X.shape[1]
+    if width == 0:
+        raise LengthMismatch("no covariate columns to fit")
+    if not table.events.any():
         raise NoEvents("all records are censored; nothing to fit")
     if feature_names is None:
-        feature_names = tuple(f"x{j}" for j in range(width))
+        feature_names = table.feature_names
     if len(feature_names) != width:
         raise LengthMismatch("one feature name per covariate required")
+    blocks = _tie_blocks(table.times, table.events)
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -437,7 +566,7 @@ def cox_fit(
 
     def attempt(lam):
         beta_std, ll, hess, converged, iterations, grad_norm = _newton(
-            times, events, Z, lam, options.tol, options.max_iter
+            blocks, Z, lam, options.tol, options.max_iter
         )
         neg_hess_pen = -(hess - lam * np.eye(width))
         try:
@@ -465,17 +594,29 @@ def cox_fit(
         result = attempt(lam)
     beta_std, ll, converged, iterations, grad_norm, cov = result
     se_std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    largest = int(np.argmax(np.abs(beta_std)))
+    if abs(beta_std[largest]) > MONOTONE_BETA_BOUND:
+        converged = False
+        warnings.append(
+            f"monotone likelihood: |beta| of {feature_names[largest]} is "
+            f"{abs(beta_std[largest]):.3g} per standard deviation, above "
+            f"{MONOTONE_BETA_BOUND:g}; the data look separated"
+        )
 
     beta = beta_std / sd
     se = se_std / sd
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se_std > 0, beta_std / se_std, 0.0)
     p = normal_two_sided_p(z)
+    # a separated fit (flagged above) can take both to inf
+    with np.errstate(over="ignore"):
+        ratios = np.exp(beta)
+        baseline = _breslow_cumhaz(blocks, X, beta)
 
     return CoxModel(
         feature_names=tuple(feature_names),
         beta=beta,
-        hazard_ratios=np.exp(beta),
+        hazard_ratios=ratios,
         std_errors=se,
         p_values=p,
         ci95_low=beta - Z95 * se,
@@ -485,7 +626,7 @@ def cox_fit(
         converged=converged,
         iterations=iterations,
         final_grad_norm=grad_norm,
-        baseline_cumhaz=_breslow_cumhaz(times, events, X, beta),
+        baseline_cumhaz=baseline,
         warnings=tuple(warnings),
     )
 
@@ -511,8 +652,9 @@ def wald_stats(model: CoxModel) -> dict:
 
 def breslow_baseline(model: CoxModel, records) -> StepFunction:
     """Cumulative baseline hazard of ``records`` under the fitted model."""
-    times, events, X, beta = _as_arrays(records, model.beta)
-    return _breslow_cumhaz(times, events, X, beta)
+    table, beta = _table_and_beta(records, model.beta)
+    blocks = _tie_blocks(table.times, table.events)
+    return _breslow_cumhaz(blocks, table.X, beta)
 
 
 def cox_survival_at(model: CoxModel, covariates, t):
@@ -533,16 +675,9 @@ def cox_survival_at(model: CoxModel, covariates, t):
 # serialization
 
 
-def _open_sink(sink, mode):
-    if isinstance(sink, (str, os.PathLike)):
-        return open(sink, mode, newline=""), True
-    return sink, False
-
-
 def km_to_csv(curve: KMCurve, sink) -> None:
     """One row per distinct observed time (events and censorings)."""
-    fh, own = _open_sink(sink, "w")
-    try:
+    with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["time", "n_risk", "n_event", "n_censored", "survival",
@@ -571,62 +706,39 @@ def km_to_csv(curve: KMCurve, sink) -> None:
                 [repr(float(t)), n_risk, n_event, n_cens, repr(s), repr(g)]
             )
             remaining = n_risk - n_event - n_cens
-    finally:
-        if own:
-            fh.close()
 
 
 def km_from_csv(source) -> KMCurve:
-    """Rebuild a curve from :func:`km_to_csv` output."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
+    """Rebuild a curve from :func:`km_to_csv` output (one row per
+    distinct time, ascending)."""
+    with open_text(source) as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise EmptyInput("empty KM curve CSV")
-    times, n_risk, n_event, survival, gw = [], [], [], [], []
-    censor_times = []
-    total = None
-    for row in rows:
-        t = float(row["time"])
-        d = int(row["n_event"])
-        c = int(row["n_censored"])
-        r = int(row["n_risk"])
-        if total is None:
-            total = r
-        censor_times.extend([t] * c)
-        if d:
-            times.append(t)
-            n_risk.append(r)
-            n_event.append(d)
-            survival.append(float(row["survival"]))
-            gw.append(float(row["greenwood_var"]))
-    times = np.array(times)
-    censor_arr = np.array(sorted(censor_times))
-    c_before = np.zeros(len(times), dtype=np.int64)
-    prev = -np.inf
-    for i, t in enumerate(times):
-        c_before[i] = int(
-            np.searchsorted(censor_arr, t, side="left")
-            - np.searchsorted(censor_arr, prev, side="left")
-        )
-        prev = t
+    times = np.array([float(row["time"]) for row in rows])
+    n_risk = np.array([int(row["n_risk"]) for row in rows], dtype=np.int64)
+    dead = np.array([int(row["n_event"]) for row in rows], dtype=np.int64)
+    censored = np.array(
+        [int(row["n_censored"]) for row in rows], dtype=np.int64
+    )
+    has_event = dead > 0
+    picked = [row for row, e in zip(rows, has_event) if e]
     return KMCurve(
-        times=times,
-        n_risk=np.array(n_risk, dtype=np.int64),
-        n_event=np.array(n_event, dtype=np.int64),
-        censored_before=c_before,
-        survival=np.array(survival),
-        greenwood_var=np.array(gw),
-        n_total=int(total),
-        censor_times=censor_arr,
+        times=times[has_event],
+        n_risk=n_risk[has_event],
+        n_event=dead[has_event],
+        censored_before=_censored_before(censored, has_event),
+        survival=np.array([float(row["survival"]) for row in picked]),
+        greenwood_var=np.array(
+            [float(row["greenwood_var"]) for row in picked]
+        ),
+        n_total=int(n_risk[0]),
+        censor_times=np.repeat(times, censored),
     )
 
 
 def cox_to_csv(model: CoxModel, sink) -> None:
-    fh, own = _open_sink(sink, "w")
-    try:
+    with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["feature", "beta", "hr", "se", "z", "p", "ci_low", "ci_high"]
@@ -643,18 +755,12 @@ def cox_to_csv(model: CoxModel, sink) -> None:
                 repr(float(model.ci95_low[j])),
                 repr(float(model.ci95_high[j])),
             ])
-    finally:
-        if own:
-            fh.close()
 
 
 def cox_from_csv(source) -> dict:
     """Columns of :func:`cox_to_csv` output as arrays."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        rows = list(csv.DictReader(source))
+    with open_text(source) as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise EmptyInput("empty Cox table CSV")
     out: dict = {"feature": tuple(r["feature"] for r in rows)}

@@ -299,6 +299,29 @@ class TestCoxCommand:
         assert err["error"] == "SchemaMismatch"
         assert "time" in err["message"]
 
+    @pytest.mark.parametrize("cell, column, value", [
+        (2, "time", "-1.5"),
+        (3, "event", "2"),
+        (4, "x", "abc"),
+    ], ids=["negative_time", "event_of_two", "non_numeric_cell"])
+    def test_bad_value_names_row_and_column(self, tmp_path, capsys, cell,
+                                            column, value):
+        rows = [["0", "1.0", "1", "0.5"], ["1", "2.0", "0", "0.25"],
+                ["2", "3.0", "1", "1.0"]]
+        rows[1][cell - 1] = value
+        table = tmp_path / "bad.csv"
+        table.write_text(
+            "sequence_id,time,event,x\n"
+            + "".join(",".join(row) + "\n" for row in rows)
+        )
+        rc = main(["cox", "--table", str(table), "--out", str(tmp_path)])
+        assert rc == 2
+        err = stderr_error(capsys)
+        assert err["error"] == "InvalidValue"
+        assert err["exit_code"] == 2
+        assert "data row 2" in err["message"]
+        assert f"column {column!r}" in err["message"]
+
 
 class TestKMCommand:
     def test_hand_oracle_to_four_decimals(self, tmp_path):

@@ -239,8 +239,8 @@ class TestBulkScanMatchesPerSequenceOracle:
         n, length = case["n_sequences"], case["seq_len"]
         idx = _draw_indices(case["post"], n, length,
                             np.random.default_rng(seed))
-        bulk = _scan_sequences(case["model"], case["post"], case["band"],
-                               case["pre_summary"], idx)
+        _, bulk = _scan_sequences(case["model"], case["post"], case["band"],
+                                  case["pre_summary"], idx)
         oracle = per_sequence_scan(rng=np.random.default_rng(seed), **case)
         _same_results(bulk, oracle)
         # run_sequence over build_sequences is the same scan, one row at a time

@@ -95,6 +95,18 @@ class TestLogPartialLikelihood:
         assert cox_gradient(beta, records).tolist() == [0.0]
         assert cox_hessian(beta, records).tolist() == [[0.0]]
 
+    @pytest.mark.parametrize("beta", [72.8, 69.0])
+    def test_tiny_late_risk_set_sum_keeps_full_precision(self, beta):
+        # the same design with the risk set at t=2 summing, under the
+        # global shift, to subnormals (about 1e-316, kept to multiples of
+        # 5e-324) at beta 72.8 and to about 4e-300 at 69
+        records = [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        beta = np.array([beta])
+        got = cox_log_partial_likelihood(beta, records)
+        assert got == pytest.approx(-math.log(2), abs=1e-12)
+        assert cox_gradient(beta, records).tolist() == [0.0]
+        assert cox_hessian(beta, records).tolist() == [[0.0]]
+
 
 def fd_gradient(beta, records, h=1e-5):
     beta = np.asarray(beta, dtype=float)
@@ -292,13 +304,25 @@ class TestCoxFit:
     def test_step_halving_through_underflowed_risk_set_does_not_crash(self):
         # a Newton trial on this separated design drives the risk set at
         # t=1 to all-zero shifted weights; the fit must end without a raw
-        # ValueError.  The design is separated, which the fit does not flag
-        # yet, so its baseline hazard overflows.
+        # ValueError, and report the separation
         records = [rec(3, 0, [-34.6]), rec(3, 1, [-34.5]), rec(1, 1, [-11.5])]
-        with np.errstate(over="ignore"):
-            model = cox_fit(records, CoxOptions(ridge=0.0))
+        model = cox_fit(records, CoxOptions(ridge=0.0))
         assert np.isfinite(model.beta).all()
         assert np.isfinite(model.log_partial_likelihood)
+        assert not model.converged
+        assert any("monotone likelihood" in w for w in model.warnings)
+
+    def test_perfect_separation_is_not_converged(self):
+        # the larger x always dies first: the likelihood rises without
+        # bound in beta, and Newton only stops on a vanishing gradient
+        records = [rec(float(t), 1, [-float(t)]) for t in range(1, 21)]
+        model = cox_fit(records, CoxOptions(ridge=0.0))
+        assert not model.converged
+        assert any("monotone likelihood" in w for w in model.warnings)
+        # a ridge penalty gives the same data a finite optimum
+        penalized = cox_fit(records, CoxOptions(ridge=1e-2))
+        assert penalized.converged
+        assert penalized.warnings == ()
 
 
 class TestHazardRatiosAndWald:
