@@ -10,11 +10,13 @@ row.  All constructed datasets therefore contain only finite values.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import json
 import os
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     InvalidSpec,
+    InvalidValue,
     LengthMismatch,
     MissingColumn,
     NonFinite,
@@ -227,14 +230,67 @@ def open_text(source, mode: str = "r"):
         yield source
 
 
-def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace")
-    with open_text(source) as fh:
-        data = fh.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8", errors="replace")
-    return data
+# Lines per parse chunk.  A chunk is parsed by numpy's C reader when every
+# line is one plain record, and by the csv module otherwise.
+_CHUNK_LINES = 512
+# Characters per read from the source.
+_READ_CHARS = 1 << 20
+
+
+def _split_lines(fh):
+    r"""The text of ``fh`` as lines, each ending after a ``"\n"``.
+
+    Only ``"\n"`` ends a line (the csv module tells ``"\r\n"`` and
+    quoted newlines apart itself).  Bytes are decoded as UTF-8 with
+    undecodable bytes replaced; a leading byte-order mark is dropped.
+    """
+    decoder = None
+    tail = ""
+    first = True
+    while True:
+        data = fh.read(_READ_CHARS)
+        at_end = not data
+        if isinstance(data, bytes):
+            if decoder is None:
+                decoder = codecs.getincrementaldecoder("utf-8")("replace")
+            data = decoder.decode(data, final=at_end)
+        if first and data:
+            first = False
+            if data.startswith("\ufeff"):
+                data = data[1:]
+        if data:
+            lines = io.StringIO(tail + data).readlines()
+            tail = "" if lines[-1].endswith("\n") else lines.pop()
+            yield from lines
+        if at_end:
+            break
+    if tail:
+        yield tail
+
+
+def _plain_block(lines, feat_idx, label_idx):
+    """Features and labels of ``lines`` by numpy's C reader, or None.
+
+    Only a chunk in which every line is one record that the csv module
+    would split at each comma is read here: no quote, carriage return or
+    NUL, no blank line, no line long enough to hit the csv field limit.
+    The C reader converts each cell with the same ``PyOS_string_to_double``
+    as ``float``; any cell it rejects (``float`` accepts underscores and
+    non-ASCII digits) sends the chunk back to the csv path.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text
+            or not all(map(str.strip, lines))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    row = np.dtype([("x", np.float64, (len(feat_idx),)), ("label", object)])
+    try:
+        rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None,
+                          usecols=[*feat_idx, label_idx], ndmin=1)
+    except ValueError:
+        return None
+    return (np.ascontiguousarray(rows["x"]),
+            [label.strip() for label in rows["label"]])
 
 
 def parse_flow_csv(
@@ -249,17 +305,44 @@ def parse_flow_csv(
     insensitively; column order need not match schema order.  Rows with
     unparseable cells are dropped as malformed; rows whose cells parse to
     inf or nan are dropped as non-finite.  Both counts appear in the
-    attached :class:`ParseReport`.
+    attached :class:`ParseReport`, whose messages name rows by their
+    1-based record number (the header is record 1).
+
+    The file is read in chunks of lines, each converted straight into a
+    float64 block, so peak memory is about twice the feature matrix.
 
     Raises :class:`MissingColumn` when a schema column is absent and
     :class:`EmptyInput` when no data row survives.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode("utf-8", errors="replace"))
+    with open_text(source) as fh:
+        return _parse_lines(_split_lines(fh), schema, policy)
+
+
+def _parse_lines(lines, schema: FlowSchema,
+                 policy: SanitizePolicy) -> FlowDataset:
+    # One csv reader runs over the whole input: it reads the header, then
+    # every chunk that is not plain, so a quoted field may run on past the
+    # end of its chunk.  ``pending`` hands it a chunk's lines first.
+    pending: deque[str] = deque()
+
+    def feed():
+        while True:
+            while pending:
+                yield pending.popleft()
+            line = next(lines, None)
+            if line is None:
+                return
+            yield line
+
+    reader = csv.reader(feed())
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyInput("CSV has no header row")
+    except csv.Error as exc:
+        raise InvalidValue(f"line 1: {exc}")
 
     positions: dict[str, int] = {}
     for idx, raw in enumerate(header):
@@ -278,39 +361,68 @@ def parse_flow_csv(
     label_idx = positions[_normalize_name(schema.label_column)]
     needed = max(max(feat_idx), label_idx) + 1
 
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
     labels: list[str] = []
     rows_read = 0
     nonfinite = 0
     malformed = 0
     messages: list[str] = []
+    lineno = 2  # record number of the next data record
 
-    def note(msg: str):
-        if len(messages) < policy.max_reported_rows:
-            messages.append(msg)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        notes: list[tuple[int, str]] = []
+        plain = _plain_block(chunk, feat_idx, label_idx)
+        if plain is not None:
+            block, labs = plain
+            linenos = range(lineno, lineno + len(chunk))
+            lineno += len(chunk)
+            rows_read += len(chunk)
+        else:
+            pending.extend(chunk)
+            rows: list[list[float]] = []
+            labs = []
+            linenos = []
+            while pending:
+                record = lineno
+                lineno += 1
+                try:
+                    row = next(reader)
+                except csv.Error as exc:
+                    rows_read += 1
+                    notes.append((record, f"line {record}: {exc}"))
+                    continue
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                rows_read += 1
+                if len(row) < needed:
+                    notes.append((record, f"line {record}: expected at least "
+                                          f"{needed} columns, got {len(row)}"))
+                    continue
+                try:
+                    values = [float(row[j].strip()) for j in feat_idx]
+                except ValueError as exc:
+                    notes.append((record, f"line {record}: {exc}"))
+                    continue
+                rows.append(values)
+                labs.append(row[label_idx].strip())
+                linenos.append(record)
+            malformed += len(notes)
+            block = np.array(rows, dtype=np.float64).reshape(-1, len(feat_idx))
 
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        rows_read += 1
-        if len(row) < needed:
-            malformed += 1
-            note(f"line {lineno}: expected at least {needed} columns, got {len(row)}")
-            continue
-        try:
-            values = [float(row[j].strip()) for j in feat_idx]
-        except ValueError as exc:
-            malformed += 1
-            note(f"line {lineno}: {exc}")
-            continue
-        if not all(np.isfinite(values)):
-            nonfinite += 1
-            note(f"line {lineno}: non-finite feature value")
-            continue
-        rows.append(values)
-        labels.append(row[label_idx].strip())
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            nonfinite += bad.size
+            notes += [(linenos[i], f"line {linenos[i]}: non-finite feature value")
+                      for i in bad.tolist()]
+            block = block[finite]
+            labs = [labs[i] for i in np.flatnonzero(finite).tolist()]
+        room = policy.max_reported_rows - len(messages)
+        messages += [msg for _, msg in sorted(notes)[:max(room, 0)]]
+        blocks.append(block)
+        labels += labs
 
-    if not rows:
+    if not labels:
         raise EmptyInput(
             f"no rows survived sanitization ({rows_read} read, "
             f"{malformed} malformed, {nonfinite} non-finite)"
@@ -318,14 +430,16 @@ def parse_flow_csv(
 
     report = ParseReport(
         rows_read=rows_read,
-        rows_kept=len(rows),
+        rows_kept=len(labels),
         nonfinite_dropped=nonfinite,
         malformed_dropped=malformed,
         messages=tuple(messages),
     )
+    features = np.concatenate(blocks)
+    del blocks
     return FlowDataset(
         schema=schema,
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=tuple(labels),
         report=report,
     )
@@ -333,9 +447,7 @@ def parse_flow_csv(
 
 def serialize_flow_csv(dataset: FlowDataset, sink) -> None:
     """Write a dataset back to CSV; floats use shortest round-trip repr."""
-    own = isinstance(sink, (str, os.PathLike))
-    fh = open(sink, "w", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.schema.feature_names)
                         + [dataset.schema.label_column])
@@ -344,9 +456,6 @@ def serialize_flow_csv(dataset: FlowDataset, sink) -> None:
                 [repr(float(v)) for v in dataset.features[i]]
                 + [dataset.labels[i]]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def subset(dataset: FlowDataset, indices) -> FlowDataset:

@@ -5,14 +5,30 @@ likelihood is a direct double loop over explicit risk sets, the
 maximizer is found by brute-force grid search, injection streams each
 sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
+The flow-CSV parser reads the whole text and converts cell by cell.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from flowhazard import EmptyInput, KMCurve, SequenceResult, SurvivalRecord
-from flowhazard.flowdata import abs_diff_covariates
+from flowhazard import (
+    EmptyInput,
+    KMCurve,
+    MissingColumn,
+    SequenceResult,
+    SurvivalRecord,
+)
+from flowhazard.flowdata import (
+    FlowDataset,
+    ParseReport,
+    SanitizePolicy,
+    _normalize_name,
+    abs_diff_covariates,
+    open_text,
+)
 from flowhazard.models import predict_many
 
 
@@ -216,3 +232,94 @@ def per_time_breslow_cumhaz(times, events, X, beta):
     event_ts = np.array(event_ts[::-1])
     increments = np.exp(np.array(log_denoms[::-1]))
     return event_ts, np.cumsum(increments)
+
+
+def _whole_text(source) -> str:
+    if isinstance(source, bytes):
+        return source.decode("utf-8", errors="replace")
+    with open_text(source) as fh:
+        data = fh.read()
+    if isinstance(data, bytes):
+        return data.decode("utf-8", errors="replace")
+    return data
+
+
+def whole_text_parse_flow_csv(source, schema, policy=SanitizePolicy()):
+    """Flow-CSV parse over the whole decoded text: one ``csv.reader``
+    pass, one ``float(cell.strip())`` per feature cell, rows kept as
+    Python lists until the end."""
+    text = _whole_text(source)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInput("CSV has no header row")
+
+    positions: dict[str, int] = {}
+    for idx, raw in enumerate(header):
+        positions.setdefault(_normalize_name(raw), idx)
+
+    missing = [
+        name for name in schema.feature_names
+        if _normalize_name(name) not in positions
+    ]
+    if _normalize_name(schema.label_column) not in positions:
+        missing.append(schema.label_column)
+    if missing:
+        raise MissingColumn(f"columns absent from header: {missing}")
+
+    feat_idx = [positions[_normalize_name(n)] for n in schema.feature_names]
+    label_idx = positions[_normalize_name(schema.label_column)]
+    needed = max(max(feat_idx), label_idx) + 1
+
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    rows_read = 0
+    nonfinite = 0
+    malformed = 0
+    messages: list[str] = []
+
+    def note(msg: str):
+        if len(messages) < policy.max_reported_rows:
+            messages.append(msg)
+
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        rows_read += 1
+        if len(row) < needed:
+            malformed += 1
+            note(f"line {lineno}: expected at least {needed} columns, got {len(row)}")
+            continue
+        try:
+            values = [float(row[j].strip()) for j in feat_idx]
+        except ValueError as exc:
+            malformed += 1
+            note(f"line {lineno}: {exc}")
+            continue
+        if not all(np.isfinite(values)):
+            nonfinite += 1
+            note(f"line {lineno}: non-finite feature value")
+            continue
+        rows.append(values)
+        labels.append(row[label_idx].strip())
+
+    if not rows:
+        raise EmptyInput(
+            f"no rows survived sanitization ({rows_read} read, "
+            f"{malformed} malformed, {nonfinite} non-finite)"
+        )
+
+    report = ParseReport(
+        rows_read=rows_read,
+        rows_kept=len(rows),
+        nonfinite_dropped=nonfinite,
+        malformed_dropped=malformed,
+        messages=tuple(messages),
+    )
+    return FlowDataset(
+        schema=schema,
+        features=np.array(rows, dtype=np.float64),
+        labels=tuple(labels),
+        report=report,
+    )

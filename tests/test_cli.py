@@ -64,6 +64,28 @@ def stderr_error(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+def csv_workspace(workspace, tmp_path):
+    """Synthesized per-class CSVs (300 rows each) and a pipeline config
+    that reads them and writes to ``tmp_path / "csv_run"``."""
+    tmp, _, config = workspace
+    synth_out = tmp_path / "csvs"
+    assert main([
+        "synth", "--spec", str(tmp / "synth_spec.json"),
+        "--n", "300", "--seed", "5", "--out", str(synth_out),
+    ]) == 0
+    config = dict(config)
+    config["inputs"] = {
+        "benign_csv": str(synth_out / "benign.csv"),
+        "pre_attack_csv": str(synth_out / "dos_ish.csv"),
+        "post_attack_csv": str(synth_out / "web_ish.csv"),
+    }
+    config["schema"] = {"features": ["f_sep", "f_driver", "f_noise"]}
+    config["output_dir"] = str(tmp_path / "csv_run")
+    csv_config = tmp / "csv_config.json"
+    csv_config.write_text(json.dumps(config))
+    return csv_config
+
+
 class TestSynth:
     def test_writes_per_class_csvs(self, workspace, capsys):
         tmp, _, _ = workspace
@@ -136,6 +158,18 @@ class TestTrainCommand:
             it.model
         )
 
+    def test_oversized_csv_field_drops_one_row(self, workspace, tmp_path):
+        csv_config = csv_workspace(workspace, tmp_path)
+        benign = tmp_path / "csvs" / "benign.csv"
+        with open(benign, "a") as fh:
+            fh.write("1" * 140_000 + ",0.5,0.5,BENIGN\n")
+        assert main(["train", "--config", str(csv_config)]) == 0
+        sanitization = json.loads(
+            (tmp_path / "csv_run" / "sanitization.json").read_text()
+        )
+        assert sanitization["benign"]["malformed_dropped"] == 1
+        assert sanitization["benign"]["rows_kept"] == 300
+
 
 class TestPipelineCommand:
     def test_smoke_run_writes_all_artifacts(self, workspace, capsys):
@@ -193,22 +227,7 @@ class TestPipelineCommand:
         assert err["required"] == 1.01
 
     def test_csv_inputs_write_sanitization_report(self, workspace, tmp_path):
-        tmp, _, config = workspace
-        synth_out = tmp_path / "csvs"
-        assert main([
-            "synth", "--spec", str(tmp / "synth_spec.json"),
-            "--n", "300", "--seed", "5", "--out", str(synth_out),
-        ]) == 0
-        config = dict(config)
-        config["inputs"] = {
-            "benign_csv": str(synth_out / "benign.csv"),
-            "pre_attack_csv": str(synth_out / "dos_ish.csv"),
-            "post_attack_csv": str(synth_out / "web_ish.csv"),
-        }
-        config["schema"] = {"features": ["f_sep", "f_driver", "f_noise"]}
-        config["output_dir"] = str(tmp_path / "csv_run")
-        csv_config = tmp / "csv_config.json"
-        csv_config.write_text(json.dumps(config))
+        csv_config = csv_workspace(workspace, tmp_path)
         assert main(["pipeline", "--config", str(csv_config)]) == 0
         sanitization = json.loads(
             (tmp_path / "csv_run" / "sanitization.json").read_text()
