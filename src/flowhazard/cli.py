@@ -93,8 +93,17 @@ def _require_path(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at ``path``."""
     with open(_require_path(path)) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise InvalidSpec(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec(
+            f"{path}: expected a JSON object, got {type(doc).__name__}"
+        )
+    return doc
 
 
 def _dump_json(obj: dict, path: str) -> None:
@@ -271,7 +280,7 @@ def _load_role_datasets(cfg: PipelineConfig):
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_json(open(_require_path(args.spec)).read())
+    spec = SyntheticSpec.from_json_dict(_load_json(args.spec))
     dataset = synthesize_flows(spec, args.n, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     written = []
@@ -336,8 +345,7 @@ def cmd_pipeline(args) -> int:
         )
         for it in report.successes:
             write_survival_table(
-                it.results,
-                report.feature_names,
+                it.table,
                 os.path.join(
                     cfg.output_dir, f"survival_iter{it.iteration:02d}.csv"
                 ),
@@ -361,7 +369,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_cox(args) -> int:
-    table, names = read_survival_table(_require_path(args.table))
+    table = read_survival_table(_require_path(args.table))
     options = CoxOptions(ridge=args.ridge, tol=args.tol, max_iter=args.max_iter)
     model = cox_fit(table, options)
     os.makedirs(args.out, exist_ok=True)
@@ -372,7 +380,7 @@ def cmd_cox(args) -> int:
         os.path.join(args.out, "cox_convergence.json"),
     )
     print(
-        f"fit {len(names)} covariates on {len(table)} records: "
+        f"fit {len(table.feature_names)} covariates on {len(table)} records: "
         f"converged={model.converged} iterations={model.iterations} "
         f"-> {table_path}"
     )
@@ -380,7 +388,7 @@ def cmd_cox(args) -> int:
 
 
 def cmd_km(args) -> int:
-    table, _ = read_survival_table(_require_path(args.table))
+    table = read_survival_table(_require_path(args.table))
     curve = km_fit(table)
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "km_curve.csv")

@@ -13,7 +13,10 @@ Sequences are rows of an index matrix into the post-novelty flows.  Each
 iteration scores every distinct drawn flow once, gathers the scores into
 an (n_sequences, seq_len) array and finds every sequence's first in-band
 hit in one scan of that array; the outcome is the same as streaming each
-sequence flow by flow.
+sequence flow by flow.  The outcomes stay in one :class:`SurvivalTable`,
+row i for sequence i, from the scan through the Kaplan-Meier and Cox fits
+to ``survival_iterNN.csv`` and back; :func:`run_sequence` is the one-row
+view of the same scan.
 
 Iterations retrain the classifier and resample sequences from RNG
 streams derived as (master_seed, iteration, purpose), so a whole
@@ -124,8 +127,7 @@ class IterationResult:
     iteration: int
     accuracy: float
     model: TrainedModel
-    results: tuple[SequenceResult, ...]
-    table: SurvivalTable  # the results' survival records, in columns
+    table: SurvivalTable  # one row per sequence, row i = sequence i
     km: KMCurve
     cox: CoxModel | None
     cox_error: str | None
@@ -226,10 +228,10 @@ def _scan_sequences(
     band: tuple[float, float],
     pre_summary: FeatureSummary,
     idx: np.ndarray,
-) -> tuple[SurvivalTable, tuple[SequenceResult, ...]]:
+) -> SurvivalTable:
     """:func:`run_sequence` for every row of the index matrix ``idx``,
-    scoring each distinct drawn flow once.  Returns the survival records
-    as one table and the per-sequence results whose records are its rows."""
+    scoring each distinct drawn flow once.  Row i of the returned table is
+    the survival record of sequence i."""
     uniq, inv = np.unique(idx, return_inverse=True)
     scores = predict_many(model, post.features[uniq])[inv].reshape(idx.shape)
     hit, first = _first_hits(scores, *band)
@@ -239,19 +241,12 @@ def _scan_sequences(
     covs[hit] = np.abs(post.features[idx[hit, first[hit]]] - means)
     covs[~hit] = np.abs(post.features[idx[~hit]] - means).mean(axis=1)
 
-    table = SurvivalTable(
+    return SurvivalTable(
         np.where(hit, first, idx.shape[1]).astype(np.float64),
         hit.astype(np.int64),
         covs,
         post.schema.feature_names,
     )
-    results = tuple(
-        SequenceResult(i, table[i], int(first[i]), scores[i, : first[i] + 1])
-        if hit[i]
-        else SequenceResult(i, table[i], None, scores[i])
-        for i in range(idx.shape[0])
-    )
-    return table, results
 
 
 def _split_train_holdout(data: FlowDataset, fraction: float, rng):
@@ -318,7 +313,7 @@ def run_iteration(
         post, config.n_sequences, config.seq_len,
         rng_from(config.master_seed, iteration, 3),
     )
-    table, results = _scan_sequences(
+    table = _scan_sequences(
         model, post, (config.band_low, config.band_high),
         feature_summary(split.pre), idx,
     )
@@ -348,7 +343,6 @@ def run_iteration(
         iteration=iteration,
         accuracy=accuracy,
         model=model,
-        results=results,
         table=table,
         km=km,
         cox=cox,
@@ -358,7 +352,7 @@ def run_iteration(
     )
     log.info(
         "iteration %d: holdout accuracy %.4f, %d/%d events, %s",
-        iteration, accuracy, result.n_events, len(results),
+        iteration, accuracy, result.n_events, len(table),
         cox_error or f"cox converged={cox.converged} in {cox.iterations} steps",
     )
     return result
@@ -398,12 +392,8 @@ def run_experiment(
         raise AllIterationsFailed(f"no iteration completed ({details})")
 
     names = post.schema.feature_names
-    converged = [
-        o.beta_full for o in successes if o.cox is not None and o.cox.converged
-    ]
-    mean_beta = (
-        np.mean(converged, axis=0) if converged else np.zeros(len(names))
-    )
+    betas = _converged_betas(successes, len(names))
+    mean_beta = betas.mean(axis=0) if len(betas) else np.zeros(len(names))
 
     pooled = SurvivalTable(
         *(np.concatenate([getattr(o.table, col) for o in successes])
@@ -418,7 +408,7 @@ def run_experiment(
         feature_names=tuple(names),
         iterations=tuple(outcomes),
         mean_beta=mean_beta,
-        n_converged=len(converged),
+        n_converged=len(betas),
         pooled_km=pooled_km,
         detection_rate=float(detection_rate),
         selected_features=(),
@@ -433,21 +423,29 @@ def select_features(
 ) -> tuple[str, ...]:
     """Features whose |beta| clears the threshold in enough converged
     fits, ordered by |mean beta| descending."""
-    betas = [
-        o.beta_full
-        for o in report.successes
-        if o.cox is not None and o.cox.converged
-    ]
-    if not betas:
+    frac = _nonzero_fraction(report, rule.min_abs_beta)
+    if frac is None:
         return ()
-    B = np.array(betas)
-    frac_nonzero = np.mean(np.abs(B) >= rule.min_abs_beta, axis=0)
-    mean_beta = B.mean(axis=0)
-    picked = [
-        j for j in range(B.shape[1]) if frac_nonzero[j] >= rule.min_fraction
-    ]
-    picked.sort(key=lambda j: (-abs(mean_beta[j]), j))
+    picked = np.flatnonzero(frac >= rule.min_fraction).tolist()
+    picked.sort(key=lambda j: (-abs(report.mean_beta[j]), j))
     return tuple(report.feature_names[j] for j in picked)
+
+
+def _converged_betas(successes, width: int) -> np.ndarray:
+    """The ``beta_full`` of every converged Cox fit, one row per fit, as
+    an (m, width) matrix."""
+    rows = [o.beta_full for o in successes
+            if o.cox is not None and o.cox.converged]
+    return np.array(rows).reshape(len(rows), width)
+
+
+def _nonzero_fraction(report: ExperimentReport, min_abs_beta: float):
+    """Per feature, the share of converged fits whose |beta| is at least
+    ``min_abs_beta``; None when no fit converged."""
+    betas = _converged_betas(report.successes, len(report.feature_names))
+    if not len(betas):
+        return None
+    return np.mean(np.abs(betas) >= min_abs_beta, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +454,21 @@ def select_features(
 _FIXED_COLUMNS = ("sequence_id", "time", "event")
 
 
-def write_survival_table(results, feature_names, sink) -> None:
-    """CSV of sequence outcomes: id, time, event, one column per covariate."""
+def write_survival_table(table: SurvivalTable, sink) -> None:
+    """CSV of sequence outcomes: the row index as ``sequence_id``, then
+    time, event and one column per covariate, floats written by ``repr``."""
     with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(_FIXED_COLUMNS) + list(feature_names))
-        for res in results:
-            rec = res.survival if isinstance(res, SequenceResult) else res
-            seq_id = res.sequence_id if isinstance(res, SequenceResult) else ""
-            writer.writerow(
-                [seq_id, repr(float(rec.time)), rec.event]
-                + [repr(float(v)) for v in rec.covariates]
-            )
+        writer.writerow(_FIXED_COLUMNS + table.feature_names)
+        rows = zip(table.times.tolist(), table.events.tolist(),
+                   table.X.tolist())
+        writer.writerows([i, t, e, *x] for i, (t, e, x) in enumerate(rows))
 
 
-def read_survival_table(source):
-    """Parse :func:`write_survival_table` output.
+def read_survival_table(source) -> SurvivalTable:
+    """Parse :func:`write_survival_table` output into a
+    :class:`SurvivalTable` named by the header's covariate columns.
 
-    Returns ``(table, feature_names)``: a :class:`SurvivalTable`, which
-    iterates as :class:`SurvivalRecord` rows, and its covariate names.
     Blank lines are skipped, and data rows are numbered from 1 without
     them.  A missing fixed header column is named in the error; a row
     whose length differs from the header's, a cell that is not a number
@@ -516,8 +510,7 @@ def read_survival_table(source):
                         f"got {cell!r}"
                     ) from None
         raise
-    table = SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
-    return table, feature_names
+    return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
 
 
 def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
@@ -529,19 +522,9 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
             ["feature", "mean_beta", "hazard_ratio", "nonzero_fraction",
              "selected"]
         )
-        betas = [
-            o.beta_full
-            for o in report.successes
-            if o.cox is not None and o.cox.converged
-        ]
-        frac = (
-            np.mean(
-                np.abs(np.array(betas)) >= report.config.selection.min_abs_beta,
-                axis=0,
-            )
-            if betas
-            else np.zeros(len(report.feature_names))
-        )
+        frac = _nonzero_fraction(report, report.config.selection.min_abs_beta)
+        if frac is None:
+            frac = np.zeros(len(report.feature_names))
         chosen = set(report.selected_features)
         for j, name in enumerate(report.feature_names):
             writer.writerow([

@@ -14,7 +14,6 @@ import codecs
 import csv
 import io
 import itertools
-import json
 import os
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -179,10 +178,6 @@ class FlowDataset:
         for i in range(len(self)):
             yield self.record(i)
 
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
     @cached_property
     def class_counts(self) -> dict[str, int]:
         return dict(Counter(self.labels))
@@ -197,7 +192,6 @@ class FeatureSummary:
 
     means: np.ndarray
     stds: np.ndarray
-    nonfinite_dropped: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.means, dtype=np.float64)
@@ -507,11 +501,9 @@ def feature_summary(dataset: FlowDataset) -> FeatureSummary:
     """Arithmetic mean and population std of every feature column."""
     if len(dataset) == 0:
         raise EmptyInput("cannot summarize an empty dataset")
-    dropped = dataset.report.nonfinite_dropped if dataset.report else 0
     return FeatureSummary(
         means=dataset.features.mean(axis=0),
         stds=dataset.features.std(axis=0),
-        nonfinite_dropped=dropped,
     )
 
 
@@ -590,10 +582,6 @@ class SyntheticSpec:
                 ],
             )
         return cls(schema=schema, classes=classes)
-
-    @classmethod
-    def from_json(cls, text: str, label_column: str = "Label"):
-        return cls.from_json_dict(json.loads(text), label_column=label_column)
 
 
 def synthesize_flows(spec: SyntheticSpec, n: int, seed) -> FlowDataset:

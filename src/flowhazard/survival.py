@@ -421,8 +421,16 @@ class CoxOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError("ridge strength must be >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise InvalidValue(
+                f"ridge must be a finite number >= 0, got {self.ridge!r}"
+            )
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidValue(
+                f"tol must be a finite number > 0, got {self.tol!r}"
+            )
+        if self.max_iter < 1:
+            raise InvalidValue(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -525,11 +533,7 @@ def normal_two_sided_p(z) -> np.ndarray:
 MONOTONE_BETA_BOUND = 20.0
 
 
-def cox_fit(
-    records,
-    options: CoxOptions = CoxOptions(),
-    feature_names: tuple[str, ...] | None = None,
-) -> CoxModel:
+def cox_fit(records, options: CoxOptions = CoxOptions()) -> CoxModel:
     """Maximize the (optionally ridge-penalized) log partial likelihood.
 
     Newton-Raphson with up to 20 step-halvings per iteration; a step is
@@ -542,9 +546,9 @@ def cox_fit(
     likelihood is monotone there (separated data), and a warning on the
     model says so.
 
-    ``records`` is a :class:`SurvivalTable` or an iterable of
-    :class:`SurvivalRecord`; ``feature_names`` defaults to the table's.
-    Raises :class:`NoEvents` when every record is censored.
+    ``records`` is a :class:`SurvivalTable`, whose column names the model
+    takes, or an iterable of :class:`SurvivalRecord` (named ``x0``,
+    ``x1``, ...).  Raises :class:`NoEvents` when every record is censored.
     """
     table = _as_table(records)
     X = table.X
@@ -553,10 +557,6 @@ def cox_fit(
         raise LengthMismatch("no covariate columns to fit")
     if not table.events.any():
         raise NoEvents("all records are censored; nothing to fit")
-    if feature_names is None:
-        feature_names = table.feature_names
-    if len(feature_names) != width:
-        raise LengthMismatch("one feature name per covariate required")
     blocks = _tie_blocks(table.times, table.events)
 
     mu = X.mean(axis=0)
@@ -598,8 +598,8 @@ def cox_fit(
     if abs(beta_std[largest]) > MONOTONE_BETA_BOUND:
         converged = False
         warnings.append(
-            f"monotone likelihood: |beta| of {feature_names[largest]} is "
-            f"{abs(beta_std[largest]):.3g} per standard deviation, above "
+            f"monotone likelihood: |beta| of {table.feature_names[largest]}"
+            f" is {abs(beta_std[largest]):.3g} per standard deviation, above "
             f"{MONOTONE_BETA_BOUND:g}; the data look separated"
         )
 
@@ -614,7 +614,7 @@ def cox_fit(
         baseline = _breslow_cumhaz(blocks, X, beta)
 
     return CoxModel(
-        feature_names=tuple(feature_names),
+        feature_names=table.feature_names,
         beta=beta,
         hazard_ratios=ratios,
         std_errors=se,

@@ -7,7 +7,7 @@ curve is just a step line.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def km_svg(curve: KMCurve, title: str = "Survival of injected sequences") -> str
 
     return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">
 <rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>
-<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="14">{escape(title)}</text>
+<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="14">{escape(title, quote=False)}</text>
 <line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{_MARGIN_T + plot_h}" stroke="#000"/>
 <line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" x2="{_MARGIN_L + plot_w}" y2="{_MARGIN_T + plot_h}" stroke="#000"/>
 {''.join(x_ticks)}

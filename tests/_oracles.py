@@ -5,7 +5,8 @@ likelihood is a direct double loop over explicit risk sets, the
 maximizer is found by brute-force grid search, injection streams each
 sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
-The flow-CSV parser reads the whole text and converts cell by cell.
+The flow-CSV parser reads the whole text and converts cell by cell, and
+the survival-table writer formats one record at a time.
 """
 
 import csv
@@ -21,6 +22,7 @@ from flowhazard import (
     SequenceResult,
     SurvivalRecord,
 )
+from flowhazard.experiment import _FIXED_COLUMNS
 from flowhazard.flowdata import (
     FlowDataset,
     ParseReport,
@@ -99,6 +101,20 @@ def per_sequence_scan(model, post, band, pre_summary, n_sequences, seq_len,
         )
         results.append(SequenceResult(seq_id, record, None, scores))
     return tuple(results)
+
+
+def record_based_write_survival_table(results, feature_names, sink) -> None:
+    """CSV of sequence outcomes: id, time, event, one column per covariate."""
+    with open_text(sink, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(_FIXED_COLUMNS) + list(feature_names))
+        for res in results:
+            rec = res.survival if isinstance(res, SequenceResult) else res
+            seq_id = res.sequence_id if isinstance(res, SequenceResult) else ""
+            writer.writerow(
+                [seq_id, repr(float(rec.time)), rec.event]
+                + [repr(float(v)) for v in rec.covariates]
+            )
 
 
 def per_time_km_fit(records):

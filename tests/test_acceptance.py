@@ -239,9 +239,7 @@ def test_c6_protocol_invariants():
         unreachable = run_experiment(
             _protocol_config((1e9, 2e9)), benign, attack, post
         )
-        records = [
-            r.survival for it in unreachable.successes for r in it.results
-        ]
+        records = [r for it in unreachable.successes for r in it.table]
         assert len(records) == 500
         assert all(r.event == 0 and r.time == 100.0 for r in records)
         for t in (0.0, 50.0, 100.0):

@@ -64,6 +64,15 @@ def stderr_error(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+def only_error_line(capsys) -> dict:
+    """The one JSON line a failed command leaves on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
 def csv_workspace(workspace, tmp_path):
     """Synthesized per-class CSVs (300 rows each) and a pipeline config
     that reads them and writes to ``tmp_path / "csv_run"``."""
@@ -110,6 +119,25 @@ class TestSynth:
         rc = main(["synth", "--spec", str(tmp / "nope.json")])
         assert rc == 2
         assert stderr_error(capsys)["error"] == "MissingInput"
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command, flag", [
+        ("pipeline", "--config"), ("train", "--config"), ("synth", "--spec"),
+    ])
+    @pytest.mark.parametrize("text, problem", [
+        ("{bad", "not valid JSON"),
+        ("[1]", "expected a JSON object, got list"),
+    ], ids=["undecodable", "not_an_object"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, flag,
+                                     text, problem):
+        bad = tmp_path / "broken.json"
+        bad.write_text(text)
+        rc = main([command, flag, str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert str(bad) in err["message"] and problem in err["message"]
 
 
 class TestTrainCommand:
@@ -226,6 +254,21 @@ class TestPipelineCommand:
         assert 0.0 <= err["achieved"] <= 1.0
         assert err["required"] == 1.01
 
+    def test_cox_max_iter_zero_exits_2(self, workspace, tmp_path, capsys):
+        tmp, _, config = workspace
+        config = dict(config)
+        config["experiment"] = dict(config["experiment"],
+                                    cox={"max_iter": 0})
+        bad = tmp / "no_steps.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["pipeline", "--config", str(bad),
+                   "--out", str(tmp_path / "none")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "max_iter" in err["message"]
+        assert not (tmp_path / "none").exists()
+
     def test_csv_inputs_write_sanitization_report(self, workspace, tmp_path):
         csv_config = csv_workspace(workspace, tmp_path)
         assert main(["pipeline", "--config", str(csv_config)]) == 0
@@ -308,6 +351,22 @@ class TestCoxCommand:
         fit = cox_from_csv(tmp_path / "cox_table.csv")
         assert fit["feature"] == ("x", "dead_col")
         assert fit["beta"][1] == 0.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ridge", "-1"), ("--ridge", "inf"), ("--tol", "-1"),
+        ("--tol", "nan"), ("--max-iter", "0"),
+    ])
+    def test_invalid_option_exits_2(self, tmp_path, capsys, flag, value):
+        table = tmp_path / "table.csv"
+        write_survival_csv(table, [(0, 1.0, 1, 0.0), (1, 2.0, 1, 1.0),
+                                   (2, 3.0, 0, 0.5)])
+        rc = main(["cox", "--table", str(table), flag, value,
+                   "--out", str(tmp_path / "fit")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidValue"
+        assert flag.lstrip("-").replace("-", "_") in err["message"]
+        assert not (tmp_path / "fit").exists()
 
     def test_bad_header_names_offending_column(self, tmp_path, capsys):
         table = tmp_path / "bad.csv"

@@ -177,6 +177,18 @@ class TestRunSequence:
                 assert res.detected_flow_index is None
 
 
+def _same_table(table, oracle):
+    """Row i of ``table`` is the survival record of the oracle's sequence
+    i, bit for bit."""
+    assert len(table) == len(oracle)
+    assert [r.sequence_id for r in oracle] == list(range(len(table)))
+    want = [r.survival for r in oracle]
+    assert table.times.tobytes() == np.array([r.time for r in want]).tobytes()
+    assert table.events.tolist() == [r.event for r in want]
+    for row, r in zip(table.X, want):
+        assert row.tobytes() == r.covariates.tobytes()
+
+
 def _same_results(bulk, oracle):
     """Bit-for-bit equality of two tuples of sequence results."""
     assert len(bulk) == len(oracle)
@@ -239,11 +251,12 @@ class TestBulkScanMatchesPerSequenceOracle:
         n, length = case["n_sequences"], case["seq_len"]
         idx = _draw_indices(case["post"], n, length,
                             np.random.default_rng(seed))
-        _, bulk = _scan_sequences(case["model"], case["post"], case["band"],
-                                  case["pre_summary"], idx)
+        bulk = _scan_sequences(case["model"], case["post"], case["band"],
+                               case["pre_summary"], idx)
         oracle = per_sequence_scan(rng=np.random.default_rng(seed), **case)
-        _same_results(bulk, oracle)
-        # run_sequence over build_sequences is the same scan, one row at a time
+        _same_table(bulk, oracle)
+        # run_sequence over build_sequences is the same scan, one row at a
+        # time, with the score traces and detection indices
         seqs = build_sequences(case["post"], n, length,
                                np.random.default_rng(seed))
         one_by_one = tuple(
@@ -265,7 +278,7 @@ class TestBulkScanMatchesPerSequenceOracle:
             feature_summary(train_on_split(cfg, benign, attack, 1).pre),
             cfg.n_sequences, cfg.seq_len, rng_from(cfg.master_seed, 1, 3),
         )
-        _same_results(it.results, oracle)
+        _same_table(it.table, oracle)
 
 
 class TestRunIteration:
@@ -274,14 +287,18 @@ class TestRunIteration:
                                              q=0.01)
         cfg = small_config(n_sequences=3, seq_len=5)
         it = run_iteration(cfg, benign, attack, post, iteration=0)
-        assert len(it.results) == 3
-        assert {r.sequence_id for r in it.results} == {0, 1, 2}
+        assert len(it.table) == 3
+        assert it.table.X.shape == (3, SCHEMA.n_features)
+        buf = io.StringIO()
+        write_survival_table(it.table, buf)
+        ids = [line.split(",")[0] for line in buf.getvalue().splitlines()]
+        assert ids == ["sequence_id", "0", "1", "2"]
 
     def test_familiar_post_rarely_detected(self):
         benign, attack, post = familiar_world(seed=5, n_pre=400, n_post=1000)
         cfg = small_config(n_sequences=50, seq_len=30)
         it = run_iteration(cfg, benign, attack, post, iteration=0)
-        assert it.n_events / len(it.results) < 0.2
+        assert it.n_events / len(it.table) < 0.2
 
     def test_accuracy_gate_failure_reports_achieved(self):
         rng = np.random.default_rng(7)
@@ -327,7 +344,8 @@ class TestRunExperiment:
         assert report.detection_rate == 1.0
         assert km_survival_at(report.pooled_km, 0.0) == 0.0
         for it in report.successes:
-            assert all(r.detected_flow_index == 0 for r in it.results)
+            assert it.table.events.all()
+            assert (it.table.times == 0.0).all()
 
     def test_unreachable_band_censors_everything(self):
         benign, attack, post = planted_world(seed=17, n_pre=300, n_post=800,
@@ -340,7 +358,7 @@ class TestRunExperiment:
         assert report.n_converged == 0
         for t in (0.0, 5.0, 10.0):
             assert km_survival_at(report.pooled_km, t) == 1.0
-        records = [r.survival for it in report.successes for r in it.results]
+        records = [r for it in report.successes for r in it.table]
         assert all(r.event == 0 and r.time == 10.0 for r in records)
         for it in report.successes:
             assert it.cox is None
@@ -388,7 +406,7 @@ class TestRunExperiment:
         benign, attack, post = planted_world(seed=53, q=0.02)
         cfg = small_config(n_sequences=40, seq_len=20, n_iterations=1)
         report = run_experiment(cfg, benign, attack, post)
-        records = [r.survival for r in report.successes[0].results]
+        records = list(report.successes[0].table)
         shuffled = [records[i] for i in
                     np.random.default_rng(0).permutation(len(records))]
         from flowhazard import km_fit
@@ -463,19 +481,15 @@ class TestSurvivalTableIO:
                                              q=0.05)
         cfg = small_config(n_sequences=20, seq_len=10, n_iterations=1)
         report = run_experiment(cfg, benign, attack, post)
+        original = report.successes[0].table
         buf = io.StringIO()
-        write_survival_table(
-            report.successes[0].results, report.feature_names, buf
-        )
+        write_survival_table(original, buf)
         buf.seek(0)
-        records, names = read_survival_table(buf)
-        assert names == report.feature_names
-        originals = [r.survival for r in report.successes[0].results]
-        assert len(records) == len(originals)
-        for got, want in zip(records, originals):
-            assert got.time == want.time
-            assert got.event == want.event
-            np.testing.assert_array_equal(got.covariates, want.covariates)
+        table = read_survival_table(buf)
+        assert table.feature_names == report.feature_names
+        for col in ("times", "events", "X"):
+            np.testing.assert_array_equal(getattr(table, col),
+                                          getattr(original, col))
 
     def test_header_validation_names_offender(self):
         buf = io.StringIO("sequence_id,when,event,f\n0,1,1,2\n")

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowhazard import (
     CoxOptions,
@@ -9,12 +11,16 @@ from flowhazard import (
     InvalidValue,
     LengthMismatch,
     NonFinite,
+    SequenceResult,
     SurvivalRecord,
     SurvivalTable,
     cox_fit,
     km_fit,
     read_survival_table,
+    write_survival_table,
 )
+
+from _oracles import record_based_write_survival_table
 
 
 def small_table():
@@ -50,9 +56,9 @@ class TestRecordView:
     def test_fits_on_table_equal_fits_on_records(self):
         table = small_table()
         by_table = cox_fit(table, CoxOptions(ridge=1e-2))
-        by_records = cox_fit(list(table), CoxOptions(ridge=1e-2),
-                             feature_names=("a", "b"))
+        by_records = cox_fit(list(table), CoxOptions(ridge=1e-2))
         assert by_table.feature_names == ("a", "b")
+        assert by_records.feature_names == ("x0", "x1")
         np.testing.assert_array_equal(by_table.beta, by_records.beta)
         np.testing.assert_array_equal(km_fit(table).survival,
                                       km_fit(list(table)).survival)
@@ -100,8 +106,68 @@ class TestReader:
         buf = io.StringIO(
             "sequence_id,time,event,x\n,1,1,0.5\n\n , , , \nabc,2,0,0.25\n"
         )
-        table, names = read_survival_table(buf)
-        assert names == ("x",) == table.feature_names
+        table = read_survival_table(buf)
+        assert table.feature_names == ("x",)
         assert table.times.tolist() == [1.0, 2.0]
         assert table.events.tolist() == [1, 0]
         assert table.X.tolist() == [[0.5], [0.25]]
+
+
+# floats whose text form is easy to get wrong: signed zero, subnormals,
+# the largest magnitudes and integral values
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.1125369292536007e-308,
+                2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+                1.0, 3.0, 100.0, 2.0**53, 0.1]
+_times = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**6).map(float),
+)
+_covariates = st.one_of(
+    st.sampled_from(_EDGE_FLOATS + [-v for v in _EDGE_FLOATS]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# names the reader gives back as written: csv quoting (comma, double
+# quote, newline) but no surrounding whitespace, which the reader strips
+_names = st.text(alphabet=list('ab Z9,";\n\'\xe9'), max_size=6).filter(
+    lambda name: name == name.strip()
+)
+
+
+@st.composite
+def survival_tables(draw):
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(0, 4))
+    return SurvivalTable(
+        np.array(draw(st.lists(_times, min_size=n, max_size=n))),
+        np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        np.array(draw(st.lists(_covariates, min_size=n * width,
+                               max_size=n * width))).reshape(n, width),
+        tuple(draw(st.lists(_names, min_size=width, max_size=width))),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=300)
+    @given(table=survival_tables())
+    @example(table=SurvivalTable(
+        np.array([-0.0, 5e-324, 1e308, 7.0]), np.array([1, 0, 1, 0]),
+        np.array([[-0.0, 5e-324], [-1e308, 2.0], [1.5, -4e-320],
+                  [3.0, 0.1]]),
+        ("a,b", 'say "hi"'),
+    ))
+    def test_write_then_read_is_bit_identical(self, table):
+        buf = io.StringIO()
+        write_survival_table(table, buf)
+        text = buf.getvalue()
+        again = read_survival_table(io.StringIO(text))
+        assert again.feature_names == table.feature_names
+        assert again.times.tobytes() == table.times.tobytes()
+        assert again.events.tobytes() == table.events.tobytes()
+        assert again.X.tobytes() == table.X.tobytes()
+        # the text is what the record-at-a-time writer produced
+        rows = [SequenceResult(i, table[i], None, np.zeros(0))
+                for i in range(len(table))]
+        oracle = io.StringIO()
+        record_based_write_survival_table(rows, table.feature_names, oracle)
+        assert text == oracle.getvalue()
