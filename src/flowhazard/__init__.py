@@ -21,6 +21,7 @@ from .errors import (
     NonFinite,
     SchemaMismatch,
     SingularHessian,
+    UnusablePath,
 )
 from .experiment import (
     AttackCombination,
@@ -86,7 +87,6 @@ from .survival import (
     cox_log_partial_likelihood,
     cox_survival_at,
     cumulative_death_at,
-    hazard_ratios,
     km_fit,
     km_survival_at,
     wald_stats,

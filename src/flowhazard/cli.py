@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -28,6 +29,7 @@ from .errors import (
     FlowHazardError,
     InvalidSpec,
     MissingInput,
+    UnusablePath,
 )
 from .experiment import (
     AttackCombination,
@@ -140,6 +142,28 @@ def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
     )
 
 
+def _band_from_config(raw) -> tuple[float, float]:
+    """The ``[low, high]`` score band: two numbers, ``low`` finite or
+    ``-inf`` and ``high`` finite."""
+    if not (
+        isinstance(raw, list)
+        and len(raw) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in raw)
+    ):
+        raise InvalidSpec(f"band must be a list of two numbers, got {raw!r}")
+    try:
+        low, high = float(raw[0]), float(raw[1])
+    except OverflowError:  # an integer too large for a float
+        low = high = math.nan
+    if not (math.isfinite(low) or low == -math.inf) or not math.isfinite(high):
+        raise InvalidSpec(
+            f"band needs a finite or -inf low end and a finite high end, "
+            f"got {raw!r}"
+        )
+    return low, high
+
+
 def _experiment_from_config(doc: dict) -> ExperimentConfig:
     exp = doc.get("experiment")
     if exp is None:
@@ -152,15 +176,15 @@ def _experiment_from_config(doc: dict) -> ExperimentConfig:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidSpec(f"bad experiment config: {err}")
-    band = exp.get("band", [0.40, 0.60])
+    band_low, band_high = _band_from_config(exp.get("band", [0.40, 0.60]))
     cox_raw = exp.get("cox", {})
     sel_raw = exp.get("selection", {})
     try:
         return ExperimentConfig(
             regressor=regressor,
             combination=combo,
-            band_low=float(band[0]),
-            band_high=float(band[1]),
+            band_low=band_low,
+            band_high=band_high,
             seq_len=int(exp.get("seq_len", 100)),
             n_sequences=int(exp.get("n_sequences", 500)),
             n_iterations=int(exp.get("n_iterations", 10)),
@@ -463,6 +487,13 @@ def main(argv=None) -> int:
     except FlowHazardError as err:
         log.debug("command failed", exc_info=True)
         return _fail(err)
+    except OSError as err:
+        # an input that cannot be opened or an output that cannot be
+        # created, such as a directory given as a file or the reverse
+        if err.filename is None:
+            raise
+        log.debug("command failed", exc_info=True)
+        return _fail(UnusablePath(f"{err.filename}: {err.strerror}"))
 
 
 def entrypoint() -> None:

@@ -25,6 +25,10 @@ class MissingInput(FlowHazardError):
     """A referenced input path does not exist."""
 
 
+class UnusablePath(FlowHazardError):
+    """An input could not be opened or an output could not be created."""
+
+
 class MissingColumn(FlowHazardError):
     """A schema column is absent from a CSV header."""
 

@@ -143,7 +143,9 @@ class FlowDataset:
     """Immutable collection of flows sharing one schema.
 
     ``features`` is an (n, F) float64 matrix; ``targets``, when present,
-    is an (n,) vector of 0.0/1.0 regression targets.
+    is an (n,) vector of 0.0/1.0 regression targets.  Any other target
+    value raises :class:`InvalidValue`: the forest's split search counts
+    on every target equalling its square.
     """
 
     schema: FlowSchema
@@ -169,6 +171,8 @@ class FlowDataset:
             t = np.asarray(self.targets, dtype=np.float64)
             if t.shape != (feats.shape[0],):
                 raise LengthMismatch("one target per row required")
+            if not np.all((t == 0.0) | (t == 1.0)):
+                raise InvalidValue("targets must be 0.0 or 1.0")
             object.__setattr__(self, "targets", t)
 
     def __len__(self) -> int:
@@ -563,6 +567,14 @@ class SyntheticSpec:
         """
         if not spec:
             raise InvalidSpec("synthetic spec has no classes")
+        for label, feats in spec.items():
+            if not isinstance(feats, dict) or not all(
+                isinstance(dist, dict) for dist in feats.values()
+            ):
+                raise InvalidSpec(
+                    f"class {label!r} must map each feature to an object "
+                    f"with mean, std and truncate_at_zero"
+                )
         first = next(iter(spec.values()))
         feature_names = tuple(first.keys())
         schema = FlowSchema(feature_names, label_column=label_column)
@@ -573,12 +585,17 @@ class SyntheticSpec:
                     f"class {label!r} does not define the same features as "
                     f"the first class"
                 )
+            dists = [feats[n] for n in feature_names]
+            try:
+                means = [float(d.get("mean", 0.0)) for d in dists]
+                stds = [float(d.get("std", 0.0)) for d in dists]
+            except (TypeError, ValueError) as err:
+                raise InvalidSpec(f"class {label!r}: {err}") from None
             classes[label] = ClassSpec(
-                means=[float(feats[n].get("mean", 0.0)) for n in feature_names],
-                stds=[float(feats[n].get("std", 0.0)) for n in feature_names],
+                means=means,
+                stds=stds,
                 truncate_at_zero=[
-                    bool(feats[n].get("truncate_at_zero", False))
-                    for n in feature_names
+                    bool(d.get("truncate_at_zero", False)) for d in dists
                 ],
             )
         return cls(schema=schema, classes=classes)

@@ -631,11 +631,6 @@ def cox_fit(records, options: CoxOptions = CoxOptions()) -> CoxModel:
     )
 
 
-def hazard_ratios(model: CoxModel) -> np.ndarray:
-    """``exp(beta)`` per feature; > 1 raises the event rate, < 1 lowers it."""
-    return np.exp(model.beta)
-
-
 def wald_stats(model: CoxModel) -> dict:
     """Per-feature Wald statistics aligned with ``model.feature_names``."""
     with np.errstate(divide="ignore", invalid="ignore"):

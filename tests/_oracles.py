@@ -5,8 +5,9 @@ likelihood is a direct double loop over explicit risk sets, the
 maximizer is found by brute-force grid search, injection streams each
 sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
-The flow-CSV parser reads the whole text and converts cell by cell, and
-the survival-table writer formats one record at a time.
+The flow-CSV parser reads the whole text and converts cell by cell, the
+survival-table writer formats one record at a time, and the tree builder
+recurses and re-sorts every candidate feature at every node.
 """
 
 import csv
@@ -32,6 +33,8 @@ from flowhazard.flowdata import (
     open_text,
 )
 from flowhazard.models import predict_many
+from flowhazard.models.forest import ForestState, Tree
+from flowhazard.seeding import rng_from
 
 
 def naive_log_partial_likelihood(beta, records):
@@ -339,3 +342,119 @@ def whole_text_parse_flow_csv(source, schema, policy=SanitizePolicy()):
         labels=tuple(labels),
         report=report,
     )
+
+
+class PerFeatureSortTreeBuilder:
+    """The recursive builder that re-sorts every candidate feature at
+    every node; ``train_forest`` must grow the same trees."""
+
+    def __init__(self, X, y, max_depth, min_leaf, mtry, rng):
+        self.X = X
+        self.y = y
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.mtry = mtry
+        self.rng = rng
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+
+    def _new_node(self) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def build(self, idx: np.ndarray) -> Tree:
+        self._grow(idx, depth=0)
+        return Tree(
+            feature=np.array(self.feature, dtype=np.int32),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int32),
+            right=np.array(self.right, dtype=np.int32),
+            value=np.array(self.value, dtype=np.float64),
+        )
+
+    def _grow(self, idx: np.ndarray, depth: int) -> int:
+        node = self._new_node()
+        y = self.y[idx]
+        if (
+            (self.max_depth is not None and depth >= self.max_depth)
+            or idx.size < 2 * self.min_leaf
+            or y.min() == y.max()
+        ):
+            self.value[node] = float(y.mean())
+            return node
+
+        split = self._best_split(idx, y)
+        if split is None:
+            self.value[node] = float(y.mean())
+            return node
+
+        feat, thr = split
+        go_left = self.X[idx, feat] <= thr
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self._grow(idx[go_left], depth + 1)
+        self.right[node] = self._grow(idx[~go_left], depth + 1)
+        return node
+
+    def _candidate_features(self) -> np.ndarray:
+        n_features = self.X.shape[1]
+        if self.mtry >= n_features:
+            return np.arange(n_features)
+        picked = self.rng.choice(n_features, size=self.mtry, replace=False)
+        return np.sort(picked)
+
+    def _best_split(self, idx: np.ndarray, y: np.ndarray):
+        n = idx.size
+        total1 = y.sum()
+        total2 = (y * y).sum()
+        parent_sse = total2 - total1 * total1 / n
+        best_gain = 0.0
+        best = None
+        for feat in self._candidate_features():
+            x = self.X[idx, feat]
+            order = np.argsort(x, kind="stable")
+            sx = x[order]
+            sy = y[order]
+            c1 = np.cumsum(sy)[:-1]
+            c2 = np.cumsum(sy * sy)[:-1]
+            k = np.arange(1, n)
+            valid = sx[:-1] < sx[1:]
+            valid &= (k >= self.min_leaf) & (n - k >= self.min_leaf)
+            if not valid.any():
+                continue
+            left_sse = c2 - c1 * c1 / k
+            right_sse = (total2 - c2) - (total1 - c1) ** 2 / (n - k)
+            gain = np.where(valid, parent_sse - left_sse - right_sse, -np.inf)
+            pos = int(np.argmax(gain))  # first max = lowest threshold
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                best = (int(feat), float((sx[pos] + sx[pos + 1]) / 2.0))
+        return best
+
+
+def per_feature_sort_train_forest(X, y, params, seed_key) -> ForestState:
+    """``train_forest`` driving ``PerFeatureSortTreeBuilder``."""
+    n, n_features = X.shape
+    mtry = params.features_per_split
+    if mtry is None:
+        mtry = math.ceil(n_features / 3)
+    mtry = min(mtry, n_features)
+    trees = []
+    for i in range(params.n_trees):
+        rng = rng_from(*seed_key, i)
+        if params.bootstrap:
+            idx = np.sort(rng.integers(0, n, size=n))
+        else:
+            idx = np.arange(n)
+        builder = PerFeatureSortTreeBuilder(
+            X, y, params.max_depth, params.min_leaf, mtry, rng
+        )
+        trees.append(builder.build(idx))
+    return ForestState(trees=tuple(trees))

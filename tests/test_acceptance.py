@@ -27,7 +27,6 @@ from flowhazard import (
     cox_gradient,
     cox_hessian,
     cox_log_partial_likelihood,
-    hazard_ratios,
     km_fit,
     km_survival_at,
     run_experiment,
@@ -85,7 +84,7 @@ def test_c1_hazard_ratio_reproduction(capsys):
             ("random forest", rf_betas, rf_printed),
             ("linear SVR", svr_betas, svr_printed),
         ):
-            computed = hazard_ratios(model_with_betas(betas))
+            computed = model_with_betas(betas).hazard_ratios
             for name, b, hr, pr in zip(features, betas, computed, printed):
                 # our mapping must agree with an independent exp()
                 assert hr == pytest.approx(math.exp(b), rel=1e-12)

@@ -120,6 +120,25 @@ class TestSynth:
         assert rc == 2
         assert stderr_error(capsys)["error"] == "MissingInput"
 
+    @pytest.mark.parametrize("spec", [
+        {"A": 1}, {"A": {"f": 1}}, {"A": {"f": {"mean": "x"}}},
+    ], ids=["class_not_object", "feature_not_object", "mean_not_number"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "'A'" in err["message"]
+
+    def test_pipeline_spec_entry_is_checked(self, workspace, capsys):
+        tmp, config_path, _ = workspace
+        (tmp / "synth_spec.json").write_text(json.dumps({"A": {"f": [1]}}))
+        rc = main(["pipeline", "--config", str(config_path)])
+        assert rc == 2
+        assert only_error_line(capsys)["error"] == "InvalidSpec"
+
 
 class TestMalformedJson:
     @pytest.mark.parametrize("command, flag", [
@@ -269,6 +288,36 @@ class TestPipelineCommand:
         assert "max_iter" in err["message"]
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("band", [
+        [0.4], [0.4, "high"], [float("nan"), 0.6],
+    ], ids=["one_element", "not_a_number", "nan"])
+    def test_malformed_band_exits_2(self, workspace, tmp_path, capsys, band):
+        tmp, _, config = workspace
+        config = dict(config)
+        config["experiment"] = dict(config["experiment"], band=band)
+        bad = tmp / "bad_band.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["pipeline", "--config", str(bad),
+                   "--out", str(tmp_path / "none")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "band" in err["message"]
+        assert not (tmp_path / "none").exists()
+
+    def test_out_under_a_regular_file_exits_2(self, workspace, tmp_path,
+                                              capsys):
+        _, config_path, _ = workspace
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        rc = main(["pipeline", "--config", str(config_path),
+                   "--out", str(out)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "UnusablePath"
+        assert str(out) in err["message"]
+
     def test_csv_inputs_write_sanitization_report(self, workspace, tmp_path):
         csv_config = csv_workspace(workspace, tmp_path)
         assert main(["pipeline", "--config", str(csv_config)]) == 0
@@ -413,6 +462,13 @@ class TestKMCommand:
         curve = km_from_csv(tmp_path / "km_curve.csv")
         rounded = [round(s, 4) for s in curve.survival]
         assert rounded == [0.6667, 0.3333, 0.0]
+
+    def test_directory_as_table_exits_2(self, tmp_path, capsys):
+        rc = main(["km", "--table", str(tmp_path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "UnusablePath"
+        assert str(tmp_path) in err["message"]
 
     def test_all_censored_stays_at_one(self, tmp_path):
         table = tmp_path / "cens.csv"
