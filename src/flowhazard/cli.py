@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     EXIT_OK,
@@ -127,18 +127,52 @@ class PipelineConfig:
     synthetic: dict | None   # spec (SyntheticSpec) + rows_per_class
 
 
+def _object(doc: dict, key: str) -> dict:
+    """``doc[key]``, which must be a JSON object; {} when absent."""
+    raw = doc.get(key, {})
+    if not isinstance(raw, dict):
+        raise InvalidSpec(f"{key!r} must be an object, got {raw!r}")
+    return raw
+
+
+def _text(doc: dict, key: str, default=None) -> str:
+    """``doc[key]``, which must be a string."""
+    raw = doc.get(key, default)
+    if not isinstance(raw, str):
+        raise InvalidSpec(f"{key!r} must be a string, got {raw!r}")
+    return raw
+
+
+def _texts(doc: dict, key: str, default=None) -> list:
+    """``doc[key]``, which must be a list of strings."""
+    raw = doc.get(key, default)
+    if not (isinstance(raw, list) and all(isinstance(v, str) for v in raw)):
+        raise InvalidSpec(f"{key!r} must be a list of strings, got {raw!r}")
+    return raw
+
+
+def _number(doc: dict, key: str, default, kind=float):
+    """``doc[key]`` converted by ``kind``, ``int`` or ``float``."""
+    raw = doc.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpec(f"{key!r} must be a number, got {raw!r}") from None
+
+
 def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
-    raw = doc.get("schema")
-    if raw is None:
+    if doc.get("schema") is None:
         if synthetic_spec is not None:
             return synthetic_spec.schema
         return cicids2017_schema()
+    raw = _object(doc, "schema")
     if "preset" in raw:
         if raw["preset"] != "cicids2017":
             raise InvalidSpec(f"unknown schema preset {raw['preset']!r}")
         return cicids2017_schema()
     return FlowSchema(
-        tuple(raw["features"]), label_column=raw.get("label_column", "Label")
+        tuple(_texts(raw, "features")),
+        label_column=_text(raw, "label_column", "Label"),
     )
 
 
@@ -164,41 +198,45 @@ def _band_from_config(raw) -> tuple[float, float]:
     return low, high
 
 
-def _experiment_from_config(doc: dict) -> ExperimentConfig:
-    exp = doc.get("experiment")
-    if exp is None:
+def _experiment_from_config(doc: dict, seed=None) -> ExperimentConfig:
+    """The ``experiment`` section; ``seed``, when given, overrides its
+    ``master_seed``."""
+    if doc.get("experiment") is None:
         raise InvalidSpec("config is missing the 'experiment' section")
+    exp = _object(doc, "experiment")
     try:
         regressor = regressor_from_dict(exp["regressor"])
+        combo = _object(exp, "combination")
         combo = AttackCombination(
-            pre_attack=exp["combination"]["pre_attack"],
-            post_attack=exp["combination"]["post_attack"],
+            pre_attack=_text(combo, "pre_attack"),
+            post_attack=_text(combo, "post_attack"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidSpec(f"bad experiment config: {err}")
     band_low, band_high = _band_from_config(exp.get("band", [0.40, 0.60]))
-    cox_raw = exp.get("cox", {})
-    sel_raw = exp.get("selection", {})
+    cox_raw = _object(exp, "cox")
+    sel_raw = _object(exp, "selection")
     try:
         return ExperimentConfig(
             regressor=regressor,
             combination=combo,
             band_low=band_low,
             band_high=band_high,
-            seq_len=int(exp.get("seq_len", 100)),
-            n_sequences=int(exp.get("n_sequences", 500)),
-            n_iterations=int(exp.get("n_iterations", 10)),
-            master_seed=int(exp.get("master_seed", 0)),
+            seq_len=_number(exp, "seq_len", 100, int),
+            n_sequences=_number(exp, "n_sequences", 500, int),
+            n_iterations=_number(exp, "n_iterations", 10, int),
+            master_seed=(_number(exp, "master_seed", 0, int) if seed is None
+                         else seed),
             cox_options=CoxOptions(
-                ridge=float(cox_raw.get("ridge", 1e-3)),
-                tol=float(cox_raw.get("tol", 1e-8)),
-                max_iter=int(cox_raw.get("max_iter", 100)),
+                ridge=_number(cox_raw, "ridge", 1e-3),
+                tol=_number(cox_raw, "tol", 1e-8),
+                max_iter=_number(cox_raw, "max_iter", 100, int),
             ),
-            accuracy_gate=float(exp.get("accuracy_gate", 0.95)),
-            holdout_fraction=float(exp.get("holdout_fraction", 0.2)),
+            accuracy_gate=_number(exp, "accuracy_gate", 0.95),
+            holdout_fraction=_number(exp, "holdout_fraction", 0.2),
             selection=SelectionRule(
-                min_abs_beta=float(sel_raw.get("min_abs_beta", 1e-3)),
-                min_fraction=float(sel_raw.get("min_fraction", 0.8)),
+                min_abs_beta=_number(sel_raw, "min_abs_beta", 1e-3),
+                min_fraction=_number(sel_raw, "min_fraction", 0.8),
             ),
         )
     except ValueError as err:
@@ -214,16 +252,16 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
     def resolve(p):
         return os.path.join(base, p) if not os.path.isabs(p) else p
 
-    inputs = doc.get("inputs", {})
+    inputs = _object(doc, "inputs")
     synthetic = None
     csv_inputs = None
     spec = None
     if "synthetic_spec" in inputs:
-        spec_doc = _load_json(resolve(inputs["synthetic_spec"]))
+        spec_doc = _load_json(resolve(_text(inputs, "synthetic_spec")))
         spec = SyntheticSpec.from_json_dict(spec_doc)
         synthetic = {
             "spec": spec,
-            "rows_per_class": int(inputs.get("rows_per_class", 1000)),
+            "rows_per_class": _number(inputs, "rows_per_class", 1000, int),
         }
     else:
         missing = [
@@ -236,15 +274,13 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
                 f"missing {missing}"
             )
         csv_inputs = {
-            k: _require_path(resolve(inputs[k]))
+            k: _require_path(resolve(_text(inputs, k)))
             for k in ("benign_csv", "pre_attack_csv", "post_attack_csv")
         }
 
-    experiment = _experiment_from_config(doc)
-    if getattr(args, "seed", None) is not None:
-        experiment = replace(experiment, master_seed=args.seed)
+    experiment = _experiment_from_config(doc, getattr(args, "seed", None))
 
-    emit = doc.get("emit", list(_EMIT_CHOICES))
+    emit = _texts(doc, "emit", list(_EMIT_CHOICES))
     if getattr(args, "emit", None):
         emit = [e.strip() for e in args.emit.split(",") if e.strip()]
     bad = set(emit) - set(_EMIT_CHOICES)
@@ -252,14 +288,14 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
         raise InvalidSpec(f"unknown emit flags {sorted(bad)}")
 
     output_dir = getattr(args, "out", None) or resolve(
-        doc.get("output_dir", ".")
+        _text(doc, "output_dir", ".")
     )
     return PipelineConfig(
         schema=_schema_from_config(doc, spec),
         experiment=experiment,
         output_dir=output_dir,
         emit=frozenset(emit),
-        benign_label=doc.get("benign_label", "BENIGN"),
+        benign_label=_text(doc, "benign_label", "BENIGN"),
         csv_inputs=csv_inputs,
         synthetic=synthetic,
     )

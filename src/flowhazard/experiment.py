@@ -45,6 +45,7 @@ from .flowdata import (
     FlowDataset,
     abs_diff_covariates,
     binary_dataset,
+    _CsvChunks,
     feature_summary,
     open_text,
     subset,
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("seq_len, n_sequences, n_iterations must be >= 1")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -469,48 +472,91 @@ def read_survival_table(source) -> SurvivalTable:
     """Parse :func:`write_survival_table` output into a
     :class:`SurvivalTable` named by the header's covariate columns.
 
-    Blank lines are skipped, and data rows are numbered from 1 without
-    them.  A missing fixed header column is named in the error; a row
-    whose length differs from the header's, a cell that is not a number
-    and an out-of-range value are reported with their data row and
-    column.  The ``sequence_id`` column is not read.
+    Blank lines (and lines of only commas or whitespace) are skipped, and
+    data rows are numbered from 1 without them.  A missing fixed header
+    column is named in the error; a row whose length differs from the
+    header's, a cell that is not a number and an out-of-range value are
+    reported with their data row and column.  The ``sequence_id`` column
+    is not read.
+
+    Lines are read as the handle yields them (a path is opened with
+    ``newline=""``, as the csv module expects), in chunks: a chunk of plain
+    records with the header's cell count is read by numpy's C reader, and
+    any other chunk by the csv module.  A chunk that holds an error is
+    checked again together with the rest of the file, so the error
+    reported is the one a whole-file read meets first.
     """
     with open_text(source) as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise EmptyInput("empty survival table")
-    header = [h.strip() for h in rows[0]]
+        chunks = _CsvChunks(iter(fh))
+        header = next(chunks.records, None)
+        if header is None:
+            raise EmptyInput("empty survival table")
+        header = [h.strip() for h in header]
+        try:
+            _check_fixed_columns(header)
+        except SchemaMismatch:
+            list(chunks.records)  # a malformed record outranks the header
+            raise
+        blocks = []
+        n_rows = 0
+        for _, plain in chunks.blocks(range(1, len(header)),
+                                      n_cells=len(header)):
+            if plain is None:
+                rows = []
+                while chunks.pending:
+                    rows.append(next(chunks.records))
+                try:
+                    block = _rows_to_block(header, rows, n_rows)
+                except (LengthMismatch, ValueError):
+                    _rows_to_block(header, rows + list(chunks.records),
+                                   n_rows)
+                    raise
+            else:
+                block = plain[0]
+            blocks.append(block)
+            n_rows += block.shape[0]
+    if not n_rows:
+        raise EmptyInput("survival table has no data rows")
+    data = np.concatenate(blocks)
+    return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:],
+                         tuple(header[len(_FIXED_COLUMNS):]))
+
+
+def _check_fixed_columns(header: list[str]) -> None:
     for i, required in enumerate(_FIXED_COLUMNS):
         if i >= len(header) or header[i].casefold() != required:
             raise SchemaMismatch(
                 f"survival table column {i} must be {required!r}, "
                 f"got {header[i] if i < len(header) else 'nothing'!r}"
             )
-    feature_names = tuple(header[len(_FIXED_COLUMNS):])
-    body = [row for row in rows[1:] if any(c.strip() for c in row)]
-    if not body:
-        raise EmptyInput("survival table has no data rows")
-    for i, row in enumerate(body):
+
+
+def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
+    """The cells after ``sequence_id`` of the csv ``rows`` that are not
+    blank, as floats; data rows are numbered on from ``done``."""
+    body = [row for row in rows if any(c.strip() for c in row)]
+    for i, row in enumerate(body, done + 1):
         if len(row) != len(header):
             raise LengthMismatch(
-                f"data row {i + 1} has {len(row)} cells, the header has "
+                f"data row {i} has {len(row)} cells, the header has "
                 f"{len(header)}"
             )
     cells = [row[1:] for row in body]
     try:
-        data = np.array(cells, dtype=np.float64)
+        return np.array(cells, dtype=np.float64).reshape(
+            len(cells), len(header) - 1
+        )
     except ValueError:
-        for i, row in enumerate(cells):
+        for i, row in enumerate(cells, done + 1):
             for name, cell in zip(header[1:], row):
                 try:
                     float(cell)
                 except ValueError:
                     raise InvalidValue(
-                        f"data row {i + 1}, column {name!r}: not a number, "
+                        f"data row {i}, column {name!r}: not a number, "
                         f"got {cell!r}"
                     ) from None
         raise
-    return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
 
 
 def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:

@@ -266,29 +266,73 @@ def _split_lines(fh):
         yield tail
 
 
-def _plain_block(lines, feat_idx, label_idx):
-    """Features and labels of ``lines`` by numpy's C reader, or None.
+def _plain_block(lines, feat_idx, label_idx=None, n_cells=None):
+    r"""Features (and labels) of ``lines`` by numpy's C reader, or None.
 
     Only a chunk in which every line is one record that the csv module
-    would split at each comma is read here: no quote, carriage return or
-    NUL, no blank line, no line long enough to hit the csv field limit.
-    The C reader converts each cell with the same ``PyOS_string_to_double``
-    as ``float``; any cell it rejects (``float`` accepts underscores and
-    non-ASCII digits) sends the chunk back to the csv path.
+    would split at each comma is read here: no quote or NUL, no carriage
+    return but in a ``"\r\n"`` line end, no blank line, no line long
+    enough to hit the csv field limit, and, when ``n_cells`` is given, that
+    many cells on every line.  The C reader converts each cell with the
+    same ``PyOS_string_to_double`` as ``float``; any cell it rejects
+    (``float`` accepts underscores and non-ASCII digits) sends the chunk
+    back to the csv path.  ``labels`` is None without a ``label_idx``.
     """
     text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
+    if ('"' in text or "\0" in text
+            or "\r" in text and text.count("\r") != text.count("\r\n")
             or not all(map(str.strip, lines))
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    row = np.dtype([("x", np.float64, (len(feat_idx),)), ("label", object)])
+    if n_cells is not None and set(
+            map(str.count, lines, itertools.repeat(","))) != {n_cells - 1}:
+        return None
+    fields = [("x", np.float64, (len(feat_idx),))]
+    usecols = [*feat_idx]
+    if label_idx is not None:
+        fields.append(("label", object))
+        usecols.append(label_idx)
     try:
-        rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None,
-                          usecols=[*feat_idx, label_idx], ndmin=1)
+        rows = np.loadtxt(lines, dtype=np.dtype(fields), delimiter=",",
+                          comments=None, usecols=usecols, ndmin=1)
     except ValueError:
         return None
-    return (np.ascontiguousarray(rows["x"]),
-            [label.strip() for label in rows["label"]])
+    labels = (None if label_idx is None
+              else [label.strip() for label in rows["label"]])
+    return np.ascontiguousarray(rows["x"]), labels
+
+
+class _CsvChunks:
+    """Numeric CSV text read in chunks of ``_CHUNK_LINES`` lines.
+
+    One csv reader, ``records``, runs over the whole input: it reads the
+    header, then every chunk that :func:`_plain_block` does not read, so a
+    quoted field may run on past the end of its chunk.  ``blocks`` yields
+    each chunk's line count and its plain block, or None after queueing
+    the chunk's lines in ``pending``; the caller then reads ``records``
+    until ``pending`` is empty.
+    """
+
+    def __init__(self, lines):
+        self._lines = lines
+        self.pending: deque[str] = deque()
+        self.records = csv.reader(self._feed())
+
+    def _feed(self):
+        while True:
+            while self.pending:
+                yield self.pending.popleft()
+            line = next(self._lines, None)
+            if line is None:
+                return
+            yield line
+
+    def blocks(self, feat_idx, label_idx=None, n_cells=None):
+        while chunk := list(itertools.islice(self._lines, _CHUNK_LINES)):
+            plain = _plain_block(chunk, feat_idx, label_idx, n_cells)
+            if plain is None:
+                self.pending.extend(chunk)
+            yield len(chunk), plain
 
 
 def parse_flow_csv(
@@ -320,21 +364,8 @@ def parse_flow_csv(
 
 def _parse_lines(lines, schema: FlowSchema,
                  policy: SanitizePolicy) -> FlowDataset:
-    # One csv reader runs over the whole input: it reads the header, then
-    # every chunk that is not plain, so a quoted field may run on past the
-    # end of its chunk.  ``pending`` hands it a chunk's lines first.
-    pending: deque[str] = deque()
-
-    def feed():
-        while True:
-            while pending:
-                yield pending.popleft()
-            line = next(lines, None)
-            if line is None:
-                return
-            yield line
-
-    reader = csv.reader(feed())
+    chunks = _CsvChunks(lines)
+    reader = chunks.records
     try:
         header = next(reader)
     except StopIteration:
@@ -367,20 +398,18 @@ def _parse_lines(lines, schema: FlowSchema,
     messages: list[str] = []
     lineno = 2  # record number of the next data record
 
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+    for n_lines, plain in chunks.blocks(feat_idx, label_idx):
         notes: list[tuple[int, str]] = []
-        plain = _plain_block(chunk, feat_idx, label_idx)
         if plain is not None:
             block, labs = plain
-            linenos = range(lineno, lineno + len(chunk))
-            lineno += len(chunk)
-            rows_read += len(chunk)
+            linenos = range(lineno, lineno + n_lines)
+            lineno += n_lines
+            rows_read += n_lines
         else:
-            pending.extend(chunk)
             rows: list[list[float]] = []
             labs = []
             linenos = []
-            while pending:
+            while chunks.pending:
                 record = lineno
                 lineno += 1
                 try:

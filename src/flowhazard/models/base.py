@@ -10,6 +10,8 @@ depend only on the ordering of training values, so it needs no scaling.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, Union
 
@@ -26,6 +28,22 @@ MODEL_FORMAT = "flowhazard-model"
 MODEL_VERSION = 1
 
 
+def _require_integers(params, *names):
+    """Each named field is None or an integer, not a bool or a float: it
+    is a count or a sample size."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and (isinstance(value, bool) or
+                                  not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(params, *names):
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class RandomForestParams:
     n_trees: int = 100
@@ -37,6 +55,7 @@ class RandomForestParams:
     kind: ClassVar[str] = "random_forest"
 
     def __post_init__(self):
+        _require_integers(self, "n_trees", "features_per_split")
         if self.n_trees < 1 or self.min_leaf < 1:
             raise ValueError("n_trees and min_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
@@ -53,6 +72,7 @@ class BayesianRidgeParams:
     kind: ClassVar[str] = "bayesian_ridge"
 
     def __post_init__(self):
+        _require_integers(self, "max_evidence_iters")
         if self.max_evidence_iters < 1:
             raise ValueError("max_evidence_iters must be >= 1")
         if self.tol <= 0:
@@ -69,6 +89,8 @@ class LinearSVRParams:
     kind: ClassVar[str] = "linear_svr"
 
     def __post_init__(self):
+        _require_integers(self, "epochs")
+        _require_finite(self, "C", "epsilon", "learning_rate")
         if self.C <= 0:
             raise ValueError("C must be positive")
         if self.epsilon < 0:

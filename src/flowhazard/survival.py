@@ -182,10 +182,17 @@ class _TieBlocks:
     event_rows: np.ndarray  # rows with an observed event
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values."""
+    first = np.ones(x.shape, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return np.flatnonzero(first)
+
+
 def _tie_blocks(times: np.ndarray, events: np.ndarray) -> _TieBlocks:
     order = np.argsort(-times, kind="stable")
     t = times[order]
-    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    starts = _run_starts(t)
     return _TieBlocks(
         order=order,
         starts=starts,
@@ -260,6 +267,13 @@ class KMCurve:
                 raise ValueError("at-risk recursion violated")
             if np.any(np.diff(self.survival) > 1e-15):
                 raise ValueError("survival estimates must be non-increasing")
+
+    def censor_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct censoring times, ascending, and the censorings at
+        each."""
+        starts = _run_starts(self.censor_times)
+        return (self.censor_times[starts],
+                np.diff(starts, append=self.censor_times.shape[0]))
 
 
 def km_fit(records) -> KMCurve:
@@ -671,36 +685,39 @@ def cox_survival_at(model: CoxModel, covariates, t):
 
 
 def km_to_csv(curve: KMCurve, sink) -> None:
-    """One row per distinct observed time (events and censorings)."""
+    """One row per distinct observed time (events and censorings).
+
+    A censoring-only row has 0 events, everyone not removed before it at
+    risk, and the survival and Greenwood variance of the last event time
+    before it.
+    """
+    ct, counts = curve.censor_counts()
+    # an event time sorts before an equal censoring time, whose row it is
+    merged = np.sort(np.concatenate([curve.times, ct]), kind="stable")
+    times = merged[_run_starts(merged)]
+    event_rows = np.searchsorted(times, curve.times)
+    n_event = np.zeros(times.shape, dtype=np.int64)
+    n_event[event_rows] = curve.n_event
+    n_cens = np.zeros(times.shape, dtype=np.int64)
+    n_cens[np.searchsorted(times, ct)] = counts
+    # at risk: everyone not removed by an event or a censoring before
+    n_risk = curve.n_total - (np.cumsum(n_event + n_cens) - n_event - n_cens)
+    n_risk[event_rows] = curve.n_risk
+
+    step = np.searchsorted(curve.times, times, side="right")
+    survival = np.r_[1.0, curve.survival][step]
+    greenwood = np.r_[0.0, curve.greenwood_var][step]
     with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["time", "n_risk", "n_event", "n_censored", "survival",
              "greenwood_var"]
         )
-        ct, counts = np.unique(curve.censor_times, return_counts=True)
-        censor_map = dict(zip(ct.tolist(), counts.tolist()))
-        all_times = sorted(set(curve.times.tolist()) | set(ct.tolist()))
-        surv = StepFunction(curve.times, curve.survival, initial=1.0)
-        gw = StepFunction(curve.times, curve.greenwood_var, initial=0.0)
-        event_map = {
-            t: (int(r), int(d), float(s), float(g))
-            for t, r, d, s, g in zip(
-                curve.times.tolist(), curve.n_risk, curve.n_event,
-                curve.survival, curve.greenwood_var,
-            )
-        }
-        remaining = curve.n_total
-        for t in all_times:
-            n_cens = censor_map.get(t, 0)
-            if t in event_map:
-                n_risk, n_event, s, g = event_map[t]
-            else:
-                n_risk, n_event, s, g = remaining, 0, float(surv(t)), float(gw(t))
-            writer.writerow(
-                [repr(float(t)), n_risk, n_event, n_cens, repr(s), repr(g)]
-            )
-            remaining = n_risk - n_event - n_cens
+        writer.writerows(zip(
+            map(repr, times.tolist()), n_risk.tolist(), n_event.tolist(),
+            n_cens.tolist(), map(repr, survival.tolist()),
+            map(repr, greenwood.tolist()),
+        ))
 
 
 def km_from_csv(source) -> KMCurve:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from html import escape
 
-import numpy as np
-
 from .survival import KMCurve, StepFunction
 
 _WIDTH = 640
@@ -52,11 +50,12 @@ def km_svg(curve: KMCurve, title: str = "Survival of injected sequences") -> str
         level = float(s)
     path.append(f"L {sx(t_max):.2f} {sy(level):.2f}")
 
+    marks, _ = curve.censor_counts()
     surv = StepFunction(curve.times, curve.survival, initial=1.0)
     censor_marks = []
-    for t in np.unique(curve.censor_times):
-        y = sy(float(surv(float(t))))
-        x = sx(float(t))
+    for t, s in zip(marks.tolist(), surv(marks).tolist()):
+        y = sy(s)
+        x = sx(t)
         censor_marks.append(
             f'<line x1="{x:.2f}" y1="{y - 5:.2f}" x2="{x:.2f}" '
             f'y2="{y + 5:.2f}" stroke="#444" stroke-width="1"/>'

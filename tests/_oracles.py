@@ -6,8 +6,10 @@ maximizer is found by brute-force grid search, injection streams each
 sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
 The flow-CSV parser reads the whole text and converts cell by cell, the
-survival-table writer formats one record at a time, and the tree builder
-recurses and re-sorts every candidate feature at every node.
+survival-table writer formats one record at a time, its reader builds
+every row as a list of strings, the Kaplan-Meier writer looks each time
+up in dicts and step functions, and the tree builder recurses and
+re-sorts every candidate feature at every node.
 """
 
 import csv
@@ -18,10 +20,14 @@ import numpy as np
 
 from flowhazard import (
     EmptyInput,
+    InvalidValue,
     KMCurve,
+    LengthMismatch,
     MissingColumn,
+    SchemaMismatch,
     SequenceResult,
     SurvivalRecord,
+    SurvivalTable,
 )
 from flowhazard.experiment import _FIXED_COLUMNS
 from flowhazard.flowdata import (
@@ -35,6 +41,7 @@ from flowhazard.flowdata import (
 from flowhazard.models import predict_many
 from flowhazard.models.forest import ForestState, Tree
 from flowhazard.seeding import rng_from
+from flowhazard.survival import StepFunction
 
 
 def naive_log_partial_likelihood(beta, records):
@@ -118,6 +125,87 @@ def record_based_write_survival_table(results, feature_names, sink) -> None:
                 [seq_id, repr(float(rec.time)), rec.event]
                 + [repr(float(v)) for v in rec.covariates]
             )
+
+
+def csv_rows_read_survival_table(source) -> SurvivalTable:
+    """Parse :func:`write_survival_table` output into a
+    :class:`SurvivalTable` named by the header's covariate columns.
+
+    Blank lines are skipped, and data rows are numbered from 1 without
+    them.  A missing fixed header column is named in the error; a row
+    whose length differs from the header's, a cell that is not a number
+    and an out-of-range value are reported with their data row and
+    column.  The ``sequence_id`` column is not read.
+    """
+    with open_text(source) as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise EmptyInput("empty survival table")
+    header = [h.strip() for h in rows[0]]
+    for i, required in enumerate(_FIXED_COLUMNS):
+        if i >= len(header) or header[i].casefold() != required:
+            raise SchemaMismatch(
+                f"survival table column {i} must be {required!r}, "
+                f"got {header[i] if i < len(header) else 'nothing'!r}"
+            )
+    feature_names = tuple(header[len(_FIXED_COLUMNS):])
+    body = [row for row in rows[1:] if any(c.strip() for c in row)]
+    if not body:
+        raise EmptyInput("survival table has no data rows")
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise LengthMismatch(
+                f"data row {i + 1} has {len(row)} cells, the header has "
+                f"{len(header)}"
+            )
+    cells = [row[1:] for row in body]
+    try:
+        data = np.array(cells, dtype=np.float64)
+    except ValueError:
+        for i, row in enumerate(cells):
+            for name, cell in zip(header[1:], row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InvalidValue(
+                        f"data row {i + 1}, column {name!r}: not a number, "
+                        f"got {cell!r}"
+                    ) from None
+        raise
+    return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
+
+
+def per_time_km_to_csv(curve: KMCurve, sink) -> None:
+    """One row per distinct observed time (events and censorings)."""
+    with open_text(sink, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["time", "n_risk", "n_event", "n_censored", "survival",
+             "greenwood_var"]
+        )
+        ct, counts = np.unique(curve.censor_times, return_counts=True)
+        censor_map = dict(zip(ct.tolist(), counts.tolist()))
+        all_times = sorted(set(curve.times.tolist()) | set(ct.tolist()))
+        surv = StepFunction(curve.times, curve.survival, initial=1.0)
+        gw = StepFunction(curve.times, curve.greenwood_var, initial=0.0)
+        event_map = {
+            t: (int(r), int(d), float(s), float(g))
+            for t, r, d, s, g in zip(
+                curve.times.tolist(), curve.n_risk, curve.n_event,
+                curve.survival, curve.greenwood_var,
+            )
+        }
+        remaining = curve.n_total
+        for t in all_times:
+            n_cens = censor_map.get(t, 0)
+            if t in event_map:
+                n_risk, n_event, s, g = event_map[t]
+            else:
+                n_risk, n_event, s, g = remaining, 0, float(surv(t)), float(gw(t))
+            writer.writerow(
+                [repr(float(t)), n_risk, n_event, n_cens, repr(s), repr(g)]
+            )
+            remaining = n_risk - n_event - n_cens
 
 
 def per_time_km_fit(records):

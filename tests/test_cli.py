@@ -1,11 +1,16 @@
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
 from flowhazard.experiment import run_iteration
@@ -494,3 +499,121 @@ class TestKMCommand:
         assert root.tag.endswith("svg")
         body = svg_path.read_text()
         assert "<path" in body and "survival probability" in body
+
+
+# A small valid config whose every key a mutation may drop or retype.
+# Replacement values are wrong types or out-of-range numbers, never large
+# sizes, so every mutated run stays small.
+_MUTATED_CONFIG = {
+    "inputs": {"synthetic_spec": "synth_spec.json", "rows_per_class": 60},
+    "schema": {"features": ["f_sep", "f_driver", "f_noise"],
+               "label_column": "Label"},
+    "experiment": {
+        "regressor": {"kind": "bayesian_ridge", "max_evidence_iters": 50,
+                      "tol": 1e-4},
+        "combination": {"pre_attack": "DoS-ish", "post_attack": "web-ish"},
+        "band": [0.4, 0.6],
+        "seq_len": 6, "n_sequences": 8, "n_iterations": 1,
+        "master_seed": 3,
+        "cox": {"ridge": 1e-3, "tol": 1e-8, "max_iter": 50},
+        "accuracy_gate": 0.9,
+        "holdout_fraction": 0.2,
+        "selection": {"min_abs_beta": 1e-3, "min_fraction": 0.8},
+    },
+    "output_dir": "out",
+    "emit": ["km", "cox", "json", "svg"],
+    "benign_label": "BENIGN",
+}
+_FOREST = {"kind": "random_forest", "n_trees": 2, "max_depth": 3,
+           "min_leaf": 2, "features_per_split": 2, "bootstrap": True}
+_SVR = {"kind": "linear_svr", "C": 1.0, "epsilon": 0.1,
+        "learning_rate": 0.05, "epochs": 5}
+_ODD_VALUES = [None, True, False, -1, 0, -2.5, 0.5, 1.5, 2, float("inf"),
+               "many", "", [], [1], ["x", "y"], {}, {"a": 1}]
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    config = json.loads(json.dumps(_MUTATED_CONFIG))
+    regressor = draw(st.sampled_from([None, _FOREST, _SVR]))
+    if regressor is not None:
+        config["experiment"]["regressor"] = dict(regressor)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(sorted(_key_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict) or path[-1] not in parent:
+            continue
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            value = draw(st.sampled_from(_ODD_VALUES))
+            parent[path[-1]] = copy.deepcopy(value)
+    return config
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("mutations")
+    (base / "synth_spec.json").write_text(json.dumps(SYNTH_SPEC))
+    return base
+
+
+class TestConfigMutations:
+    @pytest.mark.parametrize("path, value, named", [
+        (("inputs", "rows_per_class"), "many", "rows_per_class"),
+        (("emit",), 5, "emit"),
+        (("schema",), {"features": 5}, "features"),
+        (("experiment", "seq_len"), None, "seq_len"),
+        (("experiment", "accuracy_gate"), [1], "accuracy_gate"),
+        (("experiment", "master_seed"), -1, "master_seed"),
+        (("experiment", "regressor", "max_evidence_iters"), 1.5,
+         "max_evidence_iters"),
+    ], ids=["rows_per_class", "emit", "schema_features", "seq_len",
+            "accuracy_gate", "negative_seed", "float_iterations"])
+    def test_wrong_type_is_invalid_spec(self, mutation_dir, capsys, path,
+                                        value, named):
+        config = json.loads(json.dumps(_MUTATED_CONFIG))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config_path = mutation_dir / "typed.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert named in err["message"]
+
+    def test_negative_seed_flag_is_invalid_spec(self, mutation_dir, capsys):
+        config_path = mutation_dir / "valid.json"
+        config_path.write_text(json.dumps(_MUTATED_CONFIG))
+        assert main(["pipeline", "--config", str(config_path),
+                     "--seed", "-1"]) == 2
+        assert only_error_line(capsys)["error"] == "InvalidSpec"
+
+    @settings(max_examples=120)
+    @given(config=mutated_configs())
+    def test_exit_code_and_one_json_line(self, mutation_dir, config):
+        path = mutation_dir / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["pipeline", "--config", str(path)])
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        lines = [line for line in err.getvalue().splitlines() if line]
+        if rc == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["exit_code"] == rc

@@ -137,9 +137,26 @@ class TestPlainChunks:
         assert block.tolist() == [[1.0, 2.0], [3.5, np.inf]]
         assert labels == ["x", "y"]
 
+    def test_crlf_lines_take_the_c_reader(self):
+        block, labels = flowdata._plain_block(
+            ["1,2, x\r\n", "3.5,Infinity,y \r\n", "4,5,z"], self.FEAT, 2
+        )
+        assert block.tolist() == [[1.0, 2.0], [3.5, np.inf], [4.0, 5.0]]
+        assert labels == ["x", "y", "z"]
+
+    def test_cell_count_is_checked_when_given(self):
+        lines = ["0,1,2\n", "0,3,4\r\n"]
+        block, labels = flowdata._plain_block(lines, [1, 2], n_cells=3)
+        assert block.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert labels is None
+        for bad in (["0,1,2,9\n"], ["0,1,2\n", "0,1\n"]):
+            assert flowdata._plain_block(bad, [1, 2], n_cells=3) is None
+
     @pytest.mark.parametrize("lines", [
         ['1,2,"x"\n'],
-        ["1,2,x\r\n"],
+        ["1,2\r,x\n"],
+        ["1,2,x\r"],
+        ["1,2,x\r\r\n"],
         ["1,2,x\n", "\n"],
         ["1,2,x\n", " \t\n"],
         ["1,\x002,x\n"],
@@ -147,7 +164,8 @@ class TestPlainChunks:
         ["1_0,2,x\n"],
         ["\u0663,2,x\n"],
         ["1,2," + "x" * (csv.field_size_limit() + 1) + "\n"],
-    ], ids=["quote", "cr", "blank", "whitespace", "nul", "short",
+    ], ids=["quote", "cr", "cr_at_end", "cr_before_crlf", "blank",
+            "whitespace", "nul", "short",
             "underscore", "non_ascii_digit", "field_limit"])
     def test_other_chunks_go_to_csv(self, lines):
         assert flowdata._plain_block(lines, self.FEAT, 2) is None

@@ -2,15 +2,20 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flowhazard import (
     EmptyInput,
     SurvivalRecord,
+    SurvivalTable,
     cumulative_death_at,
     km_fit,
     km_survival_at,
 )
 from flowhazard.survival import km_from_csv, km_to_csv
+
+from _oracles import per_time_km_to_csv
 
 
 def rec(time, event, cov=(0.0,)):
@@ -148,3 +153,39 @@ class TestKMSerialization:
         buf2 = io.StringIO()
         km_to_csv(again, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+
+def _curve(times, events):
+    return km_fit(SurvivalTable(np.array(times, dtype=np.float64),
+                                np.array(events), np.zeros((len(times), 0))))
+
+
+@st.composite
+def km_curves(draw):
+    """Curves on few distinct times, so events and censorings tie; the
+    events may be all, none or some of the rows."""
+    n = draw(st.integers(1, 25))
+    times = draw(st.lists(
+        st.one_of(st.integers(0, draw(st.integers(0, 9))).map(float),
+                  st.sampled_from([0.5, 1e-300, 2.0**60, 1e308])),
+        min_size=n, max_size=n,
+    ))
+    mode = draw(st.sampled_from(["mixed", "mixed", "events", "censored"]))
+    if mode == "mixed":
+        events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        events = [int(mode == "events")] * n
+    return _curve(times, events)
+
+
+class TestKMWriterEqualsPerTimeWriter:
+    @given(curve=km_curves())
+    @example(curve=_curve([1, 1, 2, 2, 2, 3], [1, 0, 1, 1, 0, 0]))
+    @example(curve=_curve([1, 4, 4, 5, 9, 9], [0, 1, 0, 0, 0, 0]))
+    @example(curve=_curve([2, 2, 3], [0, 0, 0]))
+    @example(curve=_curve([2, 2, 3], [1, 1, 1]))
+    def test_same_text(self, curve):
+        got, want = io.StringIO(), io.StringIO()
+        km_to_csv(curve, got)
+        per_time_km_to_csv(curve, want)
+        assert got.getvalue() == want.getvalue()

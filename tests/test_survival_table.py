@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from flowhazard import (
     read_survival_table,
     write_survival_table,
 )
+from flowhazard import flowdata
 
-from _oracles import record_based_write_survival_table
+from _oracles import (
+    csv_rows_read_survival_table,
+    record_based_write_survival_table,
+)
 
 
 def small_table():
@@ -171,3 +176,146 @@ class TestRoundTrip:
         oracle = io.StringIO()
         record_based_write_survival_table(rows, table.feature_names, oracle)
         assert text == oracle.getvalue()
+
+
+# Survival-table text for the reader against the whole-file csv reader it
+# replaced: half the texts are valid tables, so chunks reach numpy's C
+# reader, and the rest mix in every irregularity the csv path handles.
+_TIMES = st.one_of(st.integers(0, 60).map(str), st.floats(0.0, 1e6).map(repr))
+_COVARIATES = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_ODD_CELLS = st.sampled_from([
+    "nan", "inf", "-inf", "Infinity", "-0.0", "1e999", "1_0", "\u0663",
+    "\uff17", "", " ", "bogus", "+4", ".5", "-3", "0x1p3",
+])
+_PAD = st.sampled_from([" ", "\t", "\u2003", "\xa0"])
+_IDS = st.sampled_from(["0", "7", "abc", "", " ", "1e3"])
+_HEADER_NAMES = st.sampled_from([
+    "x", "bytes", " pad ", '"a,b"', '"say ""hi"""', '"two\nlines"', "\xe9",
+])
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _cells(draw, base, odd):
+    """A cell from ``base``; when ``odd``, sometimes an odd spelling,
+    padded or quoted."""
+    cell = draw(base)
+    if odd and draw(st.integers(0, 7)) == 0:
+        cell = draw(_ODD_CELLS)
+    if odd and draw(st.integers(0, 7)) == 0:
+        cell = draw(_PAD) + cell + draw(_PAD)
+    if odd and draw(st.integers(0, 15)) == 0:
+        cell = _quoted(cell)
+    return cell
+
+
+@st.composite
+def survival_texts(draw):
+    """A header (rarely a wrong one) and rows, all plain or, in an odd
+    text, some short, long, blank, whitespace-only, comma-only or with odd
+    cells; lines end by LF or CRLF, in an odd text sometimes by a bare CR.
+    """
+    odd = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    fixed = ["sequence_id", "time", "event"]
+    if odd and draw(st.integers(0, 10)) == 0:
+        fixed = draw(st.sampled_from([["sequence_id", "time"],
+                                      ["id", "time", "event"],
+                                      ["sequence_id", "event", "time"]]))
+    header = fixed + draw(st.lists(_HEADER_NAMES, min_size=width,
+                                   max_size=width))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = st.just(end)
+    if odd and draw(st.integers(0, 4)) == 0:
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+    events = st.sampled_from(
+        ["0", "1"] + (["1.0", "2", "-1", "0.5"] if odd else [])
+    )
+    kinds = ["row"] * 8 + (["short", "long", "blank", "spaces", "commas"]
+                           if odd else [])
+    out = [",".join(header) + draw(ends)]
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.sampled_from([" ", "\t", " \u2003"]))
+        elif kind == "commas":
+            line = "," * draw(st.integers(1, len(header)))
+        else:
+            cells = [draw(_IDS), draw(_cells(_TIMES, odd)),
+                     draw(_cells(events, odd))]
+            cells += [draw(_cells(_COVARIATES, odd)) for _ in range(width)]
+            if kind == "short":
+                cells = cells[:draw(st.integers(1, len(cells) - 1))]
+            elif kind == "long":
+                cells.append(draw(_cells(_COVARIATES, odd)))
+            line = ",".join(cells)
+        out.append(line + draw(ends))
+    text = "".join(out)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _read_outcome(read, source):
+    try:
+        table = read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (table.feature_names, table.X.shape, table.times.tobytes(),
+            table.events.tobytes(), table.X.tobytes())
+
+
+class TestReaderEqualsWholeFileReader:
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 7])
+    @settings(max_examples=150)
+    @given(text=survival_texts(), as_path=st.booleans())
+    @example(text="sequence_id,time,event,x\r\n0,1.0,1,0.5\r\n"
+                  "1,2.0,0,-0.0\r\n", as_path=True)
+    @example(text="sequence_id,time,event,x\r0,1,1,2\r1,2,0,3\r",
+             as_path=True)
+    @example(text="sequence_id,time,event,x\r0,1,1,2\r1,2,0,3\r",
+             as_path=False)
+    @example(text="id,time,event\n0,1,1\r2\n", as_path=False)
+    @example(text='sequence_id,time,event,"a,b","say ""hi"""\n'
+                  '0,1,1,2,3\n1,"2",0,3,4\n\n,,,,\n2,3,1,bogus,5\n'
+                  "3,4,1,5\n", as_path=False)
+    def test_same_table_or_same_error(self, chunk_lines, text, as_path,
+                                      tmp_path_factory):
+        if as_path:
+            path = tmp_path_factory.getbasetemp() / "table.csv"
+            path.write_bytes(text.encode("utf-8"))
+            sources = (str(path), str(path))
+        else:
+            sources = (io.StringIO(text), io.StringIO(text))
+        with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines):
+            got = _read_outcome(read_survival_table, sources[0])
+        assert got == _read_outcome(csv_rows_read_survival_table, sources[1])
+
+    def test_written_tables_take_the_c_reader(self, monkeypatch):
+        # CRLF line ends and quoted names do not keep the body off it
+        table = SurvivalTable(np.arange(6.0), np.array([1, 0] * 3),
+                              np.ones((6, 2)), ("a,b", 'q"'))
+        buf = io.StringIO()
+        write_survival_table(table, buf)
+        assert "\r\n" in buf.getvalue()
+        monkeypatch.setattr(flowdata, "_CHUNK_LINES", 4)
+        calls = []
+        real = flowdata._plain_block
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs) is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowdata, "_plain_block", spy)
+        again = read_survival_table(io.StringIO(buf.getvalue()))
+        assert calls == [True, True]
+        assert again.X.tobytes() == table.X.tobytes()
+        assert again.feature_names == ("a,b", 'q"')
