@@ -44,7 +44,6 @@ from .flowdata import (
     ClassSpec,
     FeatureSummary,
     FlowDataset,
-    FlowRecord,
     FlowSchema,
     ParseReport,
     SanitizePolicy,
@@ -68,7 +67,6 @@ from .models import (
     evaluate_accuracy,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
     regressor_from_dict,
     train,

@@ -476,8 +476,10 @@ def read_survival_table(source) -> SurvivalTable:
     data rows are numbered from 1 without them.  A missing fixed header
     column is named in the error; a row whose length differs from the
     header's, a cell that is not a number and an out-of-range value are
-    reported with their data row and column.  The ``sequence_id`` column
-    is not read.
+    reported with their data row and column, and a record the csv module
+    rejects (a field over its size limit, a bare carriage return from a
+    handle that does not split lines there) with its data row, as
+    :class:`InvalidValue`.  The ``sequence_id`` column is not read.
 
     Lines are read as the handle yields them (a path is opened with
     ``newline=""``, as the csv module expects), in chunks: a chunk of plain
@@ -488,28 +490,32 @@ def read_survival_table(source) -> SurvivalTable:
     """
     with open_text(source) as fh:
         chunks = _CsvChunks(iter(fh))
-        header = next(chunks.records, None)
+        try:
+            header = next(chunks.records, None)
+        except csv.Error as err:
+            raise InvalidValue(f"header: {err}") from None
         if header is None:
             raise EmptyInput("empty survival table")
         header = [h.strip() for h in header]
         try:
             _check_fixed_columns(header)
         except SchemaMismatch:
-            list(chunks.records)  # a malformed record outranks the header
+            # a malformed record outranks the header
+            list(_data_records(chunks.records, 0))
             raise
         blocks = []
         n_rows = 0
         for _, plain in chunks.blocks(range(1, len(header)),
                                       n_cells=len(header)):
             if plain is None:
+                records = _data_records(chunks.records, n_rows)
                 rows = []
                 while chunks.pending:
-                    rows.append(next(chunks.records))
+                    rows.append(next(records))
                 try:
                     block = _rows_to_block(header, rows, n_rows)
                 except (LengthMismatch, ValueError):
-                    _rows_to_block(header, rows + list(chunks.records),
-                                   n_rows)
+                    _rows_to_block(header, rows + list(records), n_rows)
                     raise
             else:
                 block = plain[0]
@@ -520,6 +526,21 @@ def read_survival_table(source) -> SurvivalTable:
     data = np.concatenate(blocks)
     return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:],
                          tuple(header[len(_FIXED_COLUMNS):]))
+
+
+def _data_records(reader, done: int):
+    """The records of the csv ``reader``, after ``done`` data rows that
+    are not blank; a record it rejects raises :class:`InvalidValue`
+    naming the data row."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise InvalidValue(f"data row {done + 1}: {err}") from None
+        done += any(c.strip() for c in row)
+        yield row
 
 
 def _check_fixed_columns(header: list[str]) -> None:
@@ -580,22 +601,6 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
                 repr(float(frac[j])),
                 int(name in chosen),
             ])
-
-
-def aggregate_cox_from_csv(source) -> dict:
-    with open_text(source) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise EmptyInput("empty aggregate Cox CSV")
-    return {
-        "feature": tuple(r["feature"] for r in rows),
-        "mean_beta": np.array([float(r["mean_beta"]) for r in rows]),
-        "hazard_ratio": np.array([float(r["hazard_ratio"]) for r in rows]),
-        "nonzero_fraction": np.array(
-            [float(r["nonzero_fraction"]) for r in rows]
-        ),
-        "selected": np.array([int(r["selected"]) for r in rows]),
-    }
 
 
 def report_to_json_dict(report: ExperimentReport) -> dict:

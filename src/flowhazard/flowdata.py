@@ -15,10 +15,9 @@ import csv
 import io
 import itertools
 import os
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -97,22 +96,6 @@ def cicids2017_schema() -> FlowSchema:
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    """One network flow: a finite feature vector and its class label."""
-
-    features: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise LengthMismatch("flow features must be a 1-D vector")
-        if not np.all(np.isfinite(feats)):
-            raise NonFinite("flow features must be finite")
-        object.__setattr__(self, "features", feats)
-
-
-@dataclass(frozen=True)
 class ParseReport:
     """Sanitization outcome of one CSV parse."""
 
@@ -177,17 +160,6 @@ class FlowDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
-
-    @cached_property
-    def class_counts(self) -> dict[str, int]:
-        return dict(Counter(self.labels))
-
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(self.features[i].copy(), self.labels[i])
 
 
 @dataclass(frozen=True)
@@ -541,8 +513,9 @@ def feature_summary(dataset: FlowDataset) -> FeatureSummary:
 
 
 def abs_diff_covariates(flow, summary: FeatureSummary) -> np.ndarray:
-    """Elementwise absolute distance of a flow from the summary means."""
-    feats = flow.features if isinstance(flow, FlowRecord) else np.asarray(flow)
+    """Elementwise absolute distance of a flow's feature vector from the
+    summary means."""
+    feats = np.asarray(flow)
     if feats.shape != summary.means.shape:
         raise LengthMismatch(
             f"flow has {feats.shape} features, summary has {summary.means.shape}"

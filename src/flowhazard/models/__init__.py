@@ -8,7 +8,6 @@ from .base import (
     evaluate_accuracy,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
     regressor_from_dict,
     train,
@@ -29,7 +28,6 @@ __all__ = [
     "evaluate_accuracy",
     "model_from_json",
     "model_to_json",
-    "predict",
     "predict_many",
     "regressor_from_dict",
     "train",

@@ -18,7 +18,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from ..errors import DegenerateData, EmptyInput, SchemaMismatch
-from ..flowdata import FlowDataset, FlowRecord
+from ..flowdata import FlowDataset
 from ..seeding import normalize_key
 from .bayes_ridge import LinearState, fit_bayesian_ridge
 from .forest import ForestState, Tree, forest_predict, train_forest
@@ -126,7 +126,7 @@ class TrainReport:
 class TrainedModel:
     """Fitted state plus the train-time feature scaling.
 
-    ``predict`` is a pure function of (state, input); constant features
+    ``predict_many`` is a pure function of (state, input); constant features
     record a scaling std of 1 so standardization never divides by zero.
     """
 
@@ -198,16 +198,6 @@ def predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     # sum a batch's remainder rows (the last n % 4 at 78 features) in
     # another order, so a flow's score would depend on its batch
     return (Z * model.state.weights).sum(axis=1) + model.state.intercept
-
-
-def predict(model: TrainedModel, flow) -> float:
-    """Score a single flow (FlowRecord or raw feature vector)."""
-    feats = flow.features if isinstance(flow, FlowRecord) else np.asarray(flow)
-    if feats.shape != (model.n_features,):
-        raise SchemaMismatch(
-            f"flow has shape {feats.shape}, model expects ({model.n_features},)"
-        )
-    return float(predict_many(model, feats[None, :])[0])
 
 
 def evaluate_accuracy(

@@ -3,17 +3,22 @@
 Per-sample subgradients of the epsilon-insensitive objective
 ``||w||^2 / 2 + C * sum_i max(0, |y_i - w.x_i - b| - eps)`` are applied in
 a seeded shuffle order; the returned weights are the running average of
-all iterates (Polyak averaging), which smooths the non-smooth loss.
+all iterates (Polyak averaging), which smooths the non-smooth loss.  A
+learning rate too large for the data makes the iterates overflow; the
+fit then raises :class:`NonFinite` instead of returning them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NonFinite
 from ..seeding import rng_from
 from .bayes_ridge import LinearState
 
 
+# a diverging run overflows to inf and nan silently; it is reported below
+@np.errstate(over="ignore", invalid="ignore")
 def fit_linear_svr(X: np.ndarray, y: np.ndarray, params, seed_key) -> LinearState:
     n, n_features = X.shape
     reg = 1.0 / (params.C * n)
@@ -39,4 +44,10 @@ def fit_linear_svr(X: np.ndarray, y: np.ndarray, params, seed_key) -> LinearStat
             w_sum += w
             b_sum += b
             steps += 1
-    return LinearState(weights=w_sum / steps, intercept=b_sum / steps)
+    weights, intercept = w_sum / steps, b_sum / steps
+    if not (np.isfinite(weights).all() and np.isfinite(intercept)):
+        raise NonFinite(
+            f"linear SVR diverged: the averaged weights are not finite at "
+            f"learning_rate={eta!r}"
+        )
+    return LinearState(weights=weights, intercept=intercept)

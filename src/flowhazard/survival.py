@@ -45,29 +45,17 @@ Z95 = 1.959964
 
 @dataclass(frozen=True)
 class SurvivalRecord:
-    """One observation: time on study, event indicator, covariate vector.
+    """One row of a :class:`SurvivalTable`: time on study, event
+    indicator, covariate vector.
 
     ``event == 1`` means the event was observed at ``time``; ``event == 0``
-    means the observation was censored then.
+    means the observation was censored then.  The table checks its values
+    when it is built; a row is not checked again.
     """
 
     time: float
     event: int
     covariates: np.ndarray
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise InvalidValue("survival time must be non-negative")
-        if self.event not in (0, 1):
-            raise InvalidValue("event indicator must be 0 or 1")
-        cov = np.asarray(self.covariates, dtype=np.float64)
-        if cov.ndim != 1:
-            raise LengthMismatch("covariates must be a 1-D vector")
-        if not np.all(np.isfinite(cov)):
-            raise NonFinite("covariates must be finite")
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "event", int(self.event))
 
 
 def _reject(bad: np.ndarray, column: str, problem: str, values, error):
@@ -130,24 +118,6 @@ class SurvivalTable:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "feature_names", tuple(names))
 
-    @classmethod
-    def from_records(cls, records, feature_names=None) -> SurvivalTable:
-        """Stack :class:`SurvivalRecord` rows into columns."""
-        records = list(records)
-        if not records:
-            raise EmptyInput("no survival records")
-        width = records[0].covariates.shape[0]
-        if any(r.covariates.shape[0] != width for r in records):
-            raise LengthMismatch("records carry covariates of unequal length")
-        return cls(
-            np.array([r.time for r in records]),
-            np.array([r.event for r in records], dtype=np.int64),
-            np.array([r.covariates for r in records]).reshape(
-                len(records), width
-            ),
-            feature_names,
-        )
-
     def __len__(self) -> int:
         return self.times.shape[0]
 
@@ -156,13 +126,6 @@ class SurvivalTable:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
-
-
-def _as_table(data) -> SurvivalTable:
-    """A :class:`SurvivalTable` as is; records are stacked into one."""
-    if isinstance(data, SurvivalTable):
-        return data
-    return SurvivalTable.from_records(data)
 
 
 @dataclass(frozen=True)
@@ -276,15 +239,12 @@ class KMCurve:
                 np.diff(starts, append=self.censor_times.shape[0]))
 
 
-def km_fit(records) -> KMCurve:
+def km_fit(table: SurvivalTable) -> KMCurve:
     """Product-limit estimate ``S_i = prod_{j<=i} (1 - d_j / r_j)``.
 
     Greenwood's variance ``S_i^2 * sum_{j<=i} d_j / (r_j (r_j - d_j))`` is
     attached per step (0 where the curve reaches exactly zero).
-    ``records`` is a :class:`SurvivalTable` or an iterable of
-    :class:`SurvivalRecord`.
     """
-    table = _as_table(records)
     blocks = _tie_blocks(table.times, table.events)
     # per distinct time, ascending; r is the size of the risk set
     dead = blocks.dead[::-1]
@@ -396,36 +356,35 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     return ll, grad, hess
 
 
-def _table_and_beta(records, beta):
-    table = _as_table(records)
+def _beta_for(table: SurvivalTable, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     width = table.X.shape[1]
     if beta.shape != (width,):
         raise LengthMismatch(
             f"beta has shape {beta.shape}, covariates have width {width}"
         )
-    return table, beta
+    return beta
 
 
-def _scan_at(beta, records, order):
-    table, beta = _table_and_beta(records, beta)
+def _scan_at(beta, table: SurvivalTable, order):
+    beta = _beta_for(table, beta)
     blocks = _tie_blocks(table.times, table.events)
     return _breslow_scan(blocks, table.X, beta, order)
 
 
-def cox_log_partial_likelihood(beta, records) -> float:
+def cox_log_partial_likelihood(beta, table: SurvivalTable) -> float:
     """Breslow log partial likelihood at ``beta``; 0.0 with no events."""
-    return _scan_at(beta, records, order=0)[0]
+    return _scan_at(beta, table, order=0)[0]
 
 
-def cox_gradient(beta, records) -> np.ndarray:
+def cox_gradient(beta, table: SurvivalTable) -> np.ndarray:
     """Analytic first derivative of the Breslow log partial likelihood."""
-    return _scan_at(beta, records, order=1)[1]
+    return _scan_at(beta, table, order=1)[1]
 
 
-def cox_hessian(beta, records) -> np.ndarray:
+def cox_hessian(beta, table: SurvivalTable) -> np.ndarray:
     """Analytic second derivative; negative semi-definite."""
-    return _scan_at(beta, records, order=2)[2]
+    return _scan_at(beta, table, order=2)[2]
 
 
 @dataclass(frozen=True)
@@ -547,7 +506,8 @@ def normal_two_sided_p(z) -> np.ndarray:
 MONOTONE_BETA_BOUND = 20.0
 
 
-def cox_fit(records, options: CoxOptions = CoxOptions()) -> CoxModel:
+def cox_fit(table: SurvivalTable,
+            options: CoxOptions = CoxOptions()) -> CoxModel:
     """Maximize the (optionally ridge-penalized) log partial likelihood.
 
     Newton-Raphson with up to 20 step-halvings per iteration; a step is
@@ -560,11 +520,9 @@ def cox_fit(records, options: CoxOptions = CoxOptions()) -> CoxModel:
     likelihood is monotone there (separated data), and a warning on the
     model says so.
 
-    ``records`` is a :class:`SurvivalTable`, whose column names the model
-    takes, or an iterable of :class:`SurvivalRecord` (named ``x0``,
-    ``x1``, ...).  Raises :class:`NoEvents` when every record is censored.
+    The model takes the table's column names.  Raises :class:`NoEvents`
+    when every row is censored.
     """
-    table = _as_table(records)
     X = table.X
     width = X.shape[1]
     if width == 0:
@@ -659,11 +617,10 @@ def wald_stats(model: CoxModel) -> dict:
     }
 
 
-def breslow_baseline(model: CoxModel, records) -> StepFunction:
-    """Cumulative baseline hazard of ``records`` under the fitted model."""
-    table, beta = _table_and_beta(records, model.beta)
+def breslow_baseline(model: CoxModel, table: SurvivalTable) -> StepFunction:
+    """Cumulative baseline hazard of ``table`` under the fitted model."""
     blocks = _tie_blocks(table.times, table.events)
-    return _breslow_cumhaz(blocks, table.X, beta)
+    return _breslow_cumhaz(blocks, table.X, _beta_for(table, model.beta))
 
 
 def cox_survival_at(model: CoxModel, covariates, t):
@@ -720,35 +677,6 @@ def km_to_csv(curve: KMCurve, sink) -> None:
         ))
 
 
-def km_from_csv(source) -> KMCurve:
-    """Rebuild a curve from :func:`km_to_csv` output (one row per
-    distinct time, ascending)."""
-    with open_text(source) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise EmptyInput("empty KM curve CSV")
-    times = np.array([float(row["time"]) for row in rows])
-    n_risk = np.array([int(row["n_risk"]) for row in rows], dtype=np.int64)
-    dead = np.array([int(row["n_event"]) for row in rows], dtype=np.int64)
-    censored = np.array(
-        [int(row["n_censored"]) for row in rows], dtype=np.int64
-    )
-    has_event = dead > 0
-    picked = [row for row, e in zip(rows, has_event) if e]
-    return KMCurve(
-        times=times[has_event],
-        n_risk=n_risk[has_event],
-        n_event=dead[has_event],
-        censored_before=_censored_before(censored, has_event),
-        survival=np.array([float(row["survival"]) for row in picked]),
-        greenwood_var=np.array(
-            [float(row["greenwood_var"]) for row in picked]
-        ),
-        n_total=int(n_risk[0]),
-        censor_times=np.repeat(times, censored),
-    )
-
-
 def cox_to_csv(model: CoxModel, sink) -> None:
     with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
@@ -767,18 +695,6 @@ def cox_to_csv(model: CoxModel, sink) -> None:
                 repr(float(model.ci95_low[j])),
                 repr(float(model.ci95_high[j])),
             ])
-
-
-def cox_from_csv(source) -> dict:
-    """Columns of :func:`cox_to_csv` output as arrays."""
-    with open_text(source) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise EmptyInput("empty Cox table CSV")
-    out: dict = {"feature": tuple(r["feature"] for r in rows)}
-    for col in ("beta", "hr", "se", "z", "p", "ci_low", "ci_high"):
-        out[col] = np.array([float(r[col]) for r in rows])
-    return out
 
 
 def cox_convergence_report(model: CoxModel) -> dict:

@@ -9,7 +9,9 @@ The flow-CSV parser reads the whole text and converts cell by cell, the
 survival-table writer formats one record at a time, its reader builds
 every row as a list of strings, the Kaplan-Meier writer looks each time
 up in dicts and step functions, and the tree builder recurses and
-re-sorts every candidate feature at every node.
+re-sorts every candidate feature at every node.  Tests that state their
+data record by record stack the records into a table with
+:func:`stack_records`.
 """
 
 import csv
@@ -42,6 +44,18 @@ from flowhazard.models import predict_many
 from flowhazard.models.forest import ForestState, Tree
 from flowhazard.seeding import rng_from
 from flowhazard.survival import StepFunction
+
+
+def stack_records(records, feature_names=None) -> SurvivalTable:
+    """The :class:`SurvivalTable` whose rows are the :class:`SurvivalRecord`
+    ``records``, in order; at least one is needed."""
+    records = list(records)
+    return SurvivalTable(
+        np.array([r.time for r in records]),
+        np.array([r.event for r in records], dtype=np.int64),
+        np.array([r.covariates for r in records]).reshape(len(records), -1),
+        feature_names,
+    )
 
 
 def naive_log_partial_likelihood(beta, records):
@@ -135,10 +149,19 @@ def csv_rows_read_survival_table(source) -> SurvivalTable:
     them.  A missing fixed header column is named in the error; a row
     whose length differs from the header's, a cell that is not a number
     and an out-of-range value are reported with their data row and
-    column.  The ``sequence_id`` column is not read.
+    column, and a record the csv module rejects with its data row.  The
+    ``sequence_id`` column is not read.
     """
+    rows = []
     with open_text(source) as fh:
-        rows = list(csv.reader(fh))
+        try:
+            for row in csv.reader(fh):
+                rows.append(row)
+        except csv.Error as exc:
+            if not rows:
+                raise InvalidValue(f"header: {exc}") from None
+            done = sum(any(c.strip() for c in row) for row in rows[1:])
+            raise InvalidValue(f"data row {done + 1}: {exc}") from None
     if not rows:
         raise EmptyInput("empty survival table")
     header = [h.strip() for h in rows[0]]

@@ -23,6 +23,7 @@ from flowhazard import (
     LinearSVRParams,
     RandomForestParams,
     SurvivalRecord,
+    SurvivalTable,
     cox_fit,
     cox_gradient,
     cox_hessian,
@@ -34,7 +35,7 @@ from flowhazard import (
 from flowhazard.cli import main as cli_main
 from flowhazard.survival import CoxModel, StepFunction
 
-from _oracles import grid_search_beta
+from _oracles import grid_search_beta, stack_records
 from _worlds import DRIVER, DRIVER_NAME, KNOWN_ATTACK, NOVEL_ATTACK, planted_world
 
 
@@ -110,11 +111,11 @@ def test_c2_km_hand_oracles():
         def rec(t, e):
             return SurvivalRecord(t, e, np.zeros(1))
 
-        curve = km_fit([rec(1, 1), rec(2, 1), rec(3, 1)])
+        curve = km_fit(stack_records([rec(1, 1), rec(2, 1), rec(3, 1)]))
         for got, want in zip(curve.survival, (2 / 3, 1 / 3, 0.0)):
             assert abs(got - want) < 1e-12
 
-        mixed = km_fit([rec(1, 1), rec(2, 0), rec(3, 1)])
+        mixed = km_fit(stack_records([rec(1, 1), rec(2, 0), rec(3, 1)]))
         assert mixed.times.tolist() == [1.0, 3.0]
         assert mixed.n_risk.tolist() == [3, 1]
         assert abs(mixed.survival[0] - 2 / 3) < 1e-12
@@ -137,6 +138,7 @@ def test_c3_cox_brute_force_oracle():
                 for i in range(n)
             ]
             records[0] = SurvivalRecord(times[0], 1, rng.standard_normal(1))
+            records = stack_records(records)
             oracle = grid_search_beta(records)
             if abs(oracle) > 5.0:
                 # boundary or quasi-separated draw: the unpenalized
@@ -165,6 +167,7 @@ def test_c4_gradient_and_hessian_checks():
                 for _ in range(n)
             ]
             records[0] = SurvivalRecord(1.0, 1, rng.standard_normal(width))
+            records = stack_records(records)
             beta = rng.standard_normal(width) * 0.5
 
             grad = cox_gradient(beta, records)
@@ -201,11 +204,10 @@ def test_c5_synthetic_cox_recovery():
             x = rng.integers(0, 2, size=n).astype(float)
             t_event = rng.exponential(1.0 / np.exp(0.7 * x))
             t_censor = rng.exponential(1.0 / 0.35, size=n)
-            records = [
-                SurvivalRecord(min(te, tc), int(te <= tc), np.array([xi]))
-                for te, tc, xi in zip(t_event, t_censor, x)
-            ]
-            model = cox_fit(records, CoxOptions(ridge=0.0))
+            table = SurvivalTable(np.minimum(t_event, t_censor),
+                                  (t_event <= t_censor).astype(np.int64),
+                                  x[:, None])
+            model = cox_fit(table, CoxOptions(ridge=0.0))
             if model.converged and 0.55 <= model.beta[0] <= 0.85:
                 hits += 1
         print(f"  recovered in {hits}/20 repetitions")

@@ -1,10 +1,13 @@
 import argparse
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowhazard
 from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
 from flowhazard.experiment import run_iteration
 from flowhazard.models import model_to_json
 
-from _oracles import grid_search_beta
+from _oracles import grid_search_beta, stack_records
 
 
 SYNTH_SPEC = {
@@ -350,6 +354,13 @@ class TestPipelineCommand:
         assert a != b
 
 
+def read_csv_columns(path) -> dict:
+    """Each column of the CSV at ``path`` as a list of its cells."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
 def write_survival_csv(path, rows, features=("x",)):
     header = "sequence_id,time,event," + ",".join(features)
     lines = [header] + [
@@ -370,14 +381,12 @@ class TestCoxCommand:
         write_survival_csv(table, rows)
         rc = main(["cox", "--table", str(table), "--out", str(tmp_path)])
         assert rc == 0
-        from flowhazard.survival import cox_from_csv
-
-        fit = cox_from_csv(tmp_path / "cox_table.csv")
-        records = [
+        fit = read_csv_columns(tmp_path / "cox_table.csv")
+        records = stack_records(
             SurvivalRecord(t, e, np.array([x])) for _, t, e, x in rows
-        ]
+        )
         oracle = grid_search_beta(records)
-        assert fit["beta"][0] == pytest.approx(oracle, abs=1e-3)
+        assert float(fit["beta"][0]) == pytest.approx(oracle, abs=1e-3)
         conv = json.loads((tmp_path / "cox_convergence.json").read_text())
         assert conv["converged"] is True
 
@@ -400,11 +409,9 @@ class TestCoxCommand:
             "--out", str(tmp_path),
         ])
         assert rc == 0
-        from flowhazard.survival import cox_from_csv
-
-        fit = cox_from_csv(tmp_path / "cox_table.csv")
-        assert fit["feature"] == ("x", "dead_col")
-        assert fit["beta"][1] == 0.0
+        fit = read_csv_columns(tmp_path / "cox_table.csv")
+        assert fit["feature"] == ["x", "dead_col"]
+        assert float(fit["beta"][1]) == 0.0
 
     @pytest.mark.parametrize("flag, value", [
         ("--ridge", "-1"), ("--ridge", "inf"), ("--tol", "-1"),
@@ -462,10 +469,9 @@ class TestKMCommand:
             table, [(0, 1.0, 1, 0.0), (1, 2.0, 1, 0.0), (2, 3.0, 1, 0.0)]
         )
         assert main(["km", "--table", str(table), "--out", str(tmp_path)]) == 0
-        from flowhazard.survival import km_from_csv
-
-        curve = km_from_csv(tmp_path / "km_curve.csv")
-        rounded = [round(s, 4) for s in curve.survival]
+        curve = read_csv_columns(tmp_path / "km_curve.csv")
+        assert curve["n_event"] == ["1", "1", "1"]
+        rounded = [round(float(s), 4) for s in curve["survival"]]
         assert rounded == [0.6667, 0.3333, 0.0]
 
     def test_directory_as_table_exits_2(self, tmp_path, capsys):
@@ -475,15 +481,28 @@ class TestKMCommand:
         assert err["error"] == "UnusablePath"
         assert str(tmp_path) in err["message"]
 
+    def test_over_long_cell_exits_2_naming_the_row(self, tmp_path, capsys):
+        # the csv module rejects a field over its size limit (131,072)
+        table = tmp_path / "long.csv"
+        table.write_text("sequence_id,time,event,x\n0,1.0,1,0.5\n\n"
+                         "1,2.0,0," + "9" * 200_000 + "\n2,3.0,1,0.5\n")
+        rc = main(["km", "--table", str(table), "--out", str(tmp_path / "km")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidValue"
+        assert err["exit_code"] == 2
+        assert err["message"].startswith("data row 2: field larger than")
+        assert not (tmp_path / "km").exists()
+
     def test_all_censored_stays_at_one(self, tmp_path):
         table = tmp_path / "cens.csv"
         write_survival_csv(table, [(0, 9.0, 0, 0.0), (1, 9.0, 0, 0.0)])
         assert main(["km", "--table", str(table), "--out", str(tmp_path)]) == 0
-        from flowhazard import km_survival_at
-        from flowhazard.survival import km_from_csv
-
-        curve = km_from_csv(tmp_path / "km_curve.csv")
-        assert km_survival_at(curve, 100.0) == 1.0
+        curve = read_csv_columns(tmp_path / "km_curve.csv")
+        # one censoring-only row; the curve never steps down
+        assert curve["time"] == ["9.0"]
+        assert curve["n_event"] == ["0"]
+        assert curve["survival"] == ["1.0"]
 
     def test_svg_flag_emits_wellformed_svg(self, tmp_path):
         table = tmp_path / "km_in.csv"
@@ -599,6 +618,34 @@ class TestConfigMutations:
         assert main(["pipeline", "--config", str(config_path),
                      "--seed", "-1"]) == 2
         assert only_error_line(capsys)["error"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("command, error, says", [
+        ("pipeline", "AllIterationsFailed", "iteration 0: NonFinite"),
+        ("train", "NonFinite", "linear SVR diverged"),
+    ], ids=["pipeline", "train"])
+    def test_diverging_svr_exits_3_with_one_line(self, mutation_dir, command,
+                                                  error, says):
+        # the SGD iterates overflow at this rate; numpy must print nothing
+        config = json.loads(json.dumps(_MUTATED_CONFIG))
+        config["experiment"]["regressor"] = dict(_SVR, learning_rate=1e6)
+        path = mutation_dir / "diverging.json"
+        path.write_text(json.dumps(config))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(flowhazard.__file__)
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "flowhazard.cli", command,
+             "--config", str(path), "--out", str(mutation_dir / "svr")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 3
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == error
+        assert err["exit_code"] == 3
+        assert says in err["message"]
 
     @settings(max_examples=120)
     @given(config=mutated_configs())

@@ -1,3 +1,4 @@
+import csv
 import functools
 import io
 import json
@@ -32,7 +33,6 @@ from flowhazard import (
 from flowhazard.experiment import (
     _draw_indices,
     _scan_sequences,
-    aggregate_cox_from_csv,
     aggregate_cox_to_csv,
     report_to_json_dict,
     train_on_split,
@@ -406,12 +406,12 @@ class TestRunExperiment:
         benign, attack, post = planted_world(seed=53, q=0.02)
         cfg = small_config(n_sequences=40, seq_len=20, n_iterations=1)
         report = run_experiment(cfg, benign, attack, post)
-        records = list(report.successes[0].table)
-        shuffled = [records[i] for i in
-                    np.random.default_rng(0).permutation(len(records))]
-        from flowhazard import km_fit
+        table = report.successes[0].table
+        perm = np.random.default_rng(0).permutation(len(table))
+        from flowhazard import SurvivalTable, km_fit
 
-        again = km_fit(shuffled)
+        again = km_fit(SurvivalTable(table.times[perm], table.events[perm],
+                                     table.X[perm]))
         np.testing.assert_array_equal(report.pooled_km.times, again.times)
         np.testing.assert_array_equal(
             report.pooled_km.survival, again.survival
@@ -504,9 +504,11 @@ class TestSurvivalTableIO:
         buf = io.StringIO()
         aggregate_cox_to_csv(report, buf)
         buf.seek(0)
-        table = aggregate_cox_from_csv(buf)
-        assert table["feature"] == report.feature_names
-        np.testing.assert_array_equal(table["mean_beta"], report.mean_beta)
+        rows = list(csv.DictReader(buf))
+        assert tuple(r["feature"] for r in rows) == report.feature_names
         np.testing.assert_array_equal(
-            table["hazard_ratio"], np.exp(report.mean_beta)
+            [float(r["mean_beta"]) for r in rows], report.mean_beta
+        )
+        np.testing.assert_array_equal(
+            [float(r["hazard_ratio"]) for r in rows], np.exp(report.mean_beta)
         )

@@ -62,7 +62,7 @@ class TestParse:
         assert len(ds) == 3
         assert ds.report.rows_kept == 3
         assert ds.report.nonfinite_dropped == 0
-        assert ds.class_counts == {"x": 2, "y": 1}
+        assert ds.labels == ("x", "x", "y")
 
     def test_infinity_token_dropped_and_counted(self):
         data = csv_bytes("a,b,Label\n1,2,x\nInfinity,4,x\n5,NaN,x\n")
@@ -238,7 +238,7 @@ class TestAbsDiffCovariates:
     def test_own_summary_gives_zero(self):
         ds = make_dataset([[5.5, -1.25]], ["x"])
         s = feature_summary(ds)
-        assert abs_diff_covariates(ds.record(0), s).tolist() == [0.0, 0.0]
+        assert abs_diff_covariates(ds.features[0], s).tolist() == [0.0, 0.0]
 
     def test_hand_arithmetic(self):
         # flow (5, 0), means (2, 4) -> (3, 4)

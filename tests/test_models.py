@@ -13,7 +13,6 @@ from flowhazard import (
     evaluate_accuracy,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
     train,
 )
@@ -90,8 +89,9 @@ class TestPredict:
         data = separable_toy(n_per_class=25)
         kind = RandomForestParams(n_trees=1, max_depth=0, bootstrap=False)
         model = train(kind, data, seed=0)
-        for x in (np.zeros(2), np.array([100.0, -3.0])):
-            assert predict(model, x) == pytest.approx(0.5)
+        scores = predict_many(model, np.array([[0.0, 0.0], [100.0, -3.0]]))
+        for score in scores:
+            assert score == pytest.approx(0.5)
 
     def test_bayesian_ridge_constant_targets(self):
         rng = np.random.default_rng(5)
@@ -123,7 +123,9 @@ class TestPredict:
     def test_schema_mismatch(self):
         model = train(BayesianRidgeParams(), separable_toy(), seed=0)
         with pytest.raises(SchemaMismatch):
-            predict(model, np.zeros(3))
+            predict_many(model, np.zeros((1, 3)))
+        with pytest.raises(SchemaMismatch):
+            predict_many(model, np.zeros(2))
         with pytest.raises(SchemaMismatch):
             predict_many(model, np.zeros((4, 5)))
 
@@ -137,13 +139,16 @@ class TestPredict:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_predict_matches_predict_many(self, kind):
+        # one flow scored as a batch of one equals its row of a full batch
         data = separable_toy(seed=11)
         model = train(kind, data, seed=2)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(10, 2))
         many = predict_many(model, X)
         for i in range(10):
-            assert predict(model, X[i]) == many[i]
+            one = predict_many(model, X[i:i + 1])
+            assert one.shape == (1,)
+            assert one[0] == many[i]
 
     @pytest.mark.parametrize("kind", ALL_KINDS[1:], ids=lambda k: k.kind)
     def test_score_does_not_depend_on_batch_at_cic_width(self, kind):

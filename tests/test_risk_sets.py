@@ -8,7 +8,6 @@ is taken relative to the size of the terms summed, not to their
 difference.
 """
 
-import io
 import math
 
 import numpy as np
@@ -22,8 +21,6 @@ from flowhazard.survival import (
     _breslow_scan,
     _tie_blocks,
     km_fit,
-    km_from_csv,
-    km_to_csv,
 )
 
 from _oracles import (
@@ -114,14 +111,6 @@ class TestKaplanMeierBlocks:
             assert a.dtype == b.dtype, field
             assert np.array_equal(a, b), field
         assert got.n_total == want.n_total
-        # the CSV reader rebuilds the same block counts
-        buf = io.StringIO()
-        km_to_csv(got, buf)
-        buf.seek(0)
-        again = km_from_csv(buf)
-        for field in ("times", "n_risk", "n_event", "censored_before",
-                      "survival", "censor_times"):
-            assert np.array_equal(getattr(again, field), getattr(got, field))
 
 
 class TestBreslowScanBlocks:

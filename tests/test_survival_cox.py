@@ -18,7 +18,11 @@ from flowhazard import (
 )
 
 
-from _oracles import grid_search_beta, naive_log_partial_likelihood
+from _oracles import (
+    grid_search_beta,
+    naive_log_partial_likelihood,
+    stack_records,
+)
 
 
 def rec(time, event, cov):
@@ -38,25 +42,27 @@ def random_instance(rng, n_max=20, width_max=5, tie_times=6):
         for _ in range(n)
     ]
     records[0] = rec(1.0, 1, rng.standard_normal(width))
-    return records, width
+    return stack_records(records), width
 
 
 class TestLogPartialLikelihood:
     def test_zero_beta_distinct_events_is_log_factorial(self):
         n = 6
-        records = [rec(float(i + 1), 1, [float(i)]) for i in range(n)]
+        records = stack_records(
+            [rec(float(i + 1), 1, [float(i)]) for i in range(n)]
+        )
         expected = -sum(math.log(n - i) for i in range(n))  # -log(n!)
         got = cox_log_partial_likelihood(np.zeros(1), records)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(-math.log(math.factorial(n)), abs=1e-12)
 
     def test_all_censored_is_zero(self):
-        records = [rec(1, 0, [1.0]), rec(2, 0, [0.0])]
+        records = stack_records([rec(1, 0, [1.0]), rec(2, 0, [0.0])])
         assert cox_log_partial_likelihood(np.zeros(1), records) == 0.0
 
     def test_two_record_hand_oracle(self):
         # events at 1 < 2, covariates 1 and 0, beta=0: -log 2 - log 1
-        records = [rec(1, 1, [1.0]), rec(2, 1, [0.0])]
+        records = stack_records([rec(1, 1, [1.0]), rec(2, 1, [0.0])])
         got = cox_log_partial_likelihood(np.zeros(1), records)
         assert got == pytest.approx(-math.log(2), abs=1e-15)
 
@@ -73,21 +79,24 @@ class TestLogPartialLikelihood:
         rng = np.random.default_rng(23)
         records, width = random_instance(rng)
         beta = rng.standard_normal(width)
-        mapped = [
+        mapped = stack_records(
             rec(r.time**3 + 1.0, r.event, r.covariates) for r in records
-        ]
+        )
         assert cox_log_partial_likelihood(
             beta, records
         ) == cox_log_partial_likelihood(beta, mapped)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            cox_log_partial_likelihood(np.zeros(2), [rec(1, 1, [1.0])])
+            cox_log_partial_likelihood(np.zeros(2),
+                                       stack_records([rec(1, 1, [1.0])]))
 
     def test_late_risk_set_underflow_stays_finite(self):
         # under the global max(eta) shift of 1000 every weight in the risk
         # set at t=2 underflows to 0; that set needs its own shift
-        records = [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        records = stack_records(
+            [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        )
         beta = np.array([100.0])
         got = cox_log_partial_likelihood(beta, records)
         assert got == pytest.approx(-math.log(2), abs=1e-12)
@@ -99,7 +108,9 @@ class TestLogPartialLikelihood:
         # the same design with the risk set at t=2 summing, under the
         # global shift, to subnormals (about 1e-316, kept to multiples of
         # 5e-324) at beta 72.8 and to about 4e-300 at 69
-        records = [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        records = stack_records(
+            [rec(1, 1, [10.0]), rec(2, 1, [0.0]), rec(3, 0, [0.0])]
+        )
         beta = np.array([beta])
         got = cox_log_partial_likelihood(beta, records)
         assert got == pytest.approx(-math.log(2), abs=1e-12)
@@ -135,7 +146,7 @@ def fd_hessian(beta, records, h=1e-5):
 class TestDerivatives:
     def test_gradient_hand_oracle(self):
         # d/dbeta of [beta - log(e^beta + 1)] at 0 is 1 - 1/2
-        records = [rec(1, 1, [1.0]), rec(2, 1, [0.0])]
+        records = stack_records([rec(1, 1, [1.0]), rec(2, 1, [0.0])])
         grad = cox_gradient(np.zeros(1), records)
         assert grad[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -168,7 +179,9 @@ class TestDerivatives:
             assert (eigs <= 1e-10).all()
 
     def test_identical_covariates_zero_gradient(self):
-        records = [rec(float(t), 1, [2.5, -1.0]) for t in range(1, 6)]
+        records = stack_records(
+            [rec(float(t), 1, [2.5, -1.0]) for t in range(1, 6)]
+        )
         for beta in (np.zeros(2), np.array([1.0, -3.0])):
             np.testing.assert_allclose(
                 cox_gradient(beta, records), 0.0, atol=1e-9
@@ -180,10 +193,10 @@ class TestCoxFit:
         # covariates {0,0,1,1} over times {1,2,3,4}; the groups must be
         # interleaved in time for the maximizer to be interior (grouping
         # all x=0 deaths first makes the likelihood monotone in beta)
-        records = [
+        records = stack_records([
             rec(1, 1, [0.0]), rec(2, 1, [1.0]),
             rec(3, 1, [0.0]), rec(4, 1, [1.0]),
-        ]
+        ])
         oracle = grid_search_beta(records)
         assert abs(oracle) < 9.5  # interior maximizer
         model = cox_fit(records, CoxOptions(ridge=0.0))
@@ -204,6 +217,7 @@ class TestCoxFit:
                 for i in range(n)
             ]
             records[0] = rec(times[0], 1, rng.standard_normal(1))
+            records = stack_records(records)
             oracle = grid_search_beta(records)
             if abs(oracle) > 9.5:  # boundary: monotone likelihood, skip
                 continue
@@ -216,7 +230,7 @@ class TestCoxFit:
         # lone event with the larger covariate: likelihood is monotone in
         # beta, so the unpenalized path must either flag non-convergence or
         # run off to a large coefficient; any positive ridge tames it
-        records = [rec(1, 1, [1.0]), rec(2, 1, [0.0])]
+        records = stack_records([rec(1, 1, [1.0]), rec(2, 1, [0.0])])
         unpenalized = cox_fit(records, CoxOptions(ridge=0.0, max_iter=50))
         assert (not unpenalized.converged) or abs(unpenalized.beta[0]) > 5.0
         penalized = cox_fit(records, CoxOptions(ridge=1e-2))
@@ -236,21 +250,21 @@ class TestCoxFit:
             for r in base
         ]
         lam = 1e-3
-        solo = cox_fit(base, CoxOptions(ridge=lam))
-        both = cox_fit(with_zero, CoxOptions(ridge=lam))
+        solo = cox_fit(stack_records(base), CoxOptions(ridge=lam))
+        both = cox_fit(stack_records(with_zero), CoxOptions(ridge=lam))
         assert both.beta[1] == 0.0
         assert both.beta[0] == pytest.approx(solo.beta[0], abs=1e-6)
 
     def test_no_events_raises(self):
         with pytest.raises(NoEvents):
-            cox_fit([rec(1, 0, [1.0]), rec(2, 0, [0.0])])
+            cox_fit(stack_records([rec(1, 0, [1.0]), rec(2, 0, [0.0])]))
 
     def test_gradient_small_at_unpenalized_optimum(self):
         rng = np.random.default_rng(47)
-        records = [
+        records = stack_records(
             rec(float(rng.integers(1, 12)), 1, rng.standard_normal(2) * 0.5)
             for _ in range(30)
-        ]
+        )
         model = cox_fit(records, CoxOptions(ridge=0.0, tol=1e-8))
         assert model.converged
         grad = cox_gradient(model.beta, records)
@@ -261,15 +275,15 @@ class TestCoxFit:
 
     def test_covariate_scaling(self):
         rng = np.random.default_rng(53)
-        records = [
+        records = stack_records(
             rec(float(t + 1), int(t % 2 == 0), rng.standard_normal(2))
             for t in range(16)
-        ]
+        )
         c = 7.5
-        scaled = [
+        scaled = stack_records(
             rec(r.time, r.event, r.covariates * np.array([c, 1.0]))
             for r in records
-        ]
+        )
         a = cox_fit(records, CoxOptions(ridge=0.0))
         b = cox_fit(scaled, CoxOptions(ridge=0.0))
         assert b.beta[0] == pytest.approx(a.beta[0] / c, rel=1e-6)
@@ -289,10 +303,10 @@ class TestCoxFit:
         x = rng.integers(0, 2, size=n).astype(float)
         t_event = rng.exponential(1.0 / np.exp(0.7 * x))
         t_censor = rng.exponential(1.0 / 0.35, size=n)
-        records = [
+        records = stack_records(
             rec(min(te, tc), int(te <= tc), [xi])
             for te, tc, xi in zip(t_event, t_censor, x)
-        ]
+        )
         censored = sum(1 - r.event for r in records) / n
         assert 0.1 < censored < 0.3
         model = cox_fit(records, CoxOptions(ridge=0.0))
@@ -304,7 +318,9 @@ class TestCoxFit:
         # a Newton trial on this separated design drives the risk set at
         # t=1 to all-zero shifted weights; the fit must end without a raw
         # ValueError, and report the separation
-        records = [rec(3, 0, [-34.6]), rec(3, 1, [-34.5]), rec(1, 1, [-11.5])]
+        records = stack_records(
+            [rec(3, 0, [-34.6]), rec(3, 1, [-34.5]), rec(1, 1, [-11.5])]
+        )
         model = cox_fit(records, CoxOptions(ridge=0.0))
         assert np.isfinite(model.beta).all()
         assert np.isfinite(model.log_partial_likelihood)
@@ -314,7 +330,9 @@ class TestCoxFit:
     def test_perfect_separation_is_not_converged(self):
         # the larger x always dies first: the likelihood rises without
         # bound in beta, and Newton only stops on a vanishing gradient
-        records = [rec(float(t), 1, [-float(t)]) for t in range(1, 21)]
+        records = stack_records(
+            [rec(float(t), 1, [-float(t)]) for t in range(1, 21)]
+        )
         model = cox_fit(records, CoxOptions(ridge=0.0))
         assert not model.converged
         assert any("monotone likelihood" in w for w in model.warnings)
@@ -333,10 +351,10 @@ class TestHazardRatiosAndWald:
         )
 
     def test_exact_same_floating_point_op(self):
-        records = [
+        records = stack_records([
             rec(1, 1, [0.5, 1.0]), rec(2, 1, [1.5, 0.0]),
             rec(3, 0, [0.25, 2.0]),
-        ]
+        ])
         model = cox_fit(records, CoxOptions(ridge=1e-2))
         assert np.array_equal(model.hazard_ratios, np.exp(model.beta))
 
@@ -357,9 +375,9 @@ class TestHazardRatiosAndWald:
     def test_ci_definition(self):
         # beta 0, se 1 -> (-1.959964, 1.959964)
         rng = np.random.default_rng(61)
-        records = [
+        records = stack_records(
             rec(float(t + 1), 1, rng.standard_normal(1)) for t in range(10)
-        ]
+        )
         model = cox_fit(records, CoxOptions(ridge=0.0))
         np.testing.assert_allclose(
             model.ci95_low, model.beta - 1.959964 * model.std_errors
@@ -377,7 +395,9 @@ class TestBreslowBaseline:
     def test_zero_beta_distinct_times(self):
         # increments 1/n, 1/(n-1), ... at successive event times
         n = 5
-        records = [rec(float(i + 1), 1, [0.0, 0.0]) for i in range(n)]
+        records = stack_records(
+            [rec(float(i + 1), 1, [0.0, 0.0]) for i in range(n)]
+        )
         model = cox_fit(records, CoxOptions(ridge=1e-3))
         np.testing.assert_allclose(model.beta, 0.0, atol=1e-8)
         base = breslow_baseline(model, records)
@@ -394,13 +414,16 @@ class TestBreslowBaseline:
             for _ in range(25)
         ]
         records[0] = rec(1.0, 1, rng.standard_normal(2))
+        records = stack_records(records)
         model = cox_fit(records, CoxOptions(ridge=1e-2))
         base = breslow_baseline(model, records)
         assert (np.diff(base.values) >= -1e-15).all()
         assert base(0.0) == 0.0 or base.times.min() <= 0.0
 
     def test_baseline_on_model_matches_free_function(self):
-        records = [rec(float(t + 1), 1, [float(t % 2)]) for t in range(8)]
+        records = stack_records(
+            [rec(float(t + 1), 1, [float(t % 2)]) for t in range(8)]
+        )
         model = cox_fit(records, CoxOptions(ridge=1e-3))
         free = breslow_baseline(model, records)
         np.testing.assert_allclose(
@@ -416,7 +439,7 @@ class TestBreslowBaseline:
             for t in range(20)
         ]
         records[0] = rec(1.0, 1, rng.standard_normal(2))
-        model = cox_fit(records, CoxOptions(ridge=1e-2))
+        model = cox_fit(stack_records(records), CoxOptions(ridge=1e-2))
         x = rng.standard_normal(2)
         # proper survival curve: starts at 1, non-increasing, in [0, 1]
         assert cox_survival_at(model, x, 0.0) == 1.0

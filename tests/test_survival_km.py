@@ -13,19 +13,23 @@ from flowhazard import (
     km_fit,
     km_survival_at,
 )
-from flowhazard.survival import km_from_csv, km_to_csv
+from flowhazard.survival import km_to_csv
 
-from _oracles import per_time_km_to_csv
+from _oracles import per_time_km_to_csv, stack_records
 
 
 def rec(time, event, cov=(0.0,)):
     return SurvivalRecord(time=time, event=event, covariates=np.array(cov))
 
 
+def km(records):
+    return km_fit(stack_records(records))
+
+
 class TestKMFit:
     def test_three_events_hand_oracle(self):
         # times {1,2,3}, all events: S = 2/3, 1/3, 0
-        curve = km_fit([rec(1, 1), rec(2, 1), rec(3, 1)])
+        curve = km([rec(1, 1), rec(2, 1), rec(3, 1)])
         assert curve.times.tolist() == [1.0, 2.0, 3.0]
         assert curve.n_risk.tolist() == [3, 2, 1]
         assert curve.n_event.tolist() == [1, 1, 1]
@@ -34,7 +38,7 @@ class TestKMFit:
         )
 
     def test_all_censored_is_flat_one(self):
-        curve = km_fit([rec(5, 0), rec(7, 0)])
+        curve = km([rec(5, 0), rec(7, 0)])
         assert curve.times.size == 0
         for t in (0.0, 5.0, 100.0):
             assert km_survival_at(curve, t) == 1.0
@@ -42,7 +46,7 @@ class TestKMFit:
     def test_mixed_censoring_hand_oracle(self):
         # times {1,2,3}, events {1,0,1}: S(1)=2/3 (d=1,r=3); the censoring
         # at 2 shrinks the risk set; S(3)=0 (d=1,r=1)
-        curve = km_fit([rec(1, 1), rec(2, 0), rec(3, 1)])
+        curve = km([rec(1, 1), rec(2, 0), rec(3, 1)])
         assert curve.times.tolist() == [1.0, 3.0]
         assert curve.n_risk.tolist() == [3, 1]
         assert curve.censored_before.tolist() == [0, 1]
@@ -50,7 +54,7 @@ class TestKMFit:
 
     def test_greenwood_hand_oracle(self):
         # no censoring, n=4: terms d/(r(r-d)) = 1/12, 1/6, 1/2; S^2 * cumsum
-        curve = km_fit([rec(t, 1) for t in (1, 2, 3, 4)])
+        curve = km([rec(t, 1) for t in (1, 2, 3, 4)])
         s = np.array([3 / 4, 2 / 4, 1 / 4, 0.0])
         terms = np.array([1 / 12, 1 / 6, 1 / 2])
         expect = s[:3] ** 2 * np.cumsum(terms)
@@ -59,7 +63,7 @@ class TestKMFit:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            km_fit([])
+            km_fit(SurvivalTable(np.zeros(0), np.zeros(0), np.zeros((0, 1))))
 
     def test_recursion_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -71,7 +75,7 @@ class TestKMFit:
             ]
             if not any(r.event for r in records):
                 continue
-            curve = km_fit(records)
+            curve = km(records)
             # r_1 = N minus censorings strictly before the first event
             assert curve.n_risk[0] == curve.n_total - curve.censored_before[0]
             for i in range(1, curve.times.size):
@@ -85,7 +89,7 @@ class TestKMFit:
     def test_no_censoring_matches_empirical_fraction(self):
         rng = np.random.default_rng(3)
         times = rng.integers(1, 10, size=50).astype(float)
-        curve = km_fit([rec(t, 1) for t in times])
+        curve = km([rec(t, 1) for t in times])
         for t in np.unique(times):
             empirical = np.mean(times > t)
             np.testing.assert_allclose(
@@ -99,9 +103,9 @@ class TestKMFit:
             for _ in range(25)
         ]
         records[0] = rec(1, 1)  # guarantee an event
-        curve_a = km_fit(records)
+        curve_a = km(records)
         perm = rng.permutation(len(records))
-        curve_b = km_fit([records[i] for i in perm])
+        curve_b = km([records[i] for i in perm])
         assert np.array_equal(curve_a.times, curve_b.times)
         assert np.array_equal(curve_a.survival, curve_b.survival)
         assert np.array_equal(curve_a.n_risk, curve_b.n_risk)
@@ -109,7 +113,7 @@ class TestKMFit:
 
 class TestReadOff:
     def setup_method(self):
-        self.curve = km_fit([rec(1, 1), rec(2, 1), rec(3, 1)])
+        self.curve = km([rec(1, 1), rec(2, 1), rec(3, 1)])
 
     def test_before_first_event(self):
         assert km_survival_at(self.curve, 0.0) == 1.0
@@ -130,29 +134,6 @@ class TestReadOff:
                 self.curve, t
             )
             assert total == pytest.approx(1.0, abs=1e-15)
-
-
-class TestKMSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        records = [
-            rec(float(rng.integers(0, 6)), int(rng.integers(0, 2)))
-            for _ in range(40)
-        ]
-        records[0] = rec(2, 1)
-        curve = km_fit(records)
-        buf = io.StringIO()
-        km_to_csv(curve, buf)
-        buf.seek(0)
-        again = km_from_csv(buf)
-        assert np.array_equal(curve.times, again.times)
-        assert np.array_equal(curve.survival, again.survival)
-        assert np.array_equal(curve.n_risk, again.n_risk)
-        assert np.array_equal(curve.censor_times, again.censor_times)
-        assert curve.n_total == again.n_total
-        buf2 = io.StringIO()
-        km_to_csv(again, buf2)
-        assert buf2.getvalue() == buf.getvalue()
 
 
 def _curve(times, events):
