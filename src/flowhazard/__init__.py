@@ -46,7 +46,6 @@ from .flowdata import (
     FlowDataset,
     FlowSchema,
     ParseReport,
-    SanitizePolicy,
     SyntheticSpec,
     abs_diff_covariates,
     binary_dataset,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,9 +31,8 @@ from .errors import (
     UnusablePath,
 )
 from .experiment import (
-    AttackCombination,
     ExperimentConfig,
-    SelectionRule,
+    _section,
     aggregate_cox_to_csv,
     read_survival_table,
     report_to_json_dict,
@@ -51,7 +49,7 @@ from .flowdata import (
     serialize_flow_csv,
     synthesize_flows,
 )
-from .models import model_to_json, regressor_from_dict
+from .models import model_to_json
 from .survival import (
     CoxOptions,
     cox_convergence_report,
@@ -65,6 +63,9 @@ from .svgplot import km_svg
 log = logging.getLogger("flowhazard")
 
 _EMIT_CHOICES = ("km", "cox", "json", "svg")
+_CSV_INPUTS = ("benign_csv", "pre_attack_csv", "post_attack_csv")
+_CONFIG_KEYS = ("inputs", "schema", "experiment", "output_dir", "emit",
+                "benign_label")
 
 
 def _configure_logging():
@@ -127,14 +128,6 @@ class PipelineConfig:
     synthetic: dict | None   # spec (SyntheticSpec) + rows_per_class
 
 
-def _object(doc: dict, key: str) -> dict:
-    """``doc[key]``, which must be a JSON object; {} when absent."""
-    raw = doc.get(key, {})
-    if not isinstance(raw, dict):
-        raise InvalidSpec(f"{key!r} must be an object, got {raw!r}")
-    return raw
-
-
 def _text(doc: dict, key: str, default=None) -> str:
     """``doc[key]``, which must be a string."""
     raw = doc.get(key, default)
@@ -151,21 +144,13 @@ def _texts(doc: dict, key: str, default=None) -> list:
     return raw
 
 
-def _number(doc: dict, key: str, default, kind=float):
-    """``doc[key]`` converted by ``kind``, ``int`` or ``float``."""
-    raw = doc.get(key, default)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidSpec(f"{key!r} must be a number, got {raw!r}") from None
-
-
 def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
     if doc.get("schema") is None:
         if synthetic_spec is not None:
             return synthetic_spec.schema
         return cicids2017_schema()
-    raw = _object(doc, "schema")
+    raw = _section(doc["schema"], "schema",
+                   ("preset", "features", "label_column"))
     if "preset" in raw:
         if raw["preset"] != "cicids2017":
             raise InvalidSpec(f"unknown schema preset {raw['preset']!r}")
@@ -176,75 +161,8 @@ def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
     )
 
 
-def _band_from_config(raw) -> tuple[float, float]:
-    """The ``[low, high]`` score band: two numbers, ``low`` finite or
-    ``-inf`` and ``high`` finite."""
-    if not (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in raw)
-    ):
-        raise InvalidSpec(f"band must be a list of two numbers, got {raw!r}")
-    try:
-        low, high = float(raw[0]), float(raw[1])
-    except OverflowError:  # an integer too large for a float
-        low = high = math.nan
-    if not (math.isfinite(low) or low == -math.inf) or not math.isfinite(high):
-        raise InvalidSpec(
-            f"band needs a finite or -inf low end and a finite high end, "
-            f"got {raw!r}"
-        )
-    return low, high
-
-
-def _experiment_from_config(doc: dict, seed=None) -> ExperimentConfig:
-    """The ``experiment`` section; ``seed``, when given, overrides its
-    ``master_seed``."""
-    if doc.get("experiment") is None:
-        raise InvalidSpec("config is missing the 'experiment' section")
-    exp = _object(doc, "experiment")
-    try:
-        regressor = regressor_from_dict(exp["regressor"])
-        combo = _object(exp, "combination")
-        combo = AttackCombination(
-            pre_attack=_text(combo, "pre_attack"),
-            post_attack=_text(combo, "post_attack"),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise InvalidSpec(f"bad experiment config: {err}")
-    band_low, band_high = _band_from_config(exp.get("band", [0.40, 0.60]))
-    cox_raw = _object(exp, "cox")
-    sel_raw = _object(exp, "selection")
-    try:
-        return ExperimentConfig(
-            regressor=regressor,
-            combination=combo,
-            band_low=band_low,
-            band_high=band_high,
-            seq_len=_number(exp, "seq_len", 100, int),
-            n_sequences=_number(exp, "n_sequences", 500, int),
-            n_iterations=_number(exp, "n_iterations", 10, int),
-            master_seed=(_number(exp, "master_seed", 0, int) if seed is None
-                         else seed),
-            cox_options=CoxOptions(
-                ridge=_number(cox_raw, "ridge", 1e-3),
-                tol=_number(cox_raw, "tol", 1e-8),
-                max_iter=_number(cox_raw, "max_iter", 100, int),
-            ),
-            accuracy_gate=_number(exp, "accuracy_gate", 0.95),
-            holdout_fraction=_number(exp, "holdout_fraction", 0.2),
-            selection=SelectionRule(
-                min_abs_beta=_number(sel_raw, "min_abs_beta", 1e-3),
-                min_fraction=_number(sel_raw, "min_fraction", 0.8),
-            ),
-        )
-    except ValueError as err:
-        raise InvalidSpec(f"bad experiment config: {err}")
-
-
 def load_pipeline_config(path: str, args) -> PipelineConfig:
-    doc = _load_json(path)
+    doc = _section(_load_json(path), path, _CONFIG_KEYS)
     # paths inside the config resolve relative to the config file itself;
     # the --out flag stays relative to the working directory
     base = os.path.dirname(os.path.abspath(path))
@@ -252,33 +170,34 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
     def resolve(p):
         return os.path.join(base, p) if not os.path.isabs(p) else p
 
-    inputs = _object(doc, "inputs")
+    inputs = _section(doc.get("inputs", {}), "inputs",
+                      ("synthetic_spec", "rows_per_class", *_CSV_INPUTS))
     synthetic = None
     csv_inputs = None
     spec = None
     if "synthetic_spec" in inputs:
         spec_doc = _load_json(resolve(_text(inputs, "synthetic_spec")))
         spec = SyntheticSpec.from_json_dict(spec_doc)
-        synthetic = {
-            "spec": spec,
-            "rows_per_class": _number(inputs, "rows_per_class", 1000, int),
-        }
+        rows = inputs.get("rows_per_class", 1000)
+        if isinstance(rows, bool) or not isinstance(rows, int):
+            raise InvalidSpec(
+                f"'rows_per_class' must be an integer, got {rows!r}"
+            )
+        synthetic = {"spec": spec, "rows_per_class": rows}
     else:
-        missing = [
-            k for k in ("benign_csv", "pre_attack_csv", "post_attack_csv")
-            if k not in inputs
-        ]
+        missing = [k for k in _CSV_INPUTS if k not in inputs]
         if missing:
             raise InvalidSpec(
                 f"inputs must name either synthetic_spec or CSV paths; "
                 f"missing {missing}"
             )
         csv_inputs = {
-            k: _require_path(resolve(_text(inputs, k)))
-            for k in ("benign_csv", "pre_attack_csv", "post_attack_csv")
+            k: _require_path(resolve(_text(inputs, k))) for k in _CSV_INPUTS
         }
 
-    experiment = _experiment_from_config(doc, getattr(args, "seed", None))
+    experiment = ExperimentConfig.from_json_dict(
+        doc.get("experiment"), getattr(args, "seed", None)
+    )
 
     emit = _texts(doc, "emit", list(_EMIT_CHOICES))
     if getattr(args, "emit", None):
@@ -430,7 +349,8 @@ def cmd_pipeline(args) -> int:
 
 def cmd_cox(args) -> int:
     table = read_survival_table(_require_path(args.table))
-    options = CoxOptions(ridge=args.ridge, tol=args.tol, max_iter=args.max_iter)
+    options = CoxOptions(**{k: getattr(args, k) for k in
+                            ("ridge", "tol", "max_iter") if hasattr(args, k)})
     model = cox_fit(table, options)
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "cox_table.csv")
@@ -499,9 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cox", help="fit proportional hazards on a survival table")
     p.add_argument("--table", required=True, help="survival table CSV")
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100)
+    # an absent flag takes the CoxOptions default
+    p.add_argument("--ridge", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_cox)
 

@@ -5,6 +5,10 @@ documented exit codes: 2 for input problems, 3 for numerical failures,
 4 for a failed training-accuracy gate.
 """
 
+import dataclasses
+import math
+import numbers
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -92,3 +96,37 @@ class AccuracyGateFailed(FlowHazardError):
         )
         self.achieved = achieved
         self.required = required
+
+
+# annotation -> (accepted type, stored type, what the error asks for)
+_SCALARS = {
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number that fits a float, not NaN"),
+    "bool": (bool, bool, "true or false"),
+    "str": (str, str, "a string"),
+}
+
+
+def check_fields(obj) -> None:
+    """Type-check each field of the dataclass ``obj`` annotated ``int``,
+    ``float``, ``bool`` or ``str`` (``X | None`` also takes None), and
+    store numbers as plain ints and floats.  No bool passes as a number,
+    and no NaN or integer too large for a float as a ``float``.  The
+    annotations must be strings (``from __future__ import annotations``).
+    Raises :class:`InvalidValue` naming the field."""
+    for field in dataclasses.fields(obj):
+        kind, _, none = field.type.partition(" | ")
+        value = getattr(obj, field.name)
+        if kind not in _SCALARS or (value is None and none == "None"):
+            continue
+        accepted, stored, wanted = _SCALARS[kind]
+        if (isinstance(value, accepted)
+                and (stored is bool) == isinstance(value, bool)):
+            try:
+                typed = stored(value)
+            except OverflowError:  # an integer too large for a float
+                typed = math.nan
+            if typed == typed:  # not NaN
+                object.__setattr__(obj, field.name, typed)
+                continue
+        raise InvalidValue(f"{field.name} must be {wanted}, got {value!r}")

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,9 +37,11 @@ from .errors import (
     AllIterationsFailed,
     EmptyInput,
     FlowHazardError,
+    InvalidSpec,
     InvalidValue,
     LengthMismatch,
     SchemaMismatch,
+    check_fields,
 )
 from .flowdata import (
     FeatureSummary,
@@ -55,6 +58,7 @@ from .models import (
     TrainedModel,
     evaluate_accuracy,
     predict_many,
+    regressor_from_dict,
     train,
 )
 from .seeding import rng_from
@@ -78,6 +82,9 @@ class AttackCombination:
     pre_attack: str
     post_attack: str
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class SelectionRule:
@@ -86,6 +93,13 @@ class SelectionRule:
 
     min_abs_beta: float = 1e-3
     min_fraction: float = 0.8
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.min_abs_beta < 0:
+            raise ValueError("min_abs_beta must be >= 0")
+        if not 0 <= self.min_fraction <= 1:
+            raise ValueError("min_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,7 @@ class ExperimentConfig:
     selection: SelectionRule = SelectionRule()
 
     def __post_init__(self):
+        check_fields(self)
         # band_low may be -inf (detect-everything probe runs)
         if not self.band_low < self.band_high:
             raise ValueError("band_low must be strictly below band_high")
@@ -113,6 +128,73 @@ class ExperimentConfig:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+
+    @classmethod
+    def from_json_dict(cls, raw, seed: int | None = None) -> ExperimentConfig:
+        """The config of an ``experiment`` section, the inverse of
+        :meth:`to_json_dict`; ``seed``, when given, overrides
+        ``master_seed``.  An absent key takes the field's default.  An
+        unknown key, a bad value and an infinite ``band`` high end raise
+        :class:`InvalidSpec` naming the key."""
+        exp = _section(raw, "experiment", _EXPERIMENT_KEYS)
+        kwargs = {k: exp[k] for k in _SCALAR_KEYS if k in exp}
+        if seed is not None:
+            kwargs["master_seed"] = seed
+        band = exp.get("band", [cls.band_low, cls.band_high])
+        if not (isinstance(band, list) and len(band) == 2):
+            raise InvalidSpec(
+                f"band must be a list of two numbers, got {band!r}"
+            )
+        try:
+            config = cls(
+                regressor=regressor_from_dict(
+                    _section(exp.get("regressor"), "regressor")
+                ),
+                combination=AttackCombination(**_section(
+                    exp.get("combination"), "combination", AttackCombination
+                )),
+                band_low=band[0],
+                band_high=band[1],
+                cox_options=replace(cls.cox_options, **_section(
+                    exp.get("cox", {}), "cox", CoxOptions
+                )),
+                selection=replace(cls.selection, **_section(
+                    exp.get("selection", {}), "selection", SelectionRule
+                )),
+                **kwargs,
+            )
+        except (TypeError, ValueError) as err:
+            raise InvalidSpec(f"bad experiment config: {err}") from None
+        if config.band_high == math.inf:
+            raise InvalidSpec(f"band needs a finite high end, got {band!r}")
+        return config
+
+    def to_json_dict(self) -> dict:
+        """The ``experiment`` section that reads back as this config."""
+        doc = asdict(self)
+        doc["regressor"] = {"kind": self.regressor.kind, **doc["regressor"]}
+        doc["band"] = [doc.pop("band_low"), doc.pop("band_high")]
+        doc["cox"] = doc.pop("cox_options")
+        return doc
+
+
+_SCALAR_KEYS = ("seq_len", "n_sequences", "n_iterations", "master_seed",
+                "accuracy_gate", "holdout_fraction")
+_EXPERIMENT_KEYS = ("regressor", "combination", "band", "cox", "selection",
+                    *_SCALAR_KEYS)
+
+
+def _section(raw, name: str, keys=None) -> dict:
+    """``raw``, the config section ``name``: a JSON object with no key
+    outside ``keys``, names or a dataclass's fields (any key when None)."""
+    if not isinstance(raw, dict):
+        raise InvalidSpec(f"{name!r} must be an object, got {raw!r}")
+    if isinstance(keys, type):
+        keys = [f.name for f in fields(keys)]
+    unknown = sorted(set(raw) - set(keys or raw))
+    if unknown:
+        raise InvalidSpec(f"unknown key {unknown[0]!r} in {name!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -131,7 +213,6 @@ class IterationResult:
     accuracy: float
     model: TrainedModel
     table: SurvivalTable  # one row per sequence, row i = sequence i
-    km: KMCurve
     cox: CoxModel | None
     cox_error: str | None
     dropped_covariates: tuple[str, ...]
@@ -300,8 +381,9 @@ def run_iteration(
 
     Raises :class:`AccuracyGateFailed` when the holdout accuracy of the
     freshly trained model falls below the gate; Cox-fit failures are
-    recorded on the result instead of raised so the Kaplan-Meier curve
-    survives degenerate runs (e.g. zero events).
+    recorded on the result instead of raised so the iteration's table
+    still joins the pooled Kaplan-Meier curve in degenerate runs (e.g.
+    zero events).
     """
     if post.schema != pre_benign.schema:
         raise SchemaMismatch(
@@ -320,8 +402,6 @@ def run_iteration(
         model, post, (config.band_low, config.band_high),
         feature_summary(split.pre), idx,
     )
-    km = km_fit(table)
-
     names = table.feature_names
     keep = np.flatnonzero(table.X.std(axis=0) > 0.0)
     dropped = tuple(names[j] for j in range(len(names)) if j not in set(keep))
@@ -347,7 +427,6 @@ def run_iteration(
         accuracy=accuracy,
         model=model,
         table=table,
-        km=km,
         cox=cox,
         cox_error=cox_error,
         dropped_covariates=dropped,
@@ -605,7 +684,6 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
 
 def report_to_json_dict(report: ExperimentReport) -> dict:
     """Plain-type dict for deterministic JSON serialization."""
-    cfg = report.config
     iterations = []
     for o in report.iterations:
         if isinstance(o, IterationFailure):
@@ -636,30 +714,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             }
         iterations.append(entry)
     return {
-        "config": {
-            "regressor": {"kind": cfg.regressor.kind,
-                          **asdict(cfg.regressor)},
-            "combination": {
-                "pre_attack": cfg.combination.pre_attack,
-                "post_attack": cfg.combination.post_attack,
-            },
-            "band": [cfg.band_low, cfg.band_high],
-            "seq_len": cfg.seq_len,
-            "n_sequences": cfg.n_sequences,
-            "n_iterations": cfg.n_iterations,
-            "master_seed": cfg.master_seed,
-            "cox": {
-                "ridge": cfg.cox_options.ridge,
-                "tol": cfg.cox_options.tol,
-                "max_iter": cfg.cox_options.max_iter,
-            },
-            "accuracy_gate": cfg.accuracy_gate,
-            "holdout_fraction": cfg.holdout_fraction,
-            "selection": {
-                "min_abs_beta": cfg.selection.min_abs_beta,
-                "min_fraction": cfg.selection.min_fraction,
-            },
-        },
+        "config": report.config.to_json_dict(),
         "feature_names": list(report.feature_names),
         "iterations": iterations,
         "mean_beta": [float(b) for b in report.mean_beta],

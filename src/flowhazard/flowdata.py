@@ -17,7 +17,7 @@ import itertools
 import os
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     MissingColumn,
     NonFinite,
     SchemaMismatch,
+    check_fields,
 )
 from .seeding import normalize_key, rng_from
 
@@ -115,13 +116,6 @@ class ParseReport:
 
 
 @dataclass(frozen=True)
-class SanitizePolicy:
-    """Controls for the per-row sanitization during parsing."""
-
-    max_reported_rows: int = 25  # per-row messages kept in the report
-
-
-@dataclass(frozen=True)
 class FlowDataset:
     """Immutable collection of flows sharing one schema.
 
@@ -205,6 +199,8 @@ def open_text(source, mode: str = "r"):
 _CHUNK_LINES = 512
 # Characters per read from the source.
 _READ_CHARS = 1 << 20
+# Per-row sanitization messages kept in a parse's report.
+_MAX_REPORTED_ROWS = 25
 
 
 def _split_lines(fh):
@@ -307,11 +303,7 @@ class _CsvChunks:
             yield len(chunk), plain
 
 
-def parse_flow_csv(
-    source,
-    schema: FlowSchema,
-    policy: SanitizePolicy = SanitizePolicy(),
-) -> FlowDataset:
+def parse_flow_csv(source, schema: FlowSchema) -> FlowDataset:
     """Parse a flow CSV into a dataset, dropping rows that fail sanitization.
 
     ``source`` may be a path, raw bytes, or an open file object.  Header
@@ -319,8 +311,9 @@ def parse_flow_csv(
     insensitively; column order need not match schema order.  Rows with
     unparseable cells are dropped as malformed; rows whose cells parse to
     inf or nan are dropped as non-finite.  Both counts appear in the
-    attached :class:`ParseReport`, whose messages name rows by their
-    1-based record number (the header is record 1).
+    attached :class:`ParseReport`, whose messages (the first
+    ``_MAX_REPORTED_ROWS``) name rows by their 1-based record number (the
+    header is record 1).
 
     The file is read in chunks of lines, each converted straight into a
     float64 block, so peak memory is about twice the feature matrix.
@@ -331,11 +324,10 @@ def parse_flow_csv(
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8", errors="replace"))
     with open_text(source) as fh:
-        return _parse_lines(_split_lines(fh), schema, policy)
+        return _parse_lines(_split_lines(fh), schema)
 
 
-def _parse_lines(lines, schema: FlowSchema,
-                 policy: SanitizePolicy) -> FlowDataset:
+def _parse_lines(lines, schema: FlowSchema) -> FlowDataset:
     chunks = _CsvChunks(lines)
     reader = chunks.records
     try:
@@ -416,7 +408,7 @@ def _parse_lines(lines, schema: FlowSchema,
                       for i in bad.tolist()]
             block = block[finite]
             labs = [labs[i] for i in np.flatnonzero(finite).tolist()]
-        room = policy.max_reported_rows - len(messages)
+        room = _MAX_REPORTED_ROWS - len(messages)
         messages += [msg for _, msg in sorted(notes)[:max(room, 0)]]
         blocks.append(block)
         labels += labs
@@ -547,6 +539,18 @@ class ClassSpec:
 
 
 @dataclass(frozen=True)
+class _Normal:
+    """One feature's entry in a synthetic spec."""
+
+    mean: float = 0.0
+    std: float = 0.0
+    truncate_at_zero: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Synthetic flow distributions: class name -> per-feature normals."""
 
@@ -587,19 +591,16 @@ class SyntheticSpec:
                     f"class {label!r} does not define the same features as "
                     f"the first class"
                 )
-            dists = [feats[n] for n in feature_names]
-            try:
-                means = [float(d.get("mean", 0.0)) for d in dists]
-                stds = [float(d.get("std", 0.0)) for d in dists]
-            except (TypeError, ValueError) as err:
-                raise InvalidSpec(f"class {label!r}: {err}") from None
-            classes[label] = ClassSpec(
-                means=means,
-                stds=stds,
-                truncate_at_zero=[
-                    bool(d.get("truncate_at_zero", False)) for d in dists
-                ],
-            )
+            dists = []
+            for name in feature_names:
+                try:
+                    dists.append(_Normal(**feats[name]))
+                except (TypeError, ValueError) as err:
+                    raise InvalidSpec(
+                        f"class {label!r}, feature {name!r}: {err}"
+                    ) from None
+            means, stds, clips = zip(*map(astuple, dists))
+            classes[label] = ClassSpec(means, stds, clips)
         return cls(schema=schema, classes=classes)
 
 

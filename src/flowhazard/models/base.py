@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, Union
 
 import numpy as np
 
-from ..errors import DegenerateData, EmptyInput, SchemaMismatch
+from ..errors import DegenerateData, EmptyInput, SchemaMismatch, check_fields
 from ..flowdata import FlowDataset
 from ..seeding import normalize_key
 from .bayes_ridge import LinearState, fit_bayesian_ridge
@@ -26,22 +25,6 @@ from .linear_svr import fit_linear_svr
 
 MODEL_FORMAT = "flowhazard-model"
 MODEL_VERSION = 1
-
-
-def _require_integers(params, *names):
-    """Each named field is None or an integer, not a bool or a float: it
-    is a count or a sample size."""
-    for name in names:
-        value = getattr(params, name)
-        if value is not None and (isinstance(value, bool) or
-                                  not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_finite(params, *names):
-    for name in names:
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -55,7 +38,7 @@ class RandomForestParams:
     kind: ClassVar[str] = "random_forest"
 
     def __post_init__(self):
-        _require_integers(self, "n_trees", "features_per_split")
+        check_fields(self)
         if self.n_trees < 1 or self.min_leaf < 1:
             raise ValueError("n_trees and min_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
@@ -72,11 +55,11 @@ class BayesianRidgeParams:
     kind: ClassVar[str] = "bayesian_ridge"
 
     def __post_init__(self):
-        _require_integers(self, "max_evidence_iters")
+        check_fields(self)
         if self.max_evidence_iters < 1:
             raise ValueError("max_evidence_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -89,14 +72,15 @@ class LinearSVRParams:
     kind: ClassVar[str] = "linear_svr"
 
     def __post_init__(self):
-        _require_integers(self, "epochs")
-        _require_finite(self, "C", "epsilon", "learning_rate")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.learning_rate <= 0 or self.epochs < 1:
-            raise ValueError("learning_rate must be positive, epochs >= 1")
+        check_fields(self)
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be finite and positive")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf or self.epochs < 1:
+            raise ValueError(
+                "learning_rate must be finite and positive, epochs >= 1"
+            )
 
 
 RegressorKind = Union[RandomForestParams, BayesianRidgeParams, LinearSVRParams]

@@ -36,6 +36,7 @@ from .errors import (
     NoEvents,
     NonFinite,
     SingularHessian,
+    check_fields,
 )
 from .flowdata import open_text
 
@@ -394,14 +395,13 @@ class CoxOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+        check_fields(self)
+        if not 0 <= self.ridge < math.inf:
             raise InvalidValue(
                 f"ridge must be a finite number >= 0, got {self.ridge!r}"
             )
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidValue(
-                f"tol must be a finite number > 0, got {self.tol!r}"
-            )
+        if not 0 < self.tol < math.inf:
+            raise InvalidValue(f"tol must be finite and > 0, got {self.tol!r}")
         if self.max_iter < 1:
             raise InvalidValue(f"max_iter must be >= 1, got {self.max_iter!r}")
 

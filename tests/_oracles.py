@@ -35,7 +35,6 @@ from flowhazard.experiment import _FIXED_COLUMNS
 from flowhazard.flowdata import (
     FlowDataset,
     ParseReport,
-    SanitizePolicy,
     _normalize_name,
     abs_diff_covariates,
     open_text,
@@ -374,7 +373,7 @@ def _whole_text(source) -> str:
     return data
 
 
-def whole_text_parse_flow_csv(source, schema, policy=SanitizePolicy()):
+def whole_text_parse_flow_csv(source, schema, max_reported_rows=25):
     """Flow-CSV parse over the whole decoded text: one ``csv.reader``
     pass, one ``float(cell.strip())`` per feature cell, rows kept as
     Python lists until the end."""
@@ -410,7 +409,7 @@ def whole_text_parse_flow_csv(source, schema, policy=SanitizePolicy()):
     messages: list[str] = []
 
     def note(msg: str):
-        if len(messages) < policy.max_reported_rows:
+        if len(messages) < max_reported_rows:
             messages.append(msg)
 
     for lineno, row in enumerate(reader, start=2):

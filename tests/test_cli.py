@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import flowhazard
 from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
-from flowhazard.experiment import run_iteration
+from flowhazard.experiment import ExperimentConfig, run_iteration
 from flowhazard.models import model_to_json
 
 from _oracles import grid_search_beta, stack_records
@@ -129,17 +129,24 @@ class TestSynth:
         assert rc == 2
         assert stderr_error(capsys)["error"] == "MissingInput"
 
-    @pytest.mark.parametrize("spec", [
-        {"A": 1}, {"A": {"f": 1}}, {"A": {"f": {"mean": "x"}}},
-    ], ids=["class_not_object", "feature_not_object", "mean_not_number"])
-    def test_malformed_entry_exits_2(self, tmp_path, capsys, spec):
+    @pytest.mark.parametrize("spec, named", [
+        ({"A": 1}, "'A'"),
+        ({"A": {"f": 1}}, "'A'"),
+        ({"A": {"f": {"mean": "x"}}}, "'A', feature 'f': mean"),
+        ({"A": {"f": {"mean": "4"}}}, "'A', feature 'f': mean"),
+        ({"A": {"f": {"std": True}}}, "'A', feature 'f': std"),
+        ({"A": {"f": {"truncate_at_zero": "no"}}},
+         "'A', feature 'f': truncate_at_zero"),
+    ], ids=["class_not_object", "feature_not_object", "mean_not_number",
+            "string_mean", "bool_std", "string_truncate_at_zero"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, spec, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         rc = main(["synth", "--spec", str(path), "--out", str(tmp_path)])
         assert rc == 2
         err = only_error_line(capsys)
         assert err["error"] == "InvalidSpec"
-        assert "'A'" in err["message"]
+        assert named in err["message"]
 
     def test_pipeline_spec_entry_is_checked(self, workspace, capsys):
         tmp, config_path, _ = workspace
@@ -353,6 +360,17 @@ class TestPipelineCommand:
         assert b["config"]["master_seed"] == 4
         assert a != b
 
+    def test_report_config_reads_back_as_the_run_config(self, workspace,
+                                                        tmp_path):
+        _, config_path, _ = workspace
+        out = tmp_path / "rc"
+        assert main(["pipeline", "--config", str(config_path),
+                     "--out", str(out), "--seed", "4"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        args = argparse.Namespace(seed=4, out=str(out), emit=None)
+        run = load_pipeline_config(str(config_path), args).experiment
+        assert ExperimentConfig.from_json_dict(report["config"]) == run
+
 
 def read_csv_columns(path) -> dict:
     """Each column of the CSV at ``path`` as a list of its cells."""
@@ -547,8 +565,9 @@ _FOREST = {"kind": "random_forest", "n_trees": 2, "max_depth": 3,
            "min_leaf": 2, "features_per_split": 2, "bootstrap": True}
 _SVR = {"kind": "linear_svr", "C": 1.0, "epsilon": 0.1,
         "learning_rate": 0.05, "epochs": 5}
-_ODD_VALUES = [None, True, False, -1, 0, -2.5, 0.5, 1.5, 2, float("inf"),
-               "many", "", [], [1], ["x", "y"], {}, {"a": 1}]
+_ODD_VALUES = [None, True, False, -1, 0, -2.5, 0.5, 1.5, 2, 2.5,
+               float("inf"), float("nan"), "many", "", [], [1], ["x", "y"],
+               {}, {"a": 1}]
 
 
 def _key_paths(doc, prefix=()):
@@ -576,7 +595,18 @@ def mutated_configs(draw):
         else:
             value = draw(st.sampled_from(_ODD_VALUES))
             parent[path[-1]] = copy.deepcopy(value)
-    return config
+    unknown = draw(st.booleans())
+    if unknown:
+        sections = [()] + [path for path in _key_paths(config)
+                           if isinstance(_at(config, path), dict)]
+        _at(config, draw(st.sampled_from(sorted(sections))))["zz"] = 1
+    return config, unknown
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -596,8 +626,47 @@ class TestConfigMutations:
         (("experiment", "master_seed"), -1, "master_seed"),
         (("experiment", "regressor", "max_evidence_iters"), 1.5,
          "max_evidence_iters"),
+        (("experiment", "seq_len"), 2.5, "seq_len"),
+        (("experiment", "n_sequences"), 2.5, "n_sequences"),
+        (("experiment", "n_iterations"), 2.5, "n_iterations"),
+        (("experiment", "master_seed"), 3.99, "master_seed"),
+        (("experiment", "cox", "max_iter"), 7.7, "max_iter"),
+        (("inputs", "rows_per_class"), 60.5, "rows_per_class"),
+        (("experiment", "seq_len"), True, "seq_len"),
+        (("experiment", "accuracy_gate"), True, "accuracy_gate"),
+        (("experiment", "seq_len"), "6", "seq_len"),
+        (("experiment", "accuracy_gate"), "0.9", "accuracy_gate"),
+        (("experiment", "accuracy_gate"), float("nan"), "accuracy_gate"),
+        (("experiment", "selection", "min_fraction"), float("nan"),
+         "min_fraction"),
+        (("experiment", "selection", "min_abs_beta"), -1, "min_abs_beta"),
+        (("experiment", "regressor"), dict(_FOREST, min_leaf=1.5),
+         "min_leaf"),
+        (("experiment", "regressor"), dict(_FOREST, max_depth=2.5),
+         "max_depth"),
+        (("experiment", "regressor"), dict(_FOREST, bootstrap="no"),
+         "bootstrap"),
+        (("experiment", "regressor", "tol"), float("inf"), "tol"),
+        (("experiment", "cox", "max_iters"), 5, "max_iters"),
+        (("zz",), 1, "zz"),
+        (("inputs", "zz"), 1, "zz"),
+        (("schema", "zz"), 1, "zz"),
+        (("experiment", "zz"), 1, "zz"),
+        (("experiment", "regressor", "zz"), 1, "zz"),
+        (("experiment", "combination", "zz"), 1, "zz"),
+        (("experiment", "selection", "zz"), 1, "zz"),
     ], ids=["rows_per_class", "emit", "schema_features", "seq_len",
-            "accuracy_gate", "negative_seed", "float_iterations"])
+            "accuracy_gate", "negative_seed", "float_iterations",
+            "float_seq_len", "float_n_sequences", "float_n_iterations",
+            "float_master_seed", "float_cox_max_iter",
+            "float_rows_per_class", "bool_seq_len", "bool_accuracy_gate",
+            "string_seq_len", "string_accuracy_gate", "nan_accuracy_gate",
+            "nan_min_fraction", "negative_min_abs_beta", "float_min_leaf",
+            "float_max_depth", "string_bootstrap", "infinite_ridge_tol",
+            "unknown_cox_key", "unknown_top_level_key", "unknown_inputs_key",
+            "unknown_schema_key", "unknown_experiment_key",
+            "unknown_regressor_key", "unknown_combination_key",
+            "unknown_selection_key"])
     def test_wrong_type_is_invalid_spec(self, mutation_dir, capsys, path,
                                         value, named):
         config = json.loads(json.dumps(_MUTATED_CONFIG))
@@ -648,8 +717,9 @@ class TestConfigMutations:
         assert says in err["message"]
 
     @settings(max_examples=120)
-    @given(config=mutated_configs())
-    def test_exit_code_and_one_json_line(self, mutation_dir, config):
+    @given(drawn=mutated_configs())
+    def test_exit_code_and_one_json_line(self, mutation_dir, drawn):
+        config, unknown_key = drawn
         path = mutation_dir / "config.json"
         path.write_text(json.dumps(config))
         err = io.StringIO()
@@ -657,6 +727,8 @@ class TestConfigMutations:
                 contextlib.redirect_stdout(io.StringIO()):
             rc = main(["pipeline", "--config", str(path)])
         assert rc in (0, 2, 3, 4)
+        if unknown_key:
+            assert rc == 2
         assert "Traceback" not in err.getvalue()
         lines = [line for line in err.getvalue().splitlines() if line]
         if rc == 0:

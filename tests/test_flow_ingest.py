@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from flowhazard import (
     EmptyInput,
     FlowSchema,
-    SanitizePolicy,
     cicids2017_schema,
     parse_flow_csv,
 )
@@ -101,9 +100,9 @@ def flow_csvs(draw):
     return text
 
 
-def _outcome(parse, data, policy):
+def _outcome(parse, data, *cap):
     try:
-        ds = parse(data, SCHEMA, policy)
+        ds = parse(data, SCHEMA, *cap)
     except EmptyInput as exc:
         return "EmptyInput", str(exc)
     return ds.features.shape, ds.features.tobytes(), ds.labels, ds.report
@@ -121,10 +120,10 @@ def _outcome(parse, data, policy):
 )
 def test_chunked_parse_equals_whole_text_parse(chunk_lines, text, cap):
     data = text.encode("utf-8")
-    policy = SanitizePolicy(max_reported_rows=cap)
-    with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines):
-        got = _outcome(parse_flow_csv, data, policy)
-    assert got == _outcome(whole_text_parse_flow_csv, data, policy)
+    with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines), \
+            mock.patch.object(flowdata, "_MAX_REPORTED_ROWS", cap):
+        got = _outcome(parse_flow_csv, data)
+    assert got == _outcome(whole_text_parse_flow_csv, data, cap)
 
 
 class TestPlainChunks:

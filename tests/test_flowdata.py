@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from flowhazard import (
     InvalidSpec,
     LengthMismatch,
     MissingColumn,
-    SanitizePolicy,
     SchemaMismatch,
     SyntheticSpec,
     abs_diff_covariates,
@@ -22,6 +22,7 @@ from flowhazard import (
     subset,
     synthesize_flows,
 )
+from flowhazard import flowdata
 
 SCHEMA = FlowSchema(("a", "b"), label_column="Label")
 
@@ -107,7 +108,8 @@ class TestParse:
     def test_message_cap(self):
         rows = "\n".join("bogus,1,x" for _ in range(40))
         data = csv_bytes(f"a,b,Label\n1,1,x\n{rows}\n")
-        ds = parse_flow_csv(data, SCHEMA, SanitizePolicy(max_reported_rows=5))
+        with mock.patch.object(flowdata, "_MAX_REPORTED_ROWS", 5):
+            ds = parse_flow_csv(data, SCHEMA)
         assert len(ds.report.messages) == 5
         assert ds.report.malformed_dropped == 40
 
