@@ -12,6 +12,9 @@ Every command is deterministic given its config and seed.  Failures exit
 with a machine-readable JSON line on stderr and a deterministic exit
 code: 2 input error, 3 numerical failure, 4 accuracy-gate failure.
 ``FLOWHAZARD_LOG`` selects log verbosity (error, info, debug).
+
+Each command imports the modules it runs when it runs, so ``--help``
+loads no numpy and ``cox`` and ``km`` never load the classifiers.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     EXIT_OK,
@@ -30,35 +34,10 @@ from .errors import (
     MissingInput,
     UnusablePath,
 )
-from .experiment import (
-    ExperimentConfig,
-    _section,
-    aggregate_cox_to_csv,
-    read_survival_table,
-    report_to_json_dict,
-    run_experiment,
-    train_on_split,
-    write_survival_table,
-)
-from .flowdata import (
-    FlowSchema,
-    SyntheticSpec,
-    cicids2017_schema,
-    filter_label,
-    parse_flow_csv,
-    serialize_flow_csv,
-    synthesize_flows,
-)
-from .models import model_to_json
-from .survival import (
-    CoxOptions,
-    cox_convergence_report,
-    cox_fit,
-    cox_to_csv,
-    km_fit,
-    km_to_csv,
-)
-from .svgplot import km_svg
+
+if TYPE_CHECKING:  # annotations only
+    from .experiment import ExperimentConfig
+    from .flowdata import FlowSchema
 
 log = logging.getLogger("flowhazard")
 
@@ -145,6 +124,9 @@ def _texts(doc: dict, key: str, default=None) -> list:
 
 
 def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
+    from .experiment import _section
+    from .flowdata import FlowSchema, cicids2017_schema
+
     if doc.get("schema") is None:
         if synthetic_spec is not None:
             return synthetic_spec.schema
@@ -162,6 +144,9 @@ def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
 
 
 def load_pipeline_config(path: str, args) -> PipelineConfig:
+    from .experiment import ExperimentConfig, _section
+    from .flowdata import SyntheticSpec
+
     doc = _section(_load_json(path), path, _CONFIG_KEYS)
     # paths inside the config resolve relative to the config file itself;
     # the --out flag stays relative to the working directory
@@ -226,6 +211,8 @@ def _load_role_datasets(cfg: PipelineConfig):
     When the inputs are CSV files, a per-role sanitization report is
     written next to the other artifacts as sanitization.json.
     """
+    from .flowdata import filter_label, parse_flow_csv, synthesize_flows
+
     combo = cfg.experiment.combination
     if cfg.synthetic is not None:
         spec = cfg.synthetic["spec"]
@@ -259,6 +246,10 @@ def _load_role_datasets(cfg: PipelineConfig):
 
 
 def cmd_synth(args) -> int:
+    from .flowdata import (
+        SyntheticSpec, filter_label, serialize_flow_csv, synthesize_flows,
+    )
+
     spec = SyntheticSpec.from_json_dict(_load_json(args.spec))
     dataset = synthesize_flows(spec, args.n, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -277,6 +268,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .experiment import train_on_split
+    from .models import model_to_json
+
     cfg = load_pipeline_config(args.config, args)
     exp = cfg.experiment
     benign, pre_attack, _ = _load_role_datasets(cfg)
@@ -305,6 +299,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .experiment import (
+        aggregate_cox_to_csv, report_to_json_dict, run_experiment,
+    )
+    from .survival import km_to_csv, write_survival_table
+    from .svgplot import km_svg
+
     cfg = load_pipeline_config(args.config, args)
     benign, pre_attack, post = _load_role_datasets(cfg)
     log.info(
@@ -348,6 +348,11 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_cox(args) -> int:
+    from .survival import (
+        CoxOptions, cox_convergence_report, cox_fit, cox_to_csv,
+        read_survival_table,
+    )
+
     table = read_survival_table(_require_path(args.table))
     options = CoxOptions(**{k: getattr(args, k) for k in
                             ("ridge", "tol", "max_iter") if hasattr(args, k)})
@@ -368,6 +373,9 @@ def cmd_cox(args) -> int:
 
 
 def cmd_km(args) -> int:
+    from .survival import km_fit, km_to_csv, read_survival_table
+    from .svgplot import km_svg
+
     table = read_survival_table(_require_path(args.table))
     curve = km_fit(table)
     os.makedirs(args.out, exist_ok=True)

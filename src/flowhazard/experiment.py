@@ -14,9 +14,10 @@ iteration scores every distinct drawn flow once, gathers the scores into
 an (n_sequences, seq_len) array and finds every sequence's first in-band
 hit in one scan of that array; the outcome is the same as streaming each
 sequence flow by flow.  The outcomes stay in one :class:`SurvivalTable`,
-row i for sequence i, from the scan through the Kaplan-Meier and Cox fits
-to ``survival_iterNN.csv`` and back; :func:`run_sequence` is the one-row
-view of the same scan.
+row i for sequence i, from the scan through the Kaplan-Meier and Cox fits;
+:func:`flowhazard.survival.write_survival_table` writes it as
+``survival_iterNN.csv``.  :func:`run_sequence` is the one-row view of the
+same scan.
 
 Iterations retrain the classifier and resample sequences from RNG
 streams derived as (master_seed, iteration, purpose), so a whole
@@ -38,8 +39,6 @@ from .errors import (
     EmptyInput,
     FlowHazardError,
     InvalidSpec,
-    InvalidValue,
-    LengthMismatch,
     SchemaMismatch,
     check_fields,
 )
@@ -48,7 +47,6 @@ from .flowdata import (
     FlowDataset,
     abs_diff_covariates,
     binary_dataset,
-    _CsvChunks,
     feature_summary,
     open_text,
     subset,
@@ -71,6 +69,8 @@ from .survival import (
     cox_fit,
     km_fit,
 )
+# benchmarks/tracer.py TARGETS wraps these here until ROADMAP item 2
+from .survival import read_survival_table, write_survival_table
 
 log = logging.getLogger("flowhazard.experiment")
 
@@ -532,132 +532,6 @@ def _nonzero_fraction(report: ExperimentReport, min_abs_beta: float):
 
 # ---------------------------------------------------------------------------
 # external interfaces
-
-_FIXED_COLUMNS = ("sequence_id", "time", "event")
-
-
-def write_survival_table(table: SurvivalTable, sink) -> None:
-    """CSV of sequence outcomes: the row index as ``sequence_id``, then
-    time, event and one column per covariate, floats written by ``repr``."""
-    with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIXED_COLUMNS + table.feature_names)
-        rows = zip(table.times.tolist(), table.events.tolist(),
-                   table.X.tolist())
-        writer.writerows([i, t, e, *x] for i, (t, e, x) in enumerate(rows))
-
-
-def read_survival_table(source) -> SurvivalTable:
-    """Parse :func:`write_survival_table` output into a
-    :class:`SurvivalTable` named by the header's covariate columns.
-
-    Blank lines (and lines of only commas or whitespace) are skipped, and
-    data rows are numbered from 1 without them.  A missing fixed header
-    column is named in the error; a row whose length differs from the
-    header's, a cell that is not a number and an out-of-range value are
-    reported with their data row and column, and a record the csv module
-    rejects (a field over its size limit, a bare carriage return from a
-    handle that does not split lines there) with its data row, as
-    :class:`InvalidValue`.  The ``sequence_id`` column is not read.
-
-    Lines are read as the handle yields them (a path is opened with
-    ``newline=""``, as the csv module expects), in chunks: a chunk of plain
-    records with the header's cell count is read by numpy's C reader, and
-    any other chunk by the csv module.  A chunk that holds an error is
-    checked again together with the rest of the file, so the error
-    reported is the one a whole-file read meets first.
-    """
-    with open_text(source) as fh:
-        chunks = _CsvChunks(iter(fh))
-        try:
-            header = next(chunks.records, None)
-        except csv.Error as err:
-            raise InvalidValue(f"header: {err}") from None
-        if header is None:
-            raise EmptyInput("empty survival table")
-        header = [h.strip() for h in header]
-        try:
-            _check_fixed_columns(header)
-        except SchemaMismatch:
-            # a malformed record outranks the header
-            list(_data_records(chunks.records, 0))
-            raise
-        blocks = []
-        n_rows = 0
-        for _, plain in chunks.blocks(range(1, len(header)),
-                                      n_cells=len(header)):
-            if plain is None:
-                records = _data_records(chunks.records, n_rows)
-                rows = []
-                while chunks.pending:
-                    rows.append(next(records))
-                try:
-                    block = _rows_to_block(header, rows, n_rows)
-                except (LengthMismatch, ValueError):
-                    _rows_to_block(header, rows + list(records), n_rows)
-                    raise
-            else:
-                block = plain[0]
-            blocks.append(block)
-            n_rows += block.shape[0]
-    if not n_rows:
-        raise EmptyInput("survival table has no data rows")
-    data = np.concatenate(blocks)
-    return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:],
-                         tuple(header[len(_FIXED_COLUMNS):]))
-
-
-def _data_records(reader, done: int):
-    """The records of the csv ``reader``, after ``done`` data rows that
-    are not blank; a record it rejects raises :class:`InvalidValue`
-    naming the data row."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as err:
-            raise InvalidValue(f"data row {done + 1}: {err}") from None
-        done += any(c.strip() for c in row)
-        yield row
-
-
-def _check_fixed_columns(header: list[str]) -> None:
-    for i, required in enumerate(_FIXED_COLUMNS):
-        if i >= len(header) or header[i].casefold() != required:
-            raise SchemaMismatch(
-                f"survival table column {i} must be {required!r}, "
-                f"got {header[i] if i < len(header) else 'nothing'!r}"
-            )
-
-
-def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
-    """The cells after ``sequence_id`` of the csv ``rows`` that are not
-    blank, as floats; data rows are numbered on from ``done``."""
-    body = [row for row in rows if any(c.strip() for c in row)]
-    for i, row in enumerate(body, done + 1):
-        if len(row) != len(header):
-            raise LengthMismatch(
-                f"data row {i} has {len(row)} cells, the header has "
-                f"{len(header)}"
-            )
-    cells = [row[1:] for row in body]
-    try:
-        return np.array(cells, dtype=np.float64).reshape(
-            len(cells), len(header) - 1
-        )
-    except ValueError:
-        for i, row in enumerate(cells, done + 1):
-            for name, cell in zip(header[1:], row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise InvalidValue(
-                        f"data row {i}, column {name!r}: not a number, "
-                        f"got {cell!r}"
-                    ) from None
-        raise
-
 
 def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
     """Mean-coefficient table: feature, mean beta, hazard ratio, how often

@@ -104,7 +104,6 @@ class ParseReport:
     rows_kept: int
     nonfinite_dropped: int
     malformed_dropped: int
-    messages: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,8 +198,6 @@ def open_text(source, mode: str = "r"):
 _CHUNK_LINES = 512
 # Characters per read from the source.
 _READ_CHARS = 1 << 20
-# Per-row sanitization messages kept in a parse's report.
-_MAX_REPORTED_ROWS = 25
 
 
 def _split_lines(fh):
@@ -311,9 +308,7 @@ def parse_flow_csv(source, schema: FlowSchema) -> FlowDataset:
     insensitively; column order need not match schema order.  Rows with
     unparseable cells are dropped as malformed; rows whose cells parse to
     inf or nan are dropped as non-finite.  Both counts appear in the
-    attached :class:`ParseReport`, whose messages (the first
-    ``_MAX_REPORTED_ROWS``) name rows by their 1-based record number (the
-    header is record 1).
+    attached :class:`ParseReport`.
 
     The file is read in chunks of lines, each converted straight into a
     float64 block, so peak memory is about twice the feature matrix.
@@ -352,64 +347,45 @@ def _parse_lines(lines, schema: FlowSchema) -> FlowDataset:
 
     feat_idx = [positions[_normalize_name(n)] for n in schema.feature_names]
     label_idx = positions[_normalize_name(schema.label_column)]
-    needed = max(max(feat_idx), label_idx) + 1
 
     blocks: list[np.ndarray] = []
     labels: list[str] = []
     rows_read = 0
     nonfinite = 0
     malformed = 0
-    messages: list[str] = []
-    lineno = 2  # record number of the next data record
 
     for n_lines, plain in chunks.blocks(feat_idx, label_idx):
-        notes: list[tuple[int, str]] = []
         if plain is not None:
             block, labs = plain
-            linenos = range(lineno, lineno + n_lines)
-            lineno += n_lines
             rows_read += n_lines
         else:
             rows: list[list[float]] = []
             labs = []
-            linenos = []
             while chunks.pending:
-                record = lineno
-                lineno += 1
                 try:
                     row = next(reader)
-                except csv.Error as exc:
+                except csv.Error:
                     rows_read += 1
-                    notes.append((record, f"line {record}: {exc}"))
+                    malformed += 1
                     continue
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
                 rows_read += 1
-                if len(row) < needed:
-                    notes.append((record, f"line {record}: expected at least "
-                                          f"{needed} columns, got {len(row)}"))
-                    continue
                 try:
                     values = [float(row[j].strip()) for j in feat_idx]
-                except ValueError as exc:
-                    notes.append((record, f"line {record}: {exc}"))
+                    label = row[label_idx].strip()
+                except (IndexError, ValueError):  # short row, bad number
+                    malformed += 1
                     continue
                 rows.append(values)
-                labs.append(row[label_idx].strip())
-                linenos.append(record)
-            malformed += len(notes)
+                labs.append(label)
             block = np.array(rows, dtype=np.float64).reshape(-1, len(feat_idx))
 
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            bad = np.flatnonzero(~finite)
-            nonfinite += bad.size
-            notes += [(linenos[i], f"line {linenos[i]}: non-finite feature value")
-                      for i in bad.tolist()]
+            nonfinite += int((~finite).sum())
             block = block[finite]
             labs = [labs[i] for i in np.flatnonzero(finite).tolist()]
-        room = _MAX_REPORTED_ROWS - len(messages)
-        messages += [msg for _, msg in sorted(notes)[:max(room, 0)]]
         blocks.append(block)
         labels += labs
 
@@ -424,7 +400,6 @@ def _parse_lines(lines, schema: FlowSchema) -> FlowDataset:
         rows_kept=len(labels),
         nonfinite_dropped=nonfinite,
         malformed_dropped=malformed,
-        messages=tuple(messages),
     )
     features = np.concatenate(blocks)
     del blocks

@@ -12,23 +12,3 @@ from .base import (
     regressor_from_dict,
     train,
 )
-from .bayes_ridge import LinearState
-from .forest import ForestState, Tree
-
-__all__ = [
-    "BayesianRidgeParams",
-    "ForestState",
-    "LinearSVRParams",
-    "LinearState",
-    "RandomForestParams",
-    "RegressorKind",
-    "TrainReport",
-    "TrainedModel",
-    "Tree",
-    "evaluate_accuracy",
-    "model_from_json",
-    "model_to_json",
-    "predict_many",
-    "regressor_from_dict",
-    "train",
-]

@@ -7,12 +7,19 @@ produce bit-identical streams on any platform.
 
 import numpy as np
 
+from .errors import InvalidValue
+
 
 def rng_from(*key: int) -> np.random.Generator:
-    """Return a generator seeded from a non-empty path of integers."""
-    if not key:
-        raise ValueError("seed key path must not be empty")
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    """Return a generator seeded from a non-empty path of non-negative
+    integers; any other key raises :class:`InvalidValue` naming it."""
+    entries = [int(k) for k in key]
+    if not entries or min(entries) < 0:
+        raise InvalidValue(
+            f"seed key must be a non-empty path of non-negative integers, "
+            f"got {tuple(entries)!r}"
+        )
+    return np.random.default_rng(np.random.SeedSequence(entries))
 
 
 def normalize_key(seed) -> tuple[int, ...]:

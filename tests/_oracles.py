@@ -20,18 +20,14 @@ import math
 
 import numpy as np
 
-from flowhazard import (
+from flowhazard.errors import (
     EmptyInput,
     InvalidValue,
-    KMCurve,
     LengthMismatch,
     MissingColumn,
     SchemaMismatch,
-    SequenceResult,
-    SurvivalRecord,
-    SurvivalTable,
 )
-from flowhazard.experiment import _FIXED_COLUMNS
+from flowhazard.experiment import SequenceResult
 from flowhazard.flowdata import (
     FlowDataset,
     ParseReport,
@@ -42,7 +38,13 @@ from flowhazard.flowdata import (
 from flowhazard.models import predict_many
 from flowhazard.models.forest import ForestState, Tree
 from flowhazard.seeding import rng_from
-from flowhazard.survival import StepFunction
+from flowhazard.survival import (
+    _FIXED_COLUMNS,
+    KMCurve,
+    StepFunction,
+    SurvivalRecord,
+    SurvivalTable,
+)
 
 
 def stack_records(records, feature_names=None) -> SurvivalTable:
@@ -373,7 +375,7 @@ def _whole_text(source) -> str:
     return data
 
 
-def whole_text_parse_flow_csv(source, schema, max_reported_rows=25):
+def whole_text_parse_flow_csv(source, schema):
     """Flow-CSV parse over the whole decoded text: one ``csv.reader``
     pass, one ``float(cell.strip())`` per feature cell, rows kept as
     Python lists until the end."""
@@ -406,29 +408,21 @@ def whole_text_parse_flow_csv(source, schema, max_reported_rows=25):
     rows_read = 0
     nonfinite = 0
     malformed = 0
-    messages: list[str] = []
 
-    def note(msg: str):
-        if len(messages) < max_reported_rows:
-            messages.append(msg)
-
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         rows_read += 1
         if len(row) < needed:
             malformed += 1
-            note(f"line {lineno}: expected at least {needed} columns, got {len(row)}")
             continue
         try:
             values = [float(row[j].strip()) for j in feat_idx]
-        except ValueError as exc:
+        except ValueError:
             malformed += 1
-            note(f"line {lineno}: {exc}")
             continue
         if not all(np.isfinite(values)):
             nonfinite += 1
-            note(f"line {lineno}: non-finite feature value")
             continue
         rows.append(values)
         labels.append(row[label_idx].strip())
@@ -444,7 +438,6 @@ def whole_text_parse_flow_csv(source, schema, max_reported_rows=25):
         rows_kept=len(rows),
         nonfinite_dropped=nonfinite,
         malformed_dropped=malformed,
-        messages=tuple(messages),
     )
     return FlowDataset(
         schema=schema,

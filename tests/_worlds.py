@@ -15,7 +15,7 @@ the remaining features are exchangeable noise.
 
 import numpy as np
 
-from flowhazard import FlowDataset, FlowSchema
+from flowhazard.flowdata import FlowDataset, FlowSchema
 
 FEATURES = ("f_sep", "f_n1", "f_n2", "f_n3", "f_n4")
 SCHEMA = FlowSchema(FEATURES)

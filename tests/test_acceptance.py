@@ -15,13 +15,21 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flowhazard import (
+from flowhazard.cli import main as cli_main
+from flowhazard.experiment import (
     AttackCombination,
-    BayesianRidgeParams,
-    CoxOptions,
     ExperimentConfig,
+    run_experiment,
+)
+from flowhazard.models import (
+    BayesianRidgeParams,
     LinearSVRParams,
     RandomForestParams,
+)
+from flowhazard.survival import (
+    CoxModel,
+    CoxOptions,
+    StepFunction,
     SurvivalRecord,
     SurvivalTable,
     cox_fit,
@@ -30,10 +38,7 @@ from flowhazard import (
     cox_log_partial_likelihood,
     km_fit,
     km_survival_at,
-    run_experiment,
 )
-from flowhazard.cli import main as cli_main
-from flowhazard.survival import CoxModel, StepFunction
 
 from _oracles import grid_search_beta, stack_records
 from _worlds import DRIVER, DRIVER_NAME, KNOWN_ATTACK, NOVEL_ATTACK, planted_world
@@ -337,7 +342,7 @@ def test_c9_paper_scale_qualitative(tmp_path):
     """Optional: real-data signs of the four reported coefficients and the
     early-detection shape of the pooled curve (combination 1, forest)."""
     with criterion("C9 paper-scale qualitative reproduction"):
-        from flowhazard import (
+        from flowhazard.flowdata import (
             cicids2017_schema,
             filter_label,
             parse_flow_csv,

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import flowhazard
-from flowhazard import SurvivalTable, write_survival_table
+from flowhazard.survival import SurvivalTable, write_survival_table
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 

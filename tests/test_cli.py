@@ -117,10 +117,10 @@ class TestSynth:
         assert len(listed) == 3
         for path in listed:
             assert os.path.exists(path)
-        import flowhazard
+        from flowhazard.flowdata import FlowSchema, parse_flow_csv
 
-        schema = flowhazard.FlowSchema(("f_sep", "f_driver", "f_noise"))
-        ds = flowhazard.parse_flow_csv(str(out / "benign.csv"), schema)
+        schema = FlowSchema(("f_sep", "f_driver", "f_noise"))
+        ds = parse_flow_csv(str(out / "benign.csv"), schema)
         assert len(ds) == 50
 
     def test_missing_spec_is_input_error(self, workspace, capsys):
@@ -154,6 +154,25 @@ class TestSynth:
         rc = main(["pipeline", "--config", str(config_path)])
         assert rc == 2
         assert only_error_line(capsys)["error"] == "InvalidSpec"
+
+    def test_negative_seed_exits_2_with_one_line(self, workspace):
+        tmp, _, _ = workspace
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(flowhazard.__file__)
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "flowhazard.cli", "synth",
+             "--spec", str(tmp / "synth_spec.json"), "--seed", "-1",
+             "--out", str(tmp / "synthed")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidValue"
+        assert "(-1,)" in err["message"]
 
 
 class TestMalformedJson:
@@ -389,7 +408,7 @@ def write_survival_csv(path, rows, features=("x",)):
 
 class TestCoxCommand:
     def test_matches_grid_oracle(self, tmp_path, capsys):
-        from flowhazard import SurvivalRecord
+        from flowhazard.survival import SurvivalRecord
 
         rows = [
             (0, 1.0, 1, 0.0), (1, 2.0, 1, 1.0),

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhazard import (
+from flowhazard.errors import InvalidSpec, InvalidValue
+from flowhazard.experiment import (
     AttackCombination,
-    BayesianRidgeParams,
-    CoxOptions,
     ExperimentConfig,
-    InvalidSpec,
-    InvalidValue,
-    LinearSVRParams,
-    RandomForestParams,
     SelectionRule,
 )
+from flowhazard.models import (
+    BayesianRidgeParams,
+    LinearSVRParams,
+    RandomForestParams,
+)
 from flowhazard.flowdata import _Normal
+from flowhazard.survival import CoxOptions
 
 # every config dataclass, with the arguments a valid instance needs
 CONFIGS = {

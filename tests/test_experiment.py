@@ -8,39 +8,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhazard import (
+from flowhazard.errors import (
     AccuracyGateFailed,
     AllIterationsFailed,
-    AttackCombination,
-    BayesianRidgeParams,
     EmptyInput,
+    InvalidValue,
+)
+from flowhazard.experiment import (
+    AttackCombination,
     ExperimentConfig,
-    FlowDataset,
-    LinearSVRParams,
-    RandomForestParams,
     SelectionRule,
-    TrainedModel,
+    _draw_indices,
+    _scan_sequences,
+    aggregate_cox_to_csv,
     build_sequences,
-    feature_summary,
-    km_survival_at,
-    read_survival_table,
+    report_to_json_dict,
     run_experiment,
     run_iteration,
     run_sequence,
     select_features,
-    write_survival_table,
-)
-from flowhazard.experiment import (
-    _draw_indices,
-    _scan_sequences,
-    aggregate_cox_to_csv,
-    report_to_json_dict,
     train_on_split,
 )
-from flowhazard.flowdata import subset
-from flowhazard.models import TrainReport, predict_many
+from flowhazard.flowdata import FlowDataset, feature_summary, subset
+from flowhazard.models import (
+    BayesianRidgeParams,
+    LinearSVRParams,
+    RandomForestParams,
+    TrainedModel,
+    TrainReport,
+    predict_many,
+)
 from flowhazard.models.bayes_ridge import LinearState
 from flowhazard.seeding import rng_from
+from flowhazard.survival import (
+    km_survival_at,
+    read_survival_table,
+    write_survival_table,
+)
 
 from _oracles import per_sequence_scan
 
@@ -81,6 +85,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("key", [(), (-1,), (7, 0, -3)])
+def test_rng_from_rejects_a_bad_key_naming_it(key):
+    with pytest.raises(InvalidValue) as err:
+        rng_from(*key)
+    assert repr(key) in str(err.value)
 
 
 class TestBuildSequences:
@@ -316,7 +327,8 @@ class TestRunIteration:
         assert err.value.required == 0.95
 
     def test_post_schema_mismatch_rejected_upfront(self):
-        from flowhazard import FlowSchema, SchemaMismatch
+        from flowhazard.errors import SchemaMismatch
+        from flowhazard.flowdata import FlowSchema
 
         benign, attack, _ = planted_world(seed=2, n_pre=200, n_post=100)
         other = FlowDataset(
@@ -408,7 +420,7 @@ class TestRunExperiment:
         report = run_experiment(cfg, benign, attack, post)
         table = report.successes[0].table
         perm = np.random.default_rng(0).permutation(len(table))
-        from flowhazard import SurvivalTable, km_fit
+        from flowhazard.survival import SurvivalTable, km_fit
 
         again = km_fit(SurvivalTable(table.times[perm], table.events[perm],
                                      table.X[perm]))

@@ -2,7 +2,7 @@
 (kept in ``_oracles``), plus its memory bound and its input handling.
 
 Both parsers must give the same dataset bit for bit and the same
-:class:`ParseReport`, messages included, whatever the chunk size: plain
+:class:`ParseReport`, whatever the chunk size: plain
 chunks go through numpy's C reader and every other chunk through the csv
 module, and a quoted field may run across chunk boundaries.
 """
@@ -17,12 +17,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowhazard import (
-    EmptyInput,
-    FlowSchema,
-    cicids2017_schema,
-    parse_flow_csv,
-)
+from flowhazard.errors import EmptyInput
+from flowhazard.flowdata import FlowSchema, cicids2017_schema, parse_flow_csv
 from flowhazard import flowdata
 
 from _oracles import whole_text_parse_flow_csv
@@ -100,30 +96,25 @@ def flow_csvs(draw):
     return text
 
 
-def _outcome(parse, data, *cap):
+def _outcome(parse, data):
     try:
-        ds = parse(data, SCHEMA, *cap)
+        ds = parse(data, SCHEMA)
     except EmptyInput as exc:
         return "EmptyInput", str(exc)
     return ds.features.shape, ds.features.tobytes(), ds.labels, ds.report
 
 
 @pytest.mark.parametrize("chunk_lines", [1, 2, 7])
-@given(text=flow_csvs(), cap=st.integers(0, 6))
-@example(
-    text='a,b,Label\n1,2,"multi\nline"\n3,bogus,x\n5,6,y\n',
-    cap=5,
-)
+@given(text=flow_csvs())
+@example(text='a,b,Label\n1,2,"multi\nline"\n3,bogus,x\n5,6,y\n')
 @example(
     text='Label,a,b\r\n"q,r",1,2\r\n\r\nInfinity,3,4\r\n, ,\r\nx,1_0,2\r\n',
-    cap=5,
 )
-def test_chunked_parse_equals_whole_text_parse(chunk_lines, text, cap):
+def test_chunked_parse_equals_whole_text_parse(chunk_lines, text):
     data = text.encode("utf-8")
-    with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines), \
-            mock.patch.object(flowdata, "_MAX_REPORTED_ROWS", cap):
+    with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines):
         got = _outcome(parse_flow_csv, data)
-    assert got == _outcome(whole_text_parse_flow_csv, data, cap)
+    assert got == _outcome(whole_text_parse_flow_csv, data)
 
 
 class TestPlainChunks:
@@ -195,29 +186,16 @@ class TestInputHandling:
         quoted = parse_flow_csv('\ufeff"a",b,Label\n1,2,x\n'.encode(), SCHEMA)
         assert quoted.labels == ("x",)
 
-    @pytest.mark.parametrize("bad, error", [
-        ("1" * (csv.field_size_limit() + 1) + ",2,x",
-         f"field larger than field limit ({csv.field_size_limit()})"),
-        ("1,2\r,x", "new-line character seen in unquoted field"),
+    @pytest.mark.parametrize("bad", [
+        "1" * (csv.field_size_limit() + 1) + ",2,x",  # over the field limit
+        "1,2\r,x",  # a carriage return in an unquoted field
     ], ids=["oversized_field", "lone_carriage_return"])
-    def test_csv_error_is_a_malformed_row(self, bad, error):
+    def test_csv_error_is_a_malformed_row(self, bad):
         data = f"a,b,Label\n1,2,x\n{bad}\n3,4,y\n".encode()
         ds = parse_flow_csv(data, SCHEMA)
         assert ds.labels == ("x", "y")
         assert ds.report.malformed_dropped == 1
         assert ds.report.rows_read == 3
-        (message,) = ds.report.messages
-        assert message.startswith(f"line 3: {error}")
-
-    def test_record_numbers_count_records_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(flowdata, "_CHUNK_LINES", 2)
-        data = b'a,b,Label\n1,2,"x\ny\nz"\n\nbogus,2,x\n5,NaN,x\n'
-        ds = parse_flow_csv(data, SCHEMA)
-        assert ds.labels == ("x\ny\nz",)
-        assert ds.report.messages == (
-            "line 4: could not convert string to float: 'bogus'",
-            "line 5: non-finite feature value",
-        )
 
 
 def _cic_csv(n_rows: int) -> bytes:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhazard import FlowDataset, FlowSchema, InvalidValue
+from flowhazard.errors import InvalidValue
+from flowhazard.flowdata import FlowDataset, FlowSchema
 from flowhazard.models import RandomForestParams
 from flowhazard.models import forest
 from flowhazard.models.forest import train_forest, tree_apply

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from flowhazard import (
+from flowhazard.errors import DegenerateData, EmptyInput, SchemaMismatch
+from flowhazard.flowdata import FlowDataset, FlowSchema
+from flowhazard.models import (
     BayesianRidgeParams,
-    DegenerateData,
-    EmptyInput,
-    FlowDataset,
-    FlowSchema,
     LinearSVRParams,
     RandomForestParams,
-    SchemaMismatch,
     evaluate_accuracy,
     model_from_json,
     model_to_json,

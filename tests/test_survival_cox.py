@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from flowhazard import (
+from flowhazard.errors import LengthMismatch, NoEvents
+from flowhazard.survival import (
     CoxOptions,
-    LengthMismatch,
-    NoEvents,
     SurvivalRecord,
     breslow_baseline,
     cox_fit,
@@ -431,7 +430,7 @@ class TestBreslowBaseline:
         )
 
     def test_predicted_survival_from_baseline(self):
-        from flowhazard import cox_survival_at
+        from flowhazard.survival import cox_survival_at
 
         rng = np.random.default_rng(71)
         records = [

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowhazard import (
-    EmptyInput,
+from flowhazard.errors import EmptyInput
+from flowhazard.survival import (
     SurvivalRecord,
     SurvivalTable,
     cumulative_death_at,
     km_fit,
     km_survival_at,
+    km_to_csv,
 )
-from flowhazard.survival import km_to_csv
 
 from _oracles import per_time_km_to_csv, stack_records
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowhazard import (
+from flowhazard.errors import (
     EmptyInput,
     FlowHazardError,
     InvalidValue,
     LengthMismatch,
     NonFinite,
-    SequenceResult,
+)
+from flowhazard.experiment import SequenceResult
+from flowhazard.survival import (
     SurvivalRecord,
     SurvivalTable,
     cox_fit,

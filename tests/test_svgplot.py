@@ -5,7 +5,7 @@ import sys
 import numpy as np
 
 import flowhazard
-from flowhazard import SurvivalTable, km_fit
+from flowhazard.survival import SurvivalTable, km_fit
 from flowhazard.svgplot import km_svg
 
 
@@ -41,17 +41,21 @@ def test_censor_marks_sit_on_the_curve_after_tied_events():
 
 
 def test_cli_import_leaves_xml_and_urllib_unloaded():
-    # the child imports the same flowhazard package as this process
+    # the child imports the same flowhazard package as this process; each
+    # command imports what it runs, so the entry point loads only errors
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
     probe = (
         "import sys, flowhazard.cli; "
         "print(sorted(m for m in ('xml.sax', 'urllib.request', "
-        "'http.client') if m in sys.modules))"
+        "'http.client', 'numpy') if m in sys.modules)); "
+        "print(sorted(m for m in sys.modules if m.startswith('flowhazard')))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == [
+        "[]", "['flowhazard', 'flowhazard.cli', 'flowhazard.errors']",
+    ]
 
 
 def test_km_output_leaves_numpy_ma_unloaded():
@@ -61,8 +65,7 @@ def test_km_output_leaves_numpy_ma_unloaded():
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
     probe = (
         "import io, sys; import numpy as np; import flowhazard.cli; "
-        "from flowhazard import SurvivalTable, km_fit; "
-        "from flowhazard.survival import km_to_csv; "
+        "from flowhazard.survival import SurvivalTable, km_fit, km_to_csv; "
         "from flowhazard.svgplot import km_svg; "
         "curve = km_fit(SurvivalTable(np.array([1.0, 2.0, 2.0, 3.0, 5.0]), "
         "np.array([1, 0, 0, 1, 0]), np.zeros((5, 1)))); "
