@@ -23,6 +23,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -205,13 +206,78 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
     )
 
 
-def _load_role_datasets(cfg: PipelineConfig):
-    """Benign / known-attack / novel-attack datasets per the config.
+def _read_role(path: str, schema: FlowSchema, label: str):
+    """The dataset in the CSV at ``path``, cut to the rows labeled
+    ``label`` when it holds more than one label, and the sanitization
+    report of its parse."""
+    from .flowdata import filter_label, parse_flow_csv
 
-    When the inputs are CSV files, a per-role sanitization report is
-    written next to the other artifacts as sanitization.json.
+    ds = parse_flow_csv(path, schema)
+    report = ds.report.to_json_dict()
+    if len(set(ds.labels)) > 1:
+        ds = filter_label(ds, label)
+    return ds, report
+
+
+def _send_role(parent_end, conn, path: str, schema: FlowSchema,
+               label: str) -> None:
+    """Child-process body: :func:`_read_role` sent over ``conn``, as the
+    error it raised, or as the labels, parse report, sanitization report
+    and matrix shape followed by the feature matrix as raw bytes.
+
+    The copy of the parent's end of the pipe is closed first, so a send
+    fails, and the child exits, once the parent is gone.  Ctrl-C reaches
+    both processes: an interrupt while reading is sent back like an
+    error, so the parent stops on an interrupt as it would alone, and
+    later ones are ignored, so none cuts the reply short."""
+    parent_end.close()
+    try:
+        ds, report = _read_role(path, schema, label)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (FlowHazardError, OSError, KeyboardInterrupt) as err:
+        conn.send(err)
+        return
+    conn.send((ds.labels, ds.report, report, ds.features.shape))
+    conn.send_bytes(ds.features)
+
+
+def _receive_role(conn, child, path: str, schema: FlowSchema):
+    """What :func:`_send_role` sent over ``conn``, as :func:`_read_role`
+    returns it; an error it sent is raised here."""
+    import numpy as np
+
+    from .flowdata import FlowDataset
+
+    try:
+        reply = conn.recv()
+    except EOFError:
+        child.join()
+        raise UnusablePath(
+            f"{path}: the process reading it exited with code "
+            f"{child.exitcode} before it replied"
+        ) from None
+    if isinstance(reply, BaseException):
+        raise reply
+    labels, parse_report, report, shape = reply
+    features = np.empty(shape)
+    # a 2-D array's own memoryview counts rows, not bytes
+    conn.recv_bytes_into(features.reshape(-1).view(np.uint8))
+    ds = FlowDataset(schema=schema, features=features, labels=labels,
+                     report=parse_report)
+    return ds, report
+
+
+def _load_role_datasets(cfg: PipelineConfig):
+    """Benign and known-attack datasets per the config, and a function
+    that returns the novel-attack dataset.
+
+    When the inputs are CSV files, a child process reads the novel-attack
+    CSV, the largest input, while the caller trains on the other two;
+    calling the returned function waits for it and writes a per-role
+    sanitization report next to the other artifacts as
+    sanitization.json.  Its errors are those of reading the file here.
     """
-    from .flowdata import filter_label, parse_flow_csv, synthesize_flows
+    from .flowdata import filter_label, synthesize_flows
 
     combo = cfg.experiment.combination
     if cfg.synthetic is not None:
@@ -223,26 +289,48 @@ def _load_role_datasets(cfg: PipelineConfig):
         benign = filter_label(pool, cfg.benign_label)
         pre_attack = filter_label(pool, combo.pre_attack)
         post = filter_label(pool, combo.post_attack)
-        return benign, pre_attack, post
+        return benign, pre_attack, lambda: post
 
-    reports = {}
+    import multiprocessing
 
-    def load(role, path, label):
-        ds = parse_flow_csv(path, cfg.schema)
-        reports[role] = ds.report.to_json_dict()
-        if len(set(ds.labels)) > 1:
-            ds = filter_label(ds, label)
-        return ds
-
-    benign = load("benign", cfg.csv_inputs["benign_csv"], cfg.benign_label)
-    pre_attack = load(
-        "pre_attack", cfg.csv_inputs["pre_attack_csv"], combo.pre_attack
+    post_path = cfg.csv_inputs["post_attack_csv"]
+    conn, child_end = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(
+        target=_send_role, daemon=True,
+        args=(conn, child_end, post_path, cfg.schema, combo.post_attack),
     )
-    post = load("post_attack", cfg.csv_inputs["post_attack_csv"],
-                combo.post_attack)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _dump_json(reports, os.path.join(cfg.output_dir, "sanitization.json"))
-    return benign, pre_attack, post
+    child.start()
+    child_end.close()  # so a child that dies unheard reads as EOF here
+    reports = {}
+    try:
+        benign, reports["benign"] = _read_role(
+            cfg.csv_inputs["benign_csv"], cfg.schema, cfg.benign_label
+        )
+        pre_attack, reports["pre_attack"] = _read_role(
+            cfg.csv_inputs["pre_attack_csv"], cfg.schema, combo.pre_attack
+        )
+    except BaseException:
+        child.terminate()
+        child.join()
+        conn.close()
+        raise
+
+    def load_post():
+        try:
+            post, reports["post_attack"] = _receive_role(
+                conn, child, post_path, cfg.schema
+            )
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
+            conn.close()
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        _dump_json(reports, os.path.join(cfg.output_dir, "sanitization.json"))
+        return post
+
+    return benign, pre_attack, load_post
 
 
 def cmd_synth(args) -> int:
@@ -273,8 +361,13 @@ def cmd_train(args) -> int:
 
     cfg = load_pipeline_config(args.config, args)
     exp = cfg.experiment
-    benign, pre_attack, _ = _load_role_datasets(cfg)
-    split = train_on_split(exp, benign, pre_attack, iteration=0)
+    benign, pre_attack, load_post = _load_role_datasets(cfg)
+    try:
+        split = train_on_split(exp, benign, pre_attack, iteration=0)
+    finally:
+        # the novel-attack pool is read only for its sanitization report;
+        # an error reading it outranks one from training
+        load_post()
     model, holdout_acc = split.model, split.accuracy
 
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -306,12 +399,12 @@ def cmd_pipeline(args) -> int:
     from .svgplot import km_svg
 
     cfg = load_pipeline_config(args.config, args)
-    benign, pre_attack, post = _load_role_datasets(cfg)
+    benign, pre_attack, load_post = _load_role_datasets(cfg)
     log.info(
         "running experiment: %d iterations x %d sequences",
         cfg.experiment.n_iterations, cfg.experiment.n_sequences,
     )
-    report = run_experiment(cfg.experiment, benign, pre_attack, post)
+    report = run_experiment(cfg.experiment, benign, pre_attack, load_post)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     _dump_json(

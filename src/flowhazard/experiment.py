@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -372,12 +373,12 @@ def train_on_split(
 
 def run_iteration(
     config: ExperimentConfig,
-    pre_benign: FlowDataset,
-    pre_attack: FlowDataset,
+    split: TrainedSplit,
     post: FlowDataset,
     iteration: int = 0,
 ) -> IterationResult:
-    """Train, gate, inject, and fit one iteration of the protocol.
+    """Gate, inject, and fit one iteration of the protocol on the
+    classifier that :func:`train_on_split` trained for it.
 
     Raises :class:`AccuracyGateFailed` when the holdout accuracy of the
     freshly trained model falls below the gate; Cox-fit failures are
@@ -385,11 +386,10 @@ def run_iteration(
     still joins the pooled Kaplan-Meier curve in degenerate runs (e.g.
     zero events).
     """
-    if post.schema != pre_benign.schema:
+    if post.schema != split.pre.schema:
         raise SchemaMismatch(
             "post-novelty dataset does not share the pre-novelty schema"
         )
-    split = train_on_split(config, pre_benign, pre_attack, iteration)
     model, accuracy = split.model, split.accuracy
     if accuracy < config.accuracy_gate:
         raise AccuracyGateFailed(accuracy, config.accuracy_gate)
@@ -444,9 +444,13 @@ def run_experiment(
     config: ExperimentConfig,
     pre_benign: FlowDataset,
     pre_attack: FlowDataset,
-    post: FlowDataset,
+    load_post: Callable[[], FlowDataset],
 ) -> ExperimentReport:
     """Repeat the iteration protocol and aggregate.
+
+    ``load_post`` returns the post-novelty dataset.  It is called once,
+    when iteration 0's training has ended, so the pool can be read while
+    the first classifier trains; an error it raises ends the run.
 
     ``mean_beta`` averages converged Cox fits only (the count is
     reported); the pooled curve refits Kaplan-Meier over every survival
@@ -455,11 +459,19 @@ def run_experiment(
     """
     outcomes: list[IterationResult | IterationFailure] = []
     errors: list[FlowHazardError] = []
+    post = None
     for it in range(config.n_iterations):
         try:
-            outcomes.append(
-                run_iteration(config, pre_benign, pre_attack, post, iteration=it)
-            )
+            split = train_on_split(config, pre_benign, pre_attack, it)
+        except FlowHazardError as err:
+            split = err
+        finally:
+            if post is None:
+                post = load_post()
+        try:
+            if isinstance(split, FlowHazardError):
+                raise split
+            outcomes.append(run_iteration(config, split, post, iteration=it))
         except FlowHazardError as err:
             errors.append(err)
             outcomes.append(IterationFailure(it, err.kind, str(err)))

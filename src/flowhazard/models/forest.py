@@ -246,21 +246,26 @@ def train_forest(X: np.ndarray, y: np.ndarray, params, seed_key) -> ForestState:
 
 
 def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf value for every row, by vectorized traversal."""
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
+    """Leaf value for every row, by vectorized traversal: one step per
+    tree level, each reading the rows still inside the tree with one
+    gather from the raveled matrix.  Rows drop out as they reach a leaf."""
+    n_features = X.shape[1]
+    flat = np.ascontiguousarray(X).reshape(-1)
+    leaf = np.zeros(X.shape[0], dtype=np.int32)
+    rows = np.arange(X.shape[0])
+    base = rows * n_features
+    node = np.zeros_like(leaf)
+    while rows.size:
         feat = tree.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        f = feat[rows]
-        thr = tree.threshold[node[rows]]
-        go_left = X[rows, f] <= thr
-        node[rows] = np.where(
-            go_left, tree.left[node[rows]], tree.right[node[rows]]
-        )
-    return tree.value[node]
+        inner = feat >= 0
+        if not inner.all():
+            leaf[rows[~inner]] = node[~inner]
+            rows, base, node, feat = (
+                rows[inner], base[inner], node[inner], feat[inner]
+            )
+        go_left = flat.take(base + feat) <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[leaf]
 
 
 def forest_predict(state: ForestState, X: np.ndarray) -> np.ndarray:

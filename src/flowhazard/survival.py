@@ -481,7 +481,16 @@ def _newton(blocks, Z, lam, tol, max_iter):
         grad_pen = grad - lam * beta
         grad_norm = float(np.abs(grad_pen).max())
         converged = grad_norm < tol
-    return beta, ll, hess, converged, iterations, grad_norm
+    # ray test: at a finite optimum the objective falls from beta to
+    # 2 beta; on separated data it keeps rising, however small the gradient
+    rising = False
+    if converged and beta.any():
+        ray = 2.0 * beta
+        ll_ray = _breslow_scan(blocks, Z, ray, order=0)[0]
+        ll_ray_pen = ll_ray - 0.5 * lam * float(ray @ ray)
+        rising = ll_ray_pen >= ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
+        converged = not rising
+    return beta, ll, hess, converged, iterations, grad_norm, rising
 
 
 def _breslow_cumhaz(blocks: _TieBlocks, X, beta) -> StepFunction:
@@ -520,8 +529,9 @@ def cox_fit(table: SurvivalTable,
     singular Hessian triggers one automatic retry with the penalty raised
     to at least 1e-4 and a warning recorded on the model.  After
     ``max_iter`` iterations without meeting ``tol`` the model is returned
-    with ``converged=False``.  So is a fit that ends with some |beta| on
-    the standardized scale above :data:`MONOTONE_BETA_BOUND`: the
+    with ``converged=False``.  So is a fit whose penalized likelihood at
+    2 beta is not below that at beta, and one that ends with some |beta|
+    on the standardized scale above :data:`MONOTONE_BETA_BOUND`: the
     likelihood is monotone there (separated data), and a warning on the
     model says so.
 
@@ -542,8 +552,8 @@ def cox_fit(table: SurvivalTable,
     Z = (X - mu) / sd
 
     def attempt(lam):
-        beta_std, ll, hess, converged, iterations, grad_norm = _newton(
-            blocks, Z, lam, options.tol, options.max_iter
+        beta_std, ll, hess, converged, iterations, grad_norm, rising = (
+            _newton(blocks, Z, lam, options.tol, options.max_iter)
         )
         neg_hess_pen = -(hess - lam * np.eye(width))
         try:
@@ -554,7 +564,7 @@ def cox_fit(table: SurvivalTable,
             )
         if not np.all(np.isfinite(cov)):
             raise SingularHessian("information matrix inversion overflowed")
-        return beta_std, ll, converged, iterations, grad_norm, cov
+        return beta_std, ll, converged, iterations, grad_norm, rising, cov
 
     warnings: list[str] = []
     lam = options.ridge
@@ -569,7 +579,7 @@ def cox_fit(table: SurvivalTable,
         )
         lam = retry
         result = attempt(lam)
-    beta_std, ll, converged, iterations, grad_norm, cov = result
+    beta_std, ll, converged, iterations, grad_norm, rising, cov = result
     se_std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     largest = int(np.argmax(np.abs(beta_std)))
     if abs(beta_std[largest]) > MONOTONE_BETA_BOUND:
@@ -578,6 +588,11 @@ def cox_fit(table: SurvivalTable,
             f"monotone likelihood: |beta| of {table.feature_names[largest]}"
             f" is {abs(beta_std[largest]):.3g} per standard deviation, above "
             f"{MONOTONE_BETA_BOUND:g}; the data look separated"
+        )
+    elif rising:
+        warnings.append(
+            "monotone likelihood: the likelihood at 2 beta is not below "
+            "that at beta; the data look separated"
         )
 
     beta = beta_std / sd

@@ -8,8 +8,9 @@ the distinct times one at a time, growing each risk set block by block.
 The flow-CSV parser reads the whole text and converts cell by cell, the
 survival-table writer formats one record at a time, its reader builds
 every row as a list of strings, the Kaplan-Meier writer looks each time
-up in dicts and step functions, and the tree builder recurses and
-re-sorts every candidate feature at every node.  Tests that state their
+up in dicts and step functions, the tree builder recurses and re-sorts
+every candidate feature at every node, and the tree walk masks every row
+at every level.  Tests that state their
 data record by record stack the records into a table with
 :func:`stack_records`.
 """
@@ -561,3 +562,22 @@ def per_feature_sort_train_forest(X, y, params, seed_key) -> ForestState:
         )
         trees.append(builder.build(idx))
     return ForestState(trees=tuple(trees))
+
+
+def masked_tree_apply(tree: Tree, X) -> np.ndarray:
+    """Leaf value for every row: each level masks the rows not yet at a
+    leaf and moves them one node down; ``tree_apply`` must agree."""
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        feat = tree.feature[node]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        f = feat[rows]
+        thr = tree.threshold[node[rows]]
+        go_left = X[rows, f] <= thr
+        node[rows] = np.where(
+            go_left, tree.left[node[rows]], tree.right[node[rows]]
+        )
+    return tree.value[node]

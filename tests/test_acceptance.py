@@ -237,13 +237,14 @@ def test_c6_protocol_invariants():
         benign, attack, post = planted_world(seed=606, q=0.0)
 
         everything = run_experiment(
-            _protocol_config((-np.inf, np.inf)), benign, attack, post
+            _protocol_config((-np.inf, np.inf)), benign, attack,
+            lambda: post,
         )
         assert km_survival_at(everything.pooled_km, 0.0) == 0.0
         assert everything.detection_rate == 1.0
 
         unreachable = run_experiment(
-            _protocol_config((1e9, 2e9)), benign, attack, post
+            _protocol_config((1e9, 2e9)), benign, attack, lambda: post
         )
         records = [r for it in unreachable.successes for r in it.table]
         assert len(records) == 500
@@ -265,7 +266,7 @@ def test_c7_planted_signal_end_to_end():
                 combination=AttackCombination(KNOWN_ATTACK, NOVEL_ATTACK),
                 master_seed=42,
             )
-            report = run_experiment(config, benign, attack, post)
+            report = run_experiment(config, benign, attack, lambda: post)
             assert report.n_converged >= 8, kind.kind
             assert DRIVER_NAME in report.selected_features, kind.kind
             assert report.mean_beta[DRIVER] > 0, kind.kind
@@ -374,7 +375,7 @@ def test_c9_paper_scale_qualitative(tmp_path):
             combination=AttackCombination(hulk.labels[0], web.labels[0]),
             master_seed=1,
         )
-        report = run_experiment(config, benign, hulk, web)
+        report = run_experiment(config, benign, hulk, lambda: web)
         idx = {name: i for i, name in enumerate(report.feature_names)}
         signs = {
             "PSH Flag Count": 1, "ACK Flag Count": -1,

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import flowhazard
 from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
-from flowhazard.experiment import ExperimentConfig, run_iteration
+from flowhazard.experiment import (
+    ExperimentConfig, run_iteration, train_on_split,
+)
 from flowhazard.models import model_to_json
 
 from _oracles import grid_search_beta, stack_records
@@ -234,8 +237,9 @@ class TestTrainCommand:
         tmp, config_path, _ = workspace
         assert main(["train", "--config", str(config_path)]) == 0
         cfg = load_pipeline_config(str(config_path), argparse.Namespace())
-        benign, attack, post = _load_role_datasets(cfg)
-        it = run_iteration(cfg.experiment, benign, attack, post, iteration=0)
+        benign, attack, load_post = _load_role_datasets(cfg)
+        split = train_on_split(cfg.experiment, benign, attack, 0)
+        it = run_iteration(cfg.experiment, split, load_post(), iteration=0)
         assert (tmp / "out" / "model.json").read_text() == model_to_json(
             it.model
         )
@@ -389,6 +393,149 @@ class TestPipelineCommand:
         args = argparse.Namespace(seed=4, out=str(out), emit=None)
         run = load_pipeline_config(str(config_path), args).experiment
         assert ExperimentConfig.from_json_dict(report["config"]) == run
+
+
+def run_cli(argv) -> subprocess.CompletedProcess:
+    """``flowhazard argv`` in a fresh interpreter that prints the child
+    processes still running when the command returns."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
+    code = ("import multiprocessing, sys; from flowhazard.cli import main; "
+            f"rc = main({[str(a) for a in argv]!r}); "
+            "print(multiprocessing.active_children()); sys.exit(rc)")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def spoil(path, fault):
+    """Replace the flow CSV at ``path`` by a faulty one."""
+    header = "f_sep,f_driver,f_noise,Label\n"
+    if fault == "missing_column":
+        path.write_text("f_sep,f_driver,Label\n1.0,2.0,web-ish\n")
+    elif fault == "no_finite_row":
+        path.write_text(header + "inf,1.0,nan,web-ish\n")
+    else:  # a directory in the file's place
+        path.unlink()
+        path.mkdir()
+
+
+# the error a faulty input gives when it is read in the parent process
+SPOILED = {
+    "missing_column": ("MissingColumn", "columns absent from header"),
+    "no_finite_row": ("EmptyInput", "no rows survived sanitization"),
+    "directory": ("UnusablePath", "Is a directory"),
+}
+
+
+class TestNovelAttackReader:
+    """The novel-attack CSV is read in a child process while the
+    classifier trains; the result and every error are those of reading
+    it in the parent."""
+
+    def test_equals_an_in_process_read(self, workspace, tmp_path):
+        from flowhazard.flowdata import filter_label, parse_flow_csv
+
+        csv_config = csv_workspace(workspace, tmp_path)
+        csvs = tmp_path / "csvs"
+        # mixed labels, so the label filter runs too
+        known = (csvs / "dos_ish.csv").read_text().splitlines(True)[1:]
+        with open(csvs / "web_ish.csv", "a") as fh:
+            fh.writelines(known)
+        cfg = load_pipeline_config(str(csv_config), argparse.Namespace())
+        _, _, load_post = _load_role_datasets(cfg)
+        post = load_post()
+        parsed = parse_flow_csv(str(csvs / "web_ish.csv"), cfg.schema)
+        expected = filter_label(parsed, "web-ish")
+        assert post.features.tobytes() == expected.features.tobytes()
+        assert post.labels == expected.labels
+        assert post.report == expected.report
+        sanitization = json.loads(
+            (tmp_path / "csv_run" / "sanitization.json").read_text()
+        )
+        assert sanitization["post_attack"] == parsed.report.to_json_dict()
+        assert multiprocessing.active_children() == []
+
+    def test_read_in_another_process(self, workspace, tmp_path,
+                                     monkeypatch):
+        from flowhazard import flowdata
+
+        csv_config = csv_workspace(workspace, tmp_path)
+        seen = tmp_path / "pids.txt"
+        parse = flowdata.parse_flow_csv
+
+        def recording_parse(source, schema):
+            with open(seen, "a") as fh:
+                fh.write(f"{os.path.basename(source)} {os.getpid()}\n")
+            return parse(source, schema)
+
+        # a forked child runs with the patch in place
+        monkeypatch.setattr(flowdata, "parse_flow_csv", recording_parse)
+        assert main(["pipeline", "--config", str(csv_config)]) == 0
+        pids = dict(line.split() for line in seen.read_text().splitlines())
+        assert pids["benign.csv"] == pids["dos_ish.csv"] == str(os.getpid())
+        assert pids["web_ish.csv"] != str(os.getpid())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    @pytest.mark.parametrize("fault", sorted(SPOILED))
+    def test_bad_post_attack_csv_exits_2_as_in_process(
+        self, workspace, tmp_path, command, fault
+    ):
+        csv_config = csv_workspace(workspace, tmp_path)
+        spoil(tmp_path / "csvs" / "web_ish.csv", fault)
+        out = run_cli([command, "--config", csv_config])
+        assert out.returncode == 2, out.stderr
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        kind, says = SPOILED[fault]
+        assert err["error"] == kind
+        assert says in err["message"]
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert not (tmp_path / "csv_run").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_bad_benign_csv_outranks_bad_post_attack_csv(
+        self, workspace, tmp_path, command
+    ):
+        csv_config = csv_workspace(workspace, tmp_path)
+        spoil(tmp_path / "csvs" / "benign.csv", "no_finite_row")
+        spoil(tmp_path / "csvs" / "web_ish.csv", "directory")
+        out = run_cli([command, "--config", csv_config])
+        assert out.returncode == 2, out.stderr
+        lines = [line for line in out.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "EmptyInput"
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert not (tmp_path / "csv_run").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_good_run_leaves_no_child(self, workspace, tmp_path, command):
+        csv_config = csv_workspace(workspace, tmp_path)
+        out = run_cli([command, "--config", csv_config])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "csv_run" / "sanitization.json").exists()
+
+    def test_child_that_dies_unheard_is_an_error(self, workspace, tmp_path,
+                                                 monkeypatch, capsys):
+        from flowhazard import cli
+
+        csv_config = csv_workspace(workspace, tmp_path)
+        parent = os.getpid()
+        read_role = cli._read_role
+
+        def dying_read_role(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return read_role(*args)
+
+        monkeypatch.setattr(cli, "_read_role", dying_read_role)
+        assert main(["train", "--config", str(csv_config)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "UnusablePath"
+        assert "exited with code 3" in err["message"]
+        assert multiprocessing.active_children() == []
 
 
 def read_csv_columns(path) -> dict:

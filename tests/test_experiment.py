@@ -283,7 +283,8 @@ class TestBulkScanMatchesPerSequenceOracle:
                                              q=0.05)
         cfg = small_config(regressor=_SCAN_KINDS[kind], n_sequences=40,
                            seq_len=30, accuracy_gate=0.0)
-        it = run_iteration(cfg, benign, attack, post, iteration=1)
+        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 1),
+                           post, iteration=1)
         oracle = per_sequence_scan(
             it.model, post, (cfg.band_low, cfg.band_high),
             feature_summary(train_on_split(cfg, benign, attack, 1).pre),
@@ -297,7 +298,8 @@ class TestRunIteration:
         benign, attack, post = planted_world(seed=3, n_pre=200, n_post=500,
                                              q=0.01)
         cfg = small_config(n_sequences=3, seq_len=5)
-        it = run_iteration(cfg, benign, attack, post, iteration=0)
+        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 0),
+                           post, iteration=0)
         assert len(it.table) == 3
         assert it.table.X.shape == (3, SCHEMA.n_features)
         buf = io.StringIO()
@@ -308,7 +310,8 @@ class TestRunIteration:
     def test_familiar_post_rarely_detected(self):
         benign, attack, post = familiar_world(seed=5, n_pre=400, n_post=1000)
         cfg = small_config(n_sequences=50, seq_len=30)
-        it = run_iteration(cfg, benign, attack, post, iteration=0)
+        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 0),
+                           post, iteration=0)
         assert it.n_events / len(it.table) < 0.2
 
     def test_accuracy_gate_failure_reports_achieved(self):
@@ -322,7 +325,8 @@ class TestRunIteration:
         _, _, post = planted_world(seed=9, n_pre=50, n_post=200, q=0.01)
         cfg = small_config()
         with pytest.raises(AccuracyGateFailed) as err:
-            run_iteration(cfg, benign, confusable, post, iteration=0)
+            run_iteration(cfg, train_on_split(cfg, benign, confusable, 0),
+                          post, iteration=0)
         assert 0.0 <= err.value.achieved < 0.95
         assert err.value.required == 0.95
 
@@ -335,12 +339,15 @@ class TestRunIteration:
             FlowSchema(("a", "b")), np.zeros((5, 2)), ("x",) * 5
         )
         with pytest.raises(SchemaMismatch):
-            run_iteration(small_config(), benign, attack, other, iteration=0)
+            run_iteration(small_config(),
+                          train_on_split(small_config(), benign, attack, 0),
+                          other, iteration=0)
 
     def test_planted_driver_beta_positive(self):
         benign, attack, post = planted_world(seed=11, q=0.008)
         cfg = small_config(n_sequences=200, seq_len=100)
-        it = run_iteration(cfg, benign, attack, post, iteration=1)
+        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 1),
+                           post, iteration=1)
         assert it.cox is not None and it.cox.converged
         assert it.beta_full[DRIVER] > 0
 
@@ -352,7 +359,7 @@ class TestRunExperiment:
         cfg = small_config(
             band_low=-np.inf, band_high=np.inf, n_sequences=40, seq_len=10,
         )
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         assert report.detection_rate == 1.0
         assert km_survival_at(report.pooled_km, 0.0) == 0.0
         for it in report.successes:
@@ -365,7 +372,7 @@ class TestRunExperiment:
         cfg = small_config(
             band_low=1e9, band_high=2e9, n_sequences=40, seq_len=10,
         )
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         assert report.detection_rate == 0.0
         assert report.n_converged == 0
         for t in (0.0, 5.0, 10.0):
@@ -381,7 +388,7 @@ class TestRunExperiment:
         # the horizon is exactly the censored fraction
         benign, attack, post = planted_world(seed=19, q=0.01)
         cfg = small_config(n_sequences=60, seq_len=40, n_iterations=2)
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         assert 0.0 < report.detection_rate < 1.0
         tail = km_survival_at(report.pooled_km, cfg.seq_len)
         assert tail == pytest.approx(1.0 - report.detection_rate, abs=1e-12)
@@ -389,7 +396,7 @@ class TestRunExperiment:
     def test_single_iteration_mean_beta_is_that_iteration(self):
         benign, attack, post = planted_world(seed=23, q=0.01)
         cfg = small_config(n_sequences=80, seq_len=30, n_iterations=1)
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         assert report.n_converged == 1
         it = report.successes[0]
         np.testing.assert_array_equal(report.mean_beta, it.beta_full)
@@ -406,18 +413,18 @@ class TestRunExperiment:
         _, _, post = planted_world(seed=31, n_pre=50, n_post=100, q=0.0)
         cfg = small_config(n_iterations=2)
         with pytest.raises(AccuracyGateFailed):
-            run_experiment(cfg, benign, confusable, post)
+            run_experiment(cfg, benign, confusable, lambda: post)
 
         good_benign, good_attack, _ = planted_world(seed=31, n_pre=200,
                                                     n_post=100, q=0.0)
         empty_post = FlowDataset(SCHEMA, np.zeros((0, 5)), ())
         with pytest.raises(AllIterationsFailed):
-            run_experiment(cfg, good_benign, good_attack, empty_post)
+            run_experiment(cfg, good_benign, good_attack, lambda: empty_post)
 
     def test_pooled_km_exchangeable_in_sequence_order(self):
         benign, attack, post = planted_world(seed=53, q=0.02)
         cfg = small_config(n_sequences=40, seq_len=20, n_iterations=1)
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         table = report.successes[0].table
         perm = np.random.default_rng(0).permutation(len(table))
         from flowhazard.survival import SurvivalTable, km_fit
@@ -434,14 +441,14 @@ class TestRunExperiment:
                                              q=0.01)
         cfg = small_config(accuracy_gate=1.01)  # unreachable on purpose
         with pytest.raises(AccuracyGateFailed):
-            run_experiment(cfg, benign, attack, post)
+            run_experiment(cfg, benign, attack, lambda: post)
 
     def test_deterministic_report(self):
         benign, attack, post = planted_world(seed=37, n_pre=300, n_post=800,
                                              q=0.02)
         cfg = small_config(n_sequences=40, seq_len=20)
-        a = run_experiment(cfg, benign, attack, post)
-        b = run_experiment(cfg, benign, attack, post)
+        a = run_experiment(cfg, benign, attack, lambda: post)
+        b = run_experiment(cfg, benign, attack, lambda: post)
         text_a = json.dumps(report_to_json_dict(a), sort_keys=True)
         text_b = json.dumps(report_to_json_dict(b), sort_keys=True)
         assert text_a == text_b
@@ -451,7 +458,7 @@ class TestSelectFeatures:
     def run_small(self, seed=41):
         benign, attack, post = planted_world(seed=seed, q=0.01)
         cfg = small_config(n_sequences=150, seq_len=60, n_iterations=3)
-        return run_experiment(cfg, benign, attack, post)
+        return run_experiment(cfg, benign, attack, lambda: post)
 
     def test_planted_feature_selected_with_positive_mean(self):
         report = self.run_small()
@@ -492,7 +499,7 @@ class TestSurvivalTableIO:
         benign, attack, post = planted_world(seed=43, n_pre=300, n_post=500,
                                              q=0.05)
         cfg = small_config(n_sequences=20, seq_len=10, n_iterations=1)
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         original = report.successes[0].table
         buf = io.StringIO()
         write_survival_table(original, buf)
@@ -512,7 +519,7 @@ class TestSurvivalTableIO:
     def test_aggregate_cox_round_trip(self):
         benign, attack, post = planted_world(seed=47, q=0.02)
         cfg = small_config(n_sequences=50, seq_len=20, n_iterations=2)
-        report = run_experiment(cfg, benign, attack, post)
+        report = run_experiment(cfg, benign, attack, lambda: post)
         buf = io.StringIO()
         aggregate_cox_to_csv(report, buf)
         buf.seek(0)

@@ -1,8 +1,10 @@
-"""The forest's split search against the recursive per-feature sort.
+"""The forest's split search against the recursive per-feature sort,
+and its tree walk against the masked one.
 
 ``train_forest`` searches rank bins on nodes above ``forest._BIG_NODE``
 rows and sorts the candidate block on the rest; both must grow exactly
-the trees of ``_oracles.PerFeatureSortTreeBuilder``.
+the trees of ``_oracles.PerFeatureSortTreeBuilder``.  ``tree_apply``
+must reach the leaves of ``_oracles.masked_tree_apply``.
 """
 
 from unittest import mock
@@ -13,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowhazard.errors import InvalidValue
-from flowhazard.flowdata import FlowDataset, FlowSchema
+from flowhazard.flowdata import FlowDataset, FlowSchema, binary_dataset
 from flowhazard.models import RandomForestParams
 from flowhazard.models import forest
 from flowhazard.models.forest import train_forest, tree_apply
 
-from _oracles import per_feature_sort_train_forest
+from _oracles import masked_tree_apply, per_feature_sort_train_forest
+from _worlds import planted_world
 
 # Values with many ties, both zeros, the smallest subnormal and large
 # magnitudes; no two are adjacent floats, so every midpoint lies strictly
@@ -73,6 +76,29 @@ def test_trees_equal_per_feature_sort_oracle(design):
         with mock.patch.object(forest, "_BIG_NODE", big_node):
             got = train_forest(X, y, params, (seed,))
         assert same_bytes(got, expected), big_node
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tree_apply_equals_masked_walk(seed):
+    benign, attack, post = planted_world(seed, n_pre=400, n_post=600, q=0.1)
+    pre = binary_dataset(benign, attack, seed=seed)
+    deep = train_forest(pre.features, pre.targets,
+                        RandomForestParams(n_trees=4, min_leaf=1), (seed,))
+    # one class only: every tree is a single leaf
+    stump = train_forest(pre.features, np.ones(len(pre)),
+                         RandomForestParams(n_trees=1), (seed,))
+    X = post.features
+    inputs = {
+        "post": X,
+        "one_row": X[:1],
+        "no_rows": X[:0],
+        "one_leaf": np.repeat(X[:1], 50, axis=0),
+        "column_major": np.asfortranarray(X),
+    }
+    for tree in deep.trees + stump.trees:
+        for name, rows in inputs.items():
+            want = masked_tree_apply(tree, rows)
+            assert tree_apply(tree, rows).tobytes() == want.tobytes(), name
 
 
 def test_alternating_targets_grow_a_deep_tree():

@@ -1,7 +1,9 @@
 """The package layout: every module imports on its own, the survival
-commands load only the survival code, and the README library example
-runs against the modules it names."""
+commands load only the survival code, only a CSV-input pipeline or train
+loads ``multiprocessing``, and the README library example runs against
+the modules it names."""
 
+import json
 import os
 import re
 import subprocess
@@ -57,12 +59,46 @@ def test_survival_commands_load_no_classifier(tmp_path, argv, loaded):
     out = run_python(
         "import sys; from flowhazard import cli; "
         f"assert cli.main({args!r}) == 0; "
+        "print('multiprocessing' in sys.modules); "
         "print(sorted(m for m in sys.modules if m.startswith('flowhazard')))"
     )
     assert out.returncode == 0, out.stderr
     expected = ["flowhazard", "flowhazard.cli"]
     expected += [f"flowhazard.{m}" for m in loaded]
-    assert out.stdout.splitlines()[-1] == repr(sorted(expected))
+    assert out.stdout.splitlines()[-2:] == ["False", repr(sorted(expected))]
+
+
+def test_cli_import_loads_no_multiprocessing():
+    out = run_python("import sys, flowhazard.cli; "
+                     "print('multiprocessing' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_synthetic_pipeline_starts_no_child(tmp_path):
+    spec = {"BENIGN": {"x": {"mean": 0.0, "std": 1.0}},
+            "known": {"x": {"mean": 6.0, "std": 1.0}},
+            "novel": {"x": {"mean": 3.0, "std": 1.0}}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    config = {
+        "inputs": {"synthetic_spec": "spec.json", "rows_per_class": 100},
+        "experiment": {
+            "regressor": {"kind": "random_forest", "n_trees": 3},
+            "combination": {"pre_attack": "known", "post_attack": "novel"},
+            "seq_len": 10, "n_sequences": 20, "n_iterations": 1,
+        },
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    args = ["pipeline", "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path / "out")]
+    out = run_python(
+        "import sys; from flowhazard import cli; "
+        f"assert cli.main({args!r}) == 0; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_readme_library_example_runs(tmp_path):

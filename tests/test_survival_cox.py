@@ -340,6 +340,22 @@ class TestCoxFit:
         assert penalized.converged
         assert penalized.warnings == ()
 
+    def test_separation_below_the_beta_bound_is_not_converged(self):
+        # every x=1 row dies before every x=0 row: the likelihood rises
+        # toward its bound as beta grows, and Newton's gradient vanishes
+        # at |beta| of about 10.5 per standard deviation, under the bound
+        records = stack_records(
+            [rec(float(t), 1, [1.0]) for t in (1, 2, 3)]
+            + [rec(float(t), 0, [0.0]) for t in (4, 5, 6)]
+        )
+        model = cox_fit(records, CoxOptions(ridge=0.0))
+        assert 5.0 < abs(model.beta[0]) * 0.5 < 20.0
+        assert model.log_partial_likelihood <= cox_log_partial_likelihood(
+            2.0 * model.beta, records
+        )
+        assert not model.converged
+        assert any("monotone likelihood" in w for w in model.warnings)
+
 
 class TestHazardRatiosAndWald:
     def test_reported_table_values(self):
