@@ -223,12 +223,13 @@ def _send_role(parent_end, conn, path: str, schema: FlowSchema,
                label: str) -> None:
     """Child-process body: :func:`_read_role` sent over ``conn``, as the
     error it raised, or as the labels, parse report, sanitization report
-    and matrix shape followed by the feature matrix as raw bytes.
+    and matrix shape followed by the feature matrix as raw bytes, written
+    straight to the socket.
 
-    The copy of the parent's end of the pipe is closed first, so a send
-    fails, and the child exits, once the parent is gone.  Ctrl-C reaches
-    both processes: an interrupt while reading is sent back like an
-    error, so the parent stops on an interrupt as it would alone, and
+    The copy of the parent's end of the socket is closed first, so a
+    send fails, and the child exits, once the parent is gone.  Ctrl-C
+    reaches both processes: an interrupt while reading is sent back like
+    an error, so the parent stops on an interrupt as it would alone, and
     later ones are ignored, so none cuts the reply short."""
     parent_end.close()
     try:
@@ -238,30 +239,42 @@ def _send_role(parent_end, conn, path: str, schema: FlowSchema,
         conn.send(err)
         return
     conn.send((ds.labels, ds.report, report, ds.features.shape))
-    conn.send_bytes(ds.features)
+    view = memoryview(ds.features).cast("B")
+    while view:
+        view = view[os.write(conn.fileno(), view):]
 
 
 def _receive_role(conn, child, path: str, schema: FlowSchema):
     """What :func:`_send_role` sent over ``conn``, as :func:`_read_role`
-    returns it; an error it sent is raised here."""
+    returns it; an error it sent is raised here.  The matrix is read
+    straight into the array it is returned in.  A reply cut short by the
+    child's death raises :class:`UnusablePath`."""
     import numpy as np
 
     from .flowdata import FlowDataset
 
+    def lost(when: str) -> UnusablePath:
+        child.join()
+        return UnusablePath(
+            f"{path}: the process reading it exited with code "
+            f"{child.exitcode} {when}"
+        )
+
     try:
         reply = conn.recv()
-    except EOFError:
-        child.join()
-        raise UnusablePath(
-            f"{path}: the process reading it exited with code "
-            f"{child.exitcode} before it replied"
-        ) from None
+    except (EOFError, OSError):
+        raise lost("before it replied") from None
     if isinstance(reply, BaseException):
         raise reply
     labels, parse_report, report, shape = reply
     features = np.empty(shape)
-    # a 2-D array's own memoryview counts rows, not bytes
-    conn.recv_bytes_into(features.reshape(-1).view(np.uint8))
+    view = memoryview(features).cast("B")
+    got = 0
+    while got < view.nbytes:
+        n = os.readv(conn.fileno(), [view[got:]])
+        if n == 0:
+            raise lost(f"after {got} of {view.nbytes} matrix bytes")
+        got += n
     ds = FlowDataset(schema=schema, features=features, labels=labels,
                      report=parse_report)
     return ds, report
@@ -294,7 +307,8 @@ def _load_role_datasets(cfg: PipelineConfig):
     import multiprocessing
 
     post_path = cfg.csv_inputs["post_attack_csv"]
-    conn, child_end = multiprocessing.Pipe(duplex=False)
+    # a socket pair: the matrix moves through it faster than through a pipe
+    conn, child_end = multiprocessing.Pipe(duplex=True)
     child = multiprocessing.Process(
         target=_send_role, daemon=True,
         args=(conn, child_end, post_path, cfg.schema, combo.post_attack),
@@ -357,7 +371,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     from .experiment import train_on_split
-    from .models import model_to_json
+    from .models import TrainReport, evaluate_accuracy, model_to_json
 
     cfg = load_pipeline_config(args.config, args)
     exp = cfg.experiment
@@ -369,24 +383,24 @@ def cmd_train(args) -> int:
         # an error reading it outranks one from training
         load_post()
     model, holdout_acc = split.model, split.accuracy
+    train_acc = evaluate_accuracy(model, split.train)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "model.json")
     with open(model_path, "w") as fh:
-        fh.write(model_to_json(model))
+        fh.write(model_to_json(model, TrainReport(len(split.train), train_acc)))
     report = {
         "kind": exp.regressor.kind,
         "n_train": len(split.train),
         "n_holdout": len(split.holdout),
-        "train_accuracy": model.train_report.train_accuracy,
+        "train_accuracy": train_acc,
         "holdout_accuracy": holdout_acc,
         "master_seed": exp.master_seed,
     }
     _dump_json(report, os.path.join(cfg.output_dir, "train_report.json"))
     print(
-        f"trained {exp.regressor.kind}: train accuracy "
-        f"{model.train_report.train_accuracy:.4f}, holdout accuracy "
-        f"{holdout_acc:.4f} -> {model_path}"
+        f"trained {exp.regressor.kind}: train accuracy {train_acc:.4f}, "
+        f"holdout accuracy {holdout_acc:.4f} -> {model_path}"
     )
     return EXIT_OK
 

@@ -324,7 +324,10 @@ def _scan_sequences(
     means = pre_summary.means
     covs = np.empty((idx.shape[0], post.features.shape[1]))
     covs[hit] = np.abs(post.features[idx[hit, first[hit]]] - means)
-    covs[~hit] = np.abs(post.features[idx[~hit]] - means).mean(axis=1)
+    # |x - means| of every flow of every censored sequence, in place
+    flows = post.features[idx[~hit]]
+    flows -= means
+    covs[~hit] = np.abs(flows, out=flows).mean(axis=1)
 
     return SurvivalTable(
         np.where(hit, first, idx.shape[1]).astype(np.float64),

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import os
+import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
@@ -263,7 +264,7 @@ def _plain_block(lines, feat_idx, label_idx=None, n_cells=None):
     except ValueError:
         return None
     labels = (None if label_idx is None
-              else [label.strip() for label in rows["label"]])
+              else [sys.intern(label.strip()) for label in rows["label"]])
     return np.ascontiguousarray(rows["x"]), labels
 
 
@@ -312,6 +313,8 @@ def parse_flow_csv(source, schema: FlowSchema) -> FlowDataset:
 
     The file is read in chunks of lines, each converted straight into a
     float64 block, so peak memory is about twice the feature matrix.
+    Labels are interned, one string object per distinct label, which
+    keeps them small in memory and in a pickle.
 
     Raises :class:`MissingColumn` when a schema column is absent and
     :class:`EmptyInput` when no data row survives.
@@ -373,7 +376,7 @@ def _parse_lines(lines, schema: FlowSchema) -> FlowDataset:
                 rows_read += 1
                 try:
                     values = [float(row[j].strip()) for j in feat_idx]
-                    label = row[label_idx].strip()
+                    label = sys.intern(row[label_idx].strip())
                 except (IndexError, ValueError):  # short row, bad number
                     malformed += 1
                     continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Union
 
 import numpy as np
@@ -102,6 +102,8 @@ def regressor_from_dict(spec: dict) -> RegressorKind:
 
 @dataclass(frozen=True)
 class TrainReport:
+    """The training set's size and the model's accuracy on it."""
+
     n_rows: int
     train_accuracy: float
 
@@ -118,7 +120,6 @@ class TrainedModel:
     state: ForestState | LinearState
     scale_mean: np.ndarray
     scale_std: np.ndarray
-    train_report: TrainReport
 
     @property
     def n_features(self) -> int:
@@ -155,17 +156,7 @@ def train(kind: RegressorKind, data: FlowDataset, seed) -> TrainedModel:
     else:
         raise TypeError(f"unsupported regressor kind: {kind!r}")
 
-    model = TrainedModel(
-        kind=kind,
-        state=state,
-        scale_mean=mean,
-        scale_std=std,
-        train_report=TrainReport(n_rows=len(data), train_accuracy=0.0),
-    )
-    acc = evaluate_accuracy(model, data)
-    return replace(
-        model, train_report=TrainReport(n_rows=len(data), train_accuracy=acc)
-    )
+    return TrainedModel(kind=kind, state=state, scale_mean=mean, scale_std=std)
 
 
 def predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -200,8 +191,11 @@ def _floats(arr) -> list[float]:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def model_to_json(model: TrainedModel) -> str:
-    """Versioned JSON; round-trips predictions bit-exactly."""
+def model_to_json(model: TrainedModel,
+                  train_report: TrainReport | None = None) -> str:
+    """Versioned JSON; round-trips predictions bit-exactly.  A
+    ``train_report``, when given, is recorded in the document; it
+    describes the training run and is not read back."""
     if isinstance(model.state, ForestState):
         state = {
             "trees": [
@@ -229,12 +223,10 @@ def model_to_json(model: TrainedModel) -> str:
             "mean": _floats(model.scale_mean),
             "std": _floats(model.scale_std),
         },
-        "train_report": {
-            "n_rows": model.train_report.n_rows,
-            "train_accuracy": model.train_report.train_accuracy,
-        },
         "state": state,
     }
+    if train_report is not None:
+        doc["train_report"] = asdict(train_report)
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -269,8 +261,4 @@ def model_from_json(text: str) -> TrainedModel:
         state=state,
         scale_mean=np.array(doc["scaling"]["mean"], dtype=np.float64),
         scale_std=np.array(doc["scaling"]["std"], dtype=np.float64),
-        train_report=TrainReport(
-            n_rows=int(doc["train_report"]["n_rows"]),
-            train_accuracy=float(doc["train_report"]["train_accuracy"]),
-        ),
     )

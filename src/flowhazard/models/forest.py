@@ -248,7 +248,11 @@ def train_forest(X: np.ndarray, y: np.ndarray, params, seed_key) -> ForestState:
 def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf value for every row, by vectorized traversal: one step per
     tree level, each reading the rows still inside the tree with one
-    gather from the raveled matrix.  Rows drop out as they reach a leaf."""
+    gather from the raveled matrix and their next nodes with one gather
+    from the interleaved child table.  Rows drop out as they reach a
+    leaf; a NaN fails the ``<=`` test and goes right."""
+    # node i's left child at 2 * i, its right child at 2 * i + 1
+    children = np.stack((tree.left, tree.right), axis=1).reshape(-1)
     n_features = X.shape[1]
     flat = np.ascontiguousarray(X).reshape(-1)
     leaf = np.zeros(X.shape[0], dtype=np.int32)
@@ -264,7 +268,7 @@ def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
                 rows[inner], base[inner], node[inner], feat[inner]
             )
         go_left = flat.take(base + feat) <= tree.threshold[node]
-        node = np.where(go_left, tree.left[node], tree.right[node])
+        node = children.take(2 * node + 1 - go_left)
     return tree.value[leaf]
 
 

@@ -666,13 +666,19 @@ _FIXED_COLUMNS = ("sequence_id", "time", "event")
 
 def write_survival_table(table: SurvivalTable, sink) -> None:
     """CSV of sequence outcomes: the row index as ``sequence_id``, then
-    time, event and one column per covariate, floats written by ``repr``."""
+    time, event and one column per covariate, floats written by ``repr``.
+
+    The header goes through the csv module, which quotes a feature name
+    where it must; data rows, which never need quoting, are joined
+    directly into the same bytes the csv module would write."""
     with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIXED_COLUMNS + table.feature_names)
+        csv.writer(fh).writerow(_FIXED_COLUMNS + table.feature_names)
         rows = zip(table.times.tolist(), table.events.tolist(),
                    table.X.tolist())
-        writer.writerows([i, t, e, *x] for i, (t, e, x) in enumerate(rows))
+        fh.writelines(
+            ",".join([str(i), repr(t), str(e), *map(repr, x)]) + "\r\n"
+            for i, (t, e, x) in enumerate(rows)
+        )
 
 
 def read_survival_table(source) -> SurvivalTable:

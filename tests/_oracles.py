@@ -143,6 +143,16 @@ def record_based_write_survival_table(results, feature_names, sink) -> None:
             )
 
 
+def csv_writer_write_survival_table(table: SurvivalTable, sink) -> None:
+    """``write_survival_table`` with every row through ``csv.writer``."""
+    with open_text(sink, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_FIXED_COLUMNS + table.feature_names)
+        rows = zip(table.times.tolist(), table.events.tolist(),
+                   table.X.tolist())
+        writer.writerows([i, t, e, *x] for i, (t, e, x) in enumerate(rows))
+
+
 def csv_rows_read_survival_table(source) -> SurvivalTable:
     """Parse :func:`write_survival_table` output into a
     :class:`SurvivalTable` named by the header's covariate columns.

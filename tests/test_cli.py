@@ -21,7 +21,7 @@ from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
 from flowhazard.experiment import (
     ExperimentConfig, run_iteration, train_on_split,
 )
-from flowhazard.models import model_to_json
+from flowhazard.models import TrainReport, evaluate_accuracy, model_to_json
 
 from _oracles import grid_search_beta, stack_records
 
@@ -69,7 +69,8 @@ def workspace(tmp_path):
 
 
 def file_hash(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def stderr_error(capsys) -> dict:
@@ -240,8 +241,11 @@ class TestTrainCommand:
         benign, attack, load_post = _load_role_datasets(cfg)
         split = train_on_split(cfg.experiment, benign, attack, 0)
         it = run_iteration(cfg.experiment, split, load_post(), iteration=0)
+        train_report = TrainReport(
+            len(split.train), evaluate_accuracy(it.model, split.train)
+        )
         assert (tmp / "out" / "model.json").read_text() == model_to_json(
-            it.model
+            it.model, train_report
         )
 
     def test_oversized_csv_field_drops_one_row(self, workspace, tmp_path):
@@ -535,6 +539,33 @@ class TestNovelAttackReader:
         err = only_error_line(capsys)
         assert err["error"] == "UnusablePath"
         assert "exited with code 3" in err["message"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    @pytest.mark.parametrize("sent", ["header", "half_the_matrix"])
+    def test_child_that_dies_mid_reply_is_an_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command, sent
+    ):
+        from flowhazard import cli
+
+        csv_config = csv_workspace(workspace, tmp_path)
+
+        def dying_send_role(parent_end, conn, path, schema, label):
+            parent_end.close()
+            ds, report = cli._read_role(path, schema, label)
+            conn.send((ds.labels, ds.report, report, ds.features.shape))
+            if sent == "half_the_matrix":
+                raw = ds.features.tobytes()
+                os.write(conn.fileno(), raw[:len(raw) // 2])
+            os._exit(3)
+
+        monkeypatch.setattr(cli, "_send_role", dying_send_role)
+        assert main([command, "--config", str(csv_config)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "UnusablePath"
+        assert "web_ish.csv" in err["message"]
+        assert "exited with code 3" in err["message"]
+        assert not (tmp_path / "csv_run").exists()
         assert multiprocessing.active_children() == []
 
 

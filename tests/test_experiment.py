@@ -35,7 +35,6 @@ from flowhazard.models import (
     LinearSVRParams,
     RandomForestParams,
     TrainedModel,
-    TrainReport,
     predict_many,
 )
 from flowhazard.models.bayes_ridge import LinearState
@@ -70,7 +69,6 @@ def linear_model(weights, intercept):
         state=LinearState(weights=weights, intercept=intercept),
         scale_mean=np.zeros(weights.size),
         scale_std=np.ones(weights.size),
-        train_report=TrainReport(n_rows=0, train_accuracy=1.0),
     )
 
 
@@ -442,6 +440,32 @@ class TestRunExperiment:
         cfg = small_config(accuracy_gate=1.01)  # unreachable on purpose
         with pytest.raises(AccuracyGateFailed):
             run_experiment(cfg, benign, attack, lambda: post)
+
+    @pytest.mark.parametrize("kind", [BayesianRidgeParams(),
+                                      RandomForestParams(n_trees=5)],
+                             ids=lambda k: k.kind)
+    def test_scores_no_training_row(self, kind, monkeypatch):
+        # one iteration scores its holdout for the gate and each distinct
+        # injected flow once; the training set is not scored
+        from flowhazard import experiment
+        from flowhazard.models import base
+
+        benign, attack, post = planted_world(seed=61, q=0.01)
+        cfg = small_config(regressor=kind, n_sequences=50, seq_len=30,
+                           n_iterations=1)
+        holdout = train_on_split(cfg, benign, attack, 0).holdout
+        idx = experiment._draw_indices(post, cfg.n_sequences, cfg.seq_len,
+                                       rng_from(cfg.master_seed, 0, 3))
+        scored = []
+
+        def counting(model, X):
+            scored.append(len(X))
+            return predict_many(model, X)
+
+        monkeypatch.setattr(base, "predict_many", counting)
+        monkeypatch.setattr(experiment, "predict_many", counting)
+        run_experiment(cfg, benign, attack, lambda: post)
+        assert scored == [len(holdout), np.unique(idx).size]
 
     def test_deterministic_report(self):
         benign, attack, post = planted_world(seed=37, n_pre=300, n_post=800,

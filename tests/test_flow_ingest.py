@@ -178,6 +178,15 @@ class TestInputHandling:
             assert ds.labels == ("\xf1", "\xfcber")
             assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    def test_each_distinct_label_is_one_object(self, monkeypatch):
+        # the first chunk takes the C reader, the quoted second the csv path
+        monkeypatch.setattr(flowdata, "_CHUNK_LINES", 2)
+        data = ('a,b,Label\n1,2,DoS Hulk\n3,4,DoS Hulk \n'
+                '5,6,"DoS Hulk"\n7,8,PortScan\n').encode()
+        ds = parse_flow_csv(data, SCHEMA)
+        assert ds.labels == ("DoS Hulk",) * 3 + ("PortScan",)
+        assert len({id(label) for label in ds.labels}) == 2
+
     def test_leading_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfa,b,Label\n1,2,x\n")

@@ -88,12 +88,21 @@ def test_tree_apply_equals_masked_walk(seed):
     stump = train_forest(pre.features, np.ones(len(pre)),
                          RandomForestParams(n_trees=1), (seed,))
     X = post.features
+    # raw rows, as predict_many takes them: a NaN fails every ``<=`` test
+    # and goes right; -inf goes left and +inf right of any threshold
+    non_finite = X.copy()
+    cells = np.random.default_rng(seed).random(X.shape)
+    non_finite[cells < 0.1] = np.nan
+    non_finite[(cells >= 0.1) & (cells < 0.2)] = np.inf
+    non_finite[(cells >= 0.2) & (cells < 0.3)] = -np.inf
+    non_finite[:3] = [np.nan], [np.inf], [-np.inf]
     inputs = {
         "post": X,
         "one_row": X[:1],
         "no_rows": X[:0],
         "one_leaf": np.repeat(X[:1], 50, axis=0),
         "column_major": np.asfortranarray(X),
+        "non_finite": non_finite,
     }
     for tree in deep.trees + stump.trees:
         for name, rows in inputs.items():

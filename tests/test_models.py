@@ -50,7 +50,7 @@ class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self, kind):
         data = separable_toy()
         model = train(kind, data, seed=1)
-        assert model.train_report.train_accuracy == 1.0
+        assert evaluate_accuracy(model, data) == 1.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_single_class_is_degenerate(self, kind):

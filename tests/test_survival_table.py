@@ -26,6 +26,7 @@ from flowhazard import flowdata
 
 from _oracles import (
     csv_rows_read_survival_table,
+    csv_writer_write_survival_table,
     record_based_write_survival_table,
 )
 
@@ -159,6 +160,27 @@ class TestRoundTrip:
         oracle = io.StringIO()
         record_based_write_survival_table(rows, table.feature_names, oracle)
         assert text == oracle.getvalue()
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    def test_rows_are_the_bytes_of_the_csv_writer(self, tmp_path, width):
+        # signed zero, the smallest subnormal, the exponent cut-overs of
+        # repr, integral floats and names the csv module must quote
+        values = [-0.0, 0.0, 5e-324, 1e-05, 0.0001, 1e+16, 1e15, 3.0,
+                  -7.0, 1e308, 0.1]
+        n = len(values)
+        X = np.array([np.roll(values, j) for j in range(width)]).T
+        table = SurvivalTable(
+            np.abs(values), np.arange(n) % 2, X.reshape(n, width),
+            ("a,b", 'say "hi"', "plain", " pad ")[:width],
+        )
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_survival_table(table, str(got))
+        csv_writer_write_survival_table(table, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        buf, oracle = io.StringIO(), io.StringIO()
+        write_survival_table(table, buf)
+        csv_writer_write_survival_table(table, oracle)
+        assert buf.getvalue() == oracle.getvalue()
 
 
 # Survival-table text for the reader against the whole-file csv reader it
