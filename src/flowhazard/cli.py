@@ -14,12 +14,19 @@ code: 2 input error, 3 numerical failure, 4 accuracy-gate failure.
 ``FLOWHAZARD_LOG`` selects log verbosity (error, info, debug).
 
 Each command imports the modules it runs when it runs, so ``--help``
-loads no numpy and ``cox`` and ``km`` never load the classifiers.
+loads no numpy and ``cox`` and ``km`` never load the classifiers, flow
+ingest or ``numpy.random``.
+
+The ``flowhazard`` entry point (:func:`entrypoint`) runs its one command
+with the cycle collector off and freezes the collector's objects before
+exit, so neither the imports nor interpreter shutdown walk them.
+:func:`main` called as a library function leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -569,7 +576,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    # one command per process, and what it builds lives until exit: the
+    # cycle collector would only walk objects that are never garbage
+    gc.disable()
+    code = main()
+    gc.freeze()  # the collection at interpreter exit skips them too
+    sys.exit(code)
 
 
 if __name__ == "__main__":

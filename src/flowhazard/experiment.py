@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .csvio import open_text
 from .errors import (
     AccuracyGateFailed,
     AllIterationsFailed,
@@ -49,7 +50,6 @@ from .flowdata import (
     abs_diff_covariates,
     binary_dataset,
     feature_summary,
-    open_text,
     subset,
 )
 from .models import (

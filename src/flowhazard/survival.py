@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import _CsvChunks, open_text
 from .errors import (
     EmptyInput,
     InvalidValue,
@@ -43,7 +44,6 @@ from .errors import (
     SingularHessian,
     check_fields,
 )
-from .flowdata import _CsvChunks, open_text
 
 # two-sided 95% normal quantile used for confidence bounds
 Z95 = 1.959964
@@ -286,11 +286,6 @@ def km_survival_at(curve: KMCurve, t) -> float:
     """Right-continuous read-off: product over event times <= t."""
     step = StepFunction(curve.times, curve.survival, initial=1.0)
     return step(t)
-
-
-def cumulative_death_at(curve: KMCurve, t) -> float:
-    """Complement of the survival estimate, ``1 - S(t)``."""
-    return 1.0 - km_survival_at(curve, t)
 
 
 def _risk_set_sums(eta, X, risk, order):

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from flowhazard.csvio import open_text
 from flowhazard.errors import (
     EmptyInput,
     InvalidValue,
@@ -34,7 +35,6 @@ from flowhazard.flowdata import (
     ParseReport,
     _normalize_name,
     abs_diff_covariates,
-    open_text,
 )
 from flowhazard.models import predict_many
 from flowhazard.models.forest import ForestState, Tree

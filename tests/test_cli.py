@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -399,16 +400,22 @@ class TestPipelineCommand:
         assert ExperimentConfig.from_json_dict(report["config"]) == run
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this flowhazard."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def run_cli(argv) -> subprocess.CompletedProcess:
     """``flowhazard argv`` in a fresh interpreter that prints the child
     processes still running when the command returns."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
-    code = ("import multiprocessing, sys; from flowhazard.cli import main; "
-            f"rc = main({[str(a) for a in argv]!r}); "
-            "print(multiprocessing.active_children()); sys.exit(rc)")
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return run_python(
+        "import multiprocessing, sys; from flowhazard.cli import main; "
+        f"rc = main({[str(a) for a in argv]!r}); "
+        "print(multiprocessing.active_children()); sys.exit(rc)"
+    )
 
 
 def spoil(path, fault):
@@ -733,6 +740,71 @@ class TestKMCommand:
         assert root.tag.endswith("svg")
         body = svg_path.read_text()
         assert "<path" in body and "survival probability" in body
+
+
+def tree_bytes(root) -> dict:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestEntrypoint:
+    """The ``flowhazard`` entry point runs its command with the cycle
+    collector off and frozen at exit; ``main`` leaves it alone."""
+
+    def run_entrypoint(self, argv) -> subprocess.CompletedProcess:
+        # the exit handler prints the collector's state after sys.exit
+        return run_python(
+            "import atexit, gc, sys; from flowhazard.cli import entrypoint; "
+            "atexit.register(lambda: print(gc.isenabled(), "
+            "gc.get_freeze_count() > 0)); "
+            f"sys.argv = ['flowhazard', *{[str(a) for a in argv]!r}]; "
+            "entrypoint()"
+        )
+
+    def test_writes_what_main_writes(self, workspace, tmp_path):
+        _, config_path, _ = workspace
+        runs = {}
+        for how in ("main", "entrypoint"):
+            out = tmp_path / how
+            pipeline = ["pipeline", "--config", config_path,
+                        "--out", out / "pipeline"]
+            cox = ["cox", "--table", out / "pipeline" / "survival_iter01.csv",
+                   "--out", out / "cox"]
+            for argv in (pipeline, cox):
+                if how == "main":
+                    assert main([str(a) for a in argv]) == 0
+                    assert gc.isenabled()
+                else:
+                    done = self.run_entrypoint(argv)
+                    assert done.returncode == 0, done.stderr
+                    assert done.stdout.splitlines()[-1] == "False True"
+            runs[how] = tree_bytes(out)
+        assert "cox/cox_table.csv" in runs["main"]
+        assert runs["entrypoint"] == runs["main"]
+
+    @pytest.mark.parametrize("override, code", [
+        ({}, 0), ({"accuracy_gate": 1.01}, 4),
+    ], ids=["pipeline", "gate_failure"])
+    def test_collector_off_leaves_little_cyclic_garbage(
+            self, workspace, tmp_path, override, code):
+        tmp, _, config = workspace
+        config = dict(config)
+        config["experiment"] = dict(config["experiment"], **override)
+        config["output_dir"] = str(tmp_path / "out")
+        path = tmp / "gc_config.json"
+        path.write_text(json.dumps(config))
+        # traced bytes that only a collection frees
+        done = run_python(
+            "import gc, tracemalloc; from flowhazard.cli import main; "
+            "gc.disable(); tracemalloc.start(); "
+            f"rc = main(['pipeline', '--config', {str(path)!r}]); "
+            "held = tracemalloc.get_traced_memory()[0]; gc.collect(); "
+            "print(rc, held - tracemalloc.get_traced_memory()[0])"
+        )
+        assert done.returncode == 0, done.stderr
+        rc, cyclic = map(int, done.stdout.splitlines()[-1].split())
+        assert rc == code
+        assert cyclic < 1 << 20
 
 
 # A small valid config whose every key a mutation may drop or retype.

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from flowhazard.errors import EmptyInput
 from flowhazard.flowdata import FlowSchema, cicids2017_schema, parse_flow_csv
-from flowhazard import flowdata
+from flowhazard import csvio
 
 from _oracles import whole_text_parse_flow_csv
 
@@ -112,7 +112,7 @@ def _outcome(parse, data):
 )
 def test_chunked_parse_equals_whole_text_parse(chunk_lines, text):
     data = text.encode("utf-8")
-    with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(csvio, "_CHUNK_LINES", chunk_lines):
         got = _outcome(parse_flow_csv, data)
     assert got == _outcome(whole_text_parse_flow_csv, data)
 
@@ -121,14 +121,14 @@ class TestPlainChunks:
     FEAT = [0, 1]
 
     def test_plain_lines_take_the_c_reader(self):
-        block, labels = flowdata._plain_block(
+        block, labels = csvio._plain_block(
             ["1,2, x\n", "3.5,Infinity,y \n"], self.FEAT, 2
         )
         assert block.tolist() == [[1.0, 2.0], [3.5, np.inf]]
         assert labels == ["x", "y"]
 
     def test_crlf_lines_take_the_c_reader(self):
-        block, labels = flowdata._plain_block(
+        block, labels = csvio._plain_block(
             ["1,2, x\r\n", "3.5,Infinity,y \r\n", "4,5,z"], self.FEAT, 2
         )
         assert block.tolist() == [[1.0, 2.0], [3.5, np.inf], [4.0, 5.0]]
@@ -136,11 +136,11 @@ class TestPlainChunks:
 
     def test_cell_count_is_checked_when_given(self):
         lines = ["0,1,2\n", "0,3,4\r\n"]
-        block, labels = flowdata._plain_block(lines, [1, 2], n_cells=3)
+        block, labels = csvio._plain_block(lines, [1, 2], n_cells=3)
         assert block.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert labels is None
         for bad in (["0,1,2,9\n"], ["0,1,2\n", "0,1\n"]):
-            assert flowdata._plain_block(bad, [1, 2], n_cells=3) is None
+            assert csvio._plain_block(bad, [1, 2], n_cells=3) is None
 
     @pytest.mark.parametrize("lines", [
         ['1,2,"x"\n'],
@@ -158,7 +158,7 @@ class TestPlainChunks:
             "whitespace", "nul", "short",
             "underscore", "non_ascii_digit", "field_limit"])
     def test_other_chunks_go_to_csv(self, lines):
-        assert flowdata._plain_block(lines, self.FEAT, 2) is None
+        assert csvio._plain_block(lines, self.FEAT, 2) is None
 
 
 class TestInputHandling:
@@ -167,7 +167,7 @@ class TestInputHandling:
     def test_every_source_kind_gives_the_same_dataset(self, tmp_path,
                                                       monkeypatch):
         # one character per read splits the two-byte UTF-8 labels
-        monkeypatch.setattr(flowdata, "_READ_CHARS", 1)
+        monkeypatch.setattr(csvio, "_READ_CHARS", 1)
         data = self.TEXT.encode("utf-8")
         path = tmp_path / "flows.csv"
         path.write_bytes(data)
@@ -180,7 +180,7 @@ class TestInputHandling:
 
     def test_each_distinct_label_is_one_object(self, monkeypatch):
         # the first chunk takes the C reader, the quoted second the csv path
-        monkeypatch.setattr(flowdata, "_CHUNK_LINES", 2)
+        monkeypatch.setattr(csvio, "_CHUNK_LINES", 2)
         data = ('a,b,Label\n1,2,DoS Hulk\n3,4,DoS Hulk \n'
                 '5,6,"DoS Hulk"\n7,8,PortScan\n').encode()
         ds = parse_flow_csv(data, SCHEMA)

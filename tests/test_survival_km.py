@@ -9,7 +9,6 @@ from flowhazard.errors import EmptyInput
 from flowhazard.survival import (
     SurvivalRecord,
     SurvivalTable,
-    cumulative_death_at,
     km_fit,
     km_survival_at,
     km_to_csv,
@@ -124,16 +123,6 @@ class TestReadOff:
 
     def test_beyond_last_event_all_dead(self):
         assert km_survival_at(self.curve, 10.0) == 0.0
-
-    def test_cumulative_death_is_complement(self):
-        assert cumulative_death_at(self.curve, 0.0) == 0.0
-        assert cumulative_death_at(self.curve, 2.5) == pytest.approx(2 / 3)
-        rng = np.random.default_rng(4)
-        for t in rng.uniform(0, 5, size=40):
-            total = km_survival_at(self.curve, t) + cumulative_death_at(
-                self.curve, t
-            )
-            assert total == pytest.approx(1.0, abs=1e-15)
 
 
 def _curve(times, events):

@@ -22,7 +22,7 @@ from flowhazard.survival import (
     read_survival_table,
     write_survival_table,
 )
-from flowhazard import flowdata
+from flowhazard import csvio
 
 from _oracles import (
     csv_rows_read_survival_table,
@@ -308,7 +308,7 @@ class TestReaderEqualsWholeFileReader:
             sources = (str(path), str(path))
         else:
             sources = (io.StringIO(text), io.StringIO(text))
-        with mock.patch.object(flowdata, "_CHUNK_LINES", chunk_lines):
+        with mock.patch.object(csvio, "_CHUNK_LINES", chunk_lines):
             got = _read_outcome(read_survival_table, sources[0])
         assert got == _read_outcome(csv_rows_read_survival_table, sources[1])
         if isinstance(got[0], type):  # an error, typed for the CLI
@@ -321,15 +321,15 @@ class TestReaderEqualsWholeFileReader:
         buf = io.StringIO()
         write_survival_table(table, buf)
         assert "\r\n" in buf.getvalue()
-        monkeypatch.setattr(flowdata, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(csvio, "_CHUNK_LINES", 4)
         calls = []
-        real = flowdata._plain_block
+        real = csvio._plain_block
 
         def spy(*args, **kwargs):
             calls.append(real(*args, **kwargs) is not None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(flowdata, "_plain_block", spy)
+        monkeypatch.setattr(csvio, "_plain_block", spy)
         again = read_survival_table(io.StringIO(buf.getvalue()))
         assert calls == [True, True]
         assert again.X.tobytes() == table.X.tobytes()
