@@ -498,10 +498,9 @@ def cmd_km(args) -> int:
     if args.svg:
         with open(os.path.join(args.out, "km.svg"), "w") as fh:
             fh.write(km_svg(curve))
-    n_events = int(curve.n_event.sum()) if curve.times.size else 0
     print(
-        f"{curve.n_total} records, {n_events} events over "
-        f"{curve.times.size} distinct times -> {curve_path}"
+        f"{len(table)} records, {curve.n_event.sum()} events over "
+        f"{(curve.n_event > 0).sum()} distinct times -> {curve_path}"
     )
     return EXIT_OK
 

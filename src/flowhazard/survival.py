@@ -2,23 +2,25 @@
 
 Two estimators live here:
 
-* Kaplan-Meier product-limit curves with Greenwood variance.  The curve
-  is a right-continuous step function; censored observations reduce the
-  at-risk counts through the recursion
-  ``r_i = r_{i-1} - d_{i-1} - c_{i-1}`` but contribute no factor.
+* Kaplan-Meier product-limit curves with Greenwood variance, one row per
+  distinct observed time.  The curve is a right-continuous step function;
+  censored observations reduce the at-risk counts through the recursion
+  ``r_i = r_{i-1} - d_{i-1} - c_{i-1}`` but contribute no factor, so a
+  row of only censorings keeps the survival of the row before it.
 
 * Cox proportional hazards regression ``h(t) = h0(t) * exp(beta . x)``,
   fitted by Newton-Raphson on the log partial likelihood with the Breslow
   approximation for tied event times and an optional ridge penalty
   ``-lambda * ||beta||^2 / 2``.  Covariates are standardized internally;
-  reported coefficients are on the original scale.
+  reported coefficients are on the original scale.  The Breslow baseline
+  hazard is read off the risk-set sums of the last Newton scan.
 
 Both read columnar data (:class:`SurvivalTable`).  Rows are sorted once
 per fit by descending time (stable) and cut into blocks of tied times, so
-every risk set is a prefix of that order: the Kaplan-Meier counts, the
-Cox risk-set sums and the Breslow baseline are cumulative sums over the
-blocks, read at the block ends, with no loop over times.  The reduction
-order is fixed, so repeated runs are bit-identical.
+every risk set is a prefix of that order: the Kaplan-Meier counts and
+the Cox risk-set sums are cumulative sums over the blocks, read at the
+block ends, with no loop over times.  The reduction order is fixed, so
+repeated runs are bit-identical.
 
 A table is saved and read back as CSV by :func:`write_survival_table` and
 :func:`read_survival_table`; the curve and the fit are written by
@@ -109,6 +111,11 @@ class SurvivalTable:
             names = tuple(f"x{j}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise LengthMismatch("one feature name per covariate required")
+        if len(set(names)) != len(names):
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise SchemaMismatch(
+                f"covariate name {name!r} appears more than once"
+            )
         _reject(~(np.isfinite(times) & (times >= 0.0)), "time",
                 "survival time must be a finite number >= 0", times,
                 InvalidValue)
@@ -172,13 +179,6 @@ def _tie_blocks(times: np.ndarray, events: np.ndarray) -> _TieBlocks:
     )
 
 
-def _censored_before(censored: np.ndarray, has_event: np.ndarray) -> np.ndarray:
-    """Censorings in the gap [previous event time, this event time) for
-    each event time, from per-time counts in ascending time order."""
-    earlier = np.cumsum(censored) - censored
-    return np.diff(earlier[has_event], prepend=0)
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """Right-continuous step function equal to ``initial`` before the
@@ -205,80 +205,45 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class KMCurve:
-    """Kaplan-Meier estimate over the distinct event times.
+    """Kaplan-Meier estimate, one row per distinct observed time.
 
-    ``censored_before[i]`` counts censorings in the gap ending at
-    ``times[i]``; censorings at or after the last event time are only in
-    ``censor_times``.
+    A row with no event (only censorings) keeps the survival and
+    Greenwood variance of the row before it, 1 and 0 before the first
+    event.  The at-risk counts follow ``r_{i+1} = r_i - d_i - c_i``.
     """
 
-    times: np.ndarray             # distinct event times, ascending
-    n_risk: np.ndarray            # r_i
-    n_event: np.ndarray           # d_i >= 1
-    censored_before: np.ndarray   # c_{i-1}
-    survival: np.ndarray          # S_i, non-increasing
+    times: np.ndarray          # distinct observed times, ascending
+    n_risk: np.ndarray         # r_i
+    n_event: np.ndarray        # d_i >= 0
+    n_censored: np.ndarray     # c_i >= 0
+    survival: np.ndarray       # S_i, non-increasing
     greenwood_var: np.ndarray
-    n_total: int
-    censor_times: np.ndarray      # every censored observation time, sorted
-
-    def __post_init__(self):
-        k = self.times.shape[0]
-        if k:
-            if np.any(self.n_event < 1):
-                raise ValueError("every listed event time needs >= 1 event")
-            expected = self.n_total - int(self.censored_before[0])
-            if self.n_risk[0] != expected:
-                raise ValueError("at-risk count inconsistent at first event")
-            recursion = (
-                self.n_risk[:-1] - self.n_event[:-1] - self.censored_before[1:]
-            )
-            if np.any(self.n_risk[1:] != recursion):
-                raise ValueError("at-risk recursion violated")
-            if np.any(np.diff(self.survival) > 1e-15):
-                raise ValueError("survival estimates must be non-increasing")
-
-    def censor_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct censoring times, ascending, and the censorings at
-        each."""
-        starts = _run_starts(self.censor_times)
-        return (self.censor_times[starts],
-                np.diff(starts, append=self.censor_times.shape[0]))
 
 
 def km_fit(table: SurvivalTable) -> KMCurve:
     """Product-limit estimate ``S_i = prod_{j<=i} (1 - d_j / r_j)``.
 
     Greenwood's variance ``S_i^2 * sum_{j<=i} d_j / (r_j (r_j - d_j))`` is
-    attached per step (0 where the curve reaches exactly zero).
+    attached per row (0 where the curve reaches exactly zero).  A row
+    without events multiplies by exactly 1 and adds exactly 0.
     """
     blocks = _tie_blocks(table.times, table.events)
     # per distinct time, ascending; r is the size of the risk set
-    dead = blocks.dead[::-1]
-    censored = (blocks.ends - blocks.starts)[::-1] - dead
-    has_event = dead > 0
-    d = dead[has_event]
-    r = blocks.ends[::-1][has_event]
-    c_before = _censored_before(censored, has_event)
-    event_times = blocks.times[::-1][has_event]
-    censor_times = np.sort(table.times[table.events == 0])
-
-    k = event_times.shape[0]
-    frac = 1.0 - d / r if k else np.zeros(0)
-    survival = np.cumprod(frac)
+    d = blocks.dead[::-1]
+    r = blocks.ends[::-1]
+    survival = np.cumprod(1.0 - d / r)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(r > d, d / (r * (r - d).astype(np.float64)), np.inf)
         gw = survival**2 * np.cumsum(terms)
     gw = np.where(survival == 0.0, 0.0, gw)
 
     return KMCurve(
-        times=event_times.astype(np.float64),
+        times=blocks.times[::-1],
         n_risk=r,
         n_event=d,
-        censored_before=c_before,
+        n_censored=(blocks.ends - blocks.starts)[::-1] - d,
         survival=survival,
         greenwood_var=gw,
-        n_total=len(table),
-        censor_times=censor_times.astype(np.float64),
     )
 
 
@@ -305,7 +270,8 @@ _S0_FLOOR = 1e-290
 
 
 def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
-    """Log partial likelihood and its derivatives from cumulative sums.
+    """Log partial likelihood, its derivatives and log S0 per event block
+    (descending time) from cumulative sums.
 
     The risk set of an event block is a prefix of the descending-time
     order, so its S0 = sum w and S1 = sum w x are cumulative sums of
@@ -333,9 +299,10 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     for k, (r0, _, _, r_shift) in zip(low, redo):
         s0[k], shifts[k] = r0, r_shift
 
-    ll = float(eta[blocks.event_rows].sum()) - float(d @ (np.log(s0) + shifts))
+    log_s0 = np.log(s0) + shifts
+    ll = float(eta[blocks.event_rows].sum()) - float(d @ log_s0)
     if order < 1:
-        return ll, None, None
+        return ll, None, None, log_s0
     Xd = X[blocks.order]
     s1 = np.cumsum(
         np.add.reduceat(w[:, None] * Xd, blocks.starts, axis=0), axis=0
@@ -345,7 +312,7 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     xbar = s1 / s0[:, None]
     grad = X[blocks.event_rows].sum(axis=0) - d @ xbar
     if order < 2:
-        return ll, grad, None
+        return ll, grad, None, log_s0
     coef = np.zeros(blocks.starts.shape[0])
     coef[ev] = d / s0
     coef[ev[low]] = 0.0
@@ -354,7 +321,7 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     for k, (r0, _, r2, _) in zip(low, redo):
         s2 += d[k] * r2 / r0
     hess = (xbar * d[:, None]).T @ xbar - s2
-    return ll, grad, hess
+    return ll, grad, hess, log_s0
 
 
 def _beta_for(table: SurvivalTable, beta) -> np.ndarray:
@@ -434,7 +401,7 @@ class CoxModel:
 def _newton(blocks, Z, lam, tol, max_iter):
     width = Z.shape[1]
     beta = np.zeros(width)
-    ll, grad, hess = _breslow_scan(blocks, Z, beta, order=2)
+    ll, grad, hess, log_s0 = _breslow_scan(blocks, Z, beta, order=2)
     ll_pen = ll - 0.5 * lam * float(beta @ beta)
     iterations = 0
     converged = False
@@ -461,11 +428,11 @@ def _newton(blocks, Z, lam, tol, max_iter):
         accepted = False
         for _ in range(20):  # step-halving; trials only need the objective
             trial = beta + scale * step
-            ll_t, _, _ = _breslow_scan(blocks, Z, trial, order=0)
+            ll_t = _breslow_scan(blocks, Z, trial, order=0)[0]
             ll_t_pen = ll_t - 0.5 * lam * float(trial @ trial)
             if np.isfinite(ll_t_pen) and ll_t_pen >= floor:
                 beta = trial
-                ll, grad, hess = _breslow_scan(blocks, Z, beta, order=2)
+                ll, grad, hess, log_s0 = _breslow_scan(blocks, Z, beta)
                 ll_pen = ll_t_pen
                 accepted = True
                 break
@@ -485,20 +452,7 @@ def _newton(blocks, Z, lam, tol, max_iter):
         ll_ray_pen = ll_ray - 0.5 * lam * float(ray @ ray)
         rising = ll_ray_pen >= ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
         converged = not rising
-    return beta, ll, hess, converged, iterations, grad_norm, rising
-
-
-def _breslow_cumhaz(blocks: _TieBlocks, X, beta) -> StepFunction:
-    """Cumulative baseline hazard: at each event time add
-    ``d / sum_{risk set} exp(beta . x)``, with the risk-set sums taken in
-    log space as a running ``logaddexp`` over per-block reductions."""
-    eta = (X @ beta)[blocks.order]
-    log_s0 = np.logaddexp.accumulate(np.logaddexp.reduceat(eta, blocks.starts))
-    ev = np.flatnonzero(blocks.dead)[::-1]  # ascending time
-    increments = np.exp(np.log(blocks.dead[ev]) - log_s0[ev])
-    return StepFunction(
-        times=blocks.times[ev], values=np.cumsum(increments), initial=0.0
-    )
+    return beta, ll, log_s0, converged, iterations, grad_norm, rising, hess
 
 
 def normal_two_sided_p(z) -> np.ndarray:
@@ -547,9 +501,7 @@ def cox_fit(table: SurvivalTable,
     Z = (X - mu) / sd
 
     def attempt(lam):
-        beta_std, ll, hess, converged, iterations, grad_norm, rising = (
-            _newton(blocks, Z, lam, options.tol, options.max_iter)
-        )
+        *fit, hess = _newton(blocks, Z, lam, options.tol, options.max_iter)
         neg_hess_pen = -(hess - lam * np.eye(width))
         try:
             cov = np.linalg.inv(neg_hess_pen)
@@ -559,7 +511,7 @@ def cox_fit(table: SurvivalTable,
             )
         if not np.all(np.isfinite(cov)):
             raise SingularHessian("information matrix inversion overflowed")
-        return beta_std, ll, converged, iterations, grad_norm, rising, cov
+        return (*fit, cov)
 
     warnings: list[str] = []
     lam = options.ridge
@@ -574,7 +526,9 @@ def cox_fit(table: SurvivalTable,
         )
         lam = retry
         result = attempt(lam)
-    beta_std, ll, converged, iterations, grad_norm, rising, cov = result
+    beta_std, ll, log_s0, converged, iterations, grad_norm, rising, cov = (
+        result
+    )
     se_std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     largest = int(np.argmax(np.abs(beta_std)))
     if abs(beta_std[largest]) > MONOTONE_BETA_BOUND:
@@ -595,10 +549,15 @@ def cox_fit(table: SurvivalTable,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se_std > 0, beta_std / se_std, 0.0)
     p = normal_two_sided_p(z)
-    # a separated fit (flagged above) can take both to inf
+    # Breslow baseline from the last Newton scan: on the standardized
+    # scale S0 is smaller by a factor of exp(mu . beta).  A separated fit
+    # (flagged above) can take the ratios and the baseline to inf.
+    ev = np.flatnonzero(blocks.dead)[::-1]  # ascending time
     with np.errstate(over="ignore"):
         ratios = np.exp(beta)
-        baseline = _breslow_cumhaz(blocks, X, beta)
+        increments = np.exp(np.log(blocks.dead[ev]) - log_s0[::-1]
+                            - float(mu @ beta))
+    baseline = StepFunction(blocks.times[ev], np.cumsum(increments))
 
     return CoxModel(
         feature_names=table.feature_names,
@@ -630,12 +589,6 @@ def wald_stats(model: CoxModel) -> dict:
         "ci95_low": model.ci95_low,
         "ci95_high": model.ci95_high,
     }
-
-
-def breslow_baseline(model: CoxModel, table: SurvivalTable) -> StepFunction:
-    """Cumulative baseline hazard of ``table`` under the fitted model."""
-    blocks = _tie_blocks(table.times, table.events)
-    return _breslow_cumhaz(blocks, table.X, _beta_for(table, model.beta))
 
 
 def cox_survival_at(model: CoxModel, covariates, t):
@@ -789,28 +742,7 @@ def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
 
 
 def km_to_csv(curve: KMCurve, sink) -> None:
-    """One row per distinct observed time (events and censorings).
-
-    A censoring-only row has 0 events, everyone not removed before it at
-    risk, and the survival and Greenwood variance of the last event time
-    before it.
-    """
-    ct, counts = curve.censor_counts()
-    # an event time sorts before an equal censoring time, whose row it is
-    merged = np.sort(np.concatenate([curve.times, ct]), kind="stable")
-    times = merged[_run_starts(merged)]
-    event_rows = np.searchsorted(times, curve.times)
-    n_event = np.zeros(times.shape, dtype=np.int64)
-    n_event[event_rows] = curve.n_event
-    n_cens = np.zeros(times.shape, dtype=np.int64)
-    n_cens[np.searchsorted(times, ct)] = counts
-    # at risk: everyone not removed by an event or a censoring before
-    n_risk = curve.n_total - (np.cumsum(n_event + n_cens) - n_event - n_cens)
-    n_risk[event_rows] = curve.n_risk
-
-    step = np.searchsorted(curve.times, times, side="right")
-    survival = np.r_[1.0, curve.survival][step]
-    greenwood = np.r_[0.0, curve.greenwood_var][step]
+    """One row per distinct observed time (events and censorings)."""
     with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -818,9 +750,10 @@ def km_to_csv(curve: KMCurve, sink) -> None:
              "greenwood_var"]
         )
         writer.writerows(zip(
-            map(repr, times.tolist()), n_risk.tolist(), n_event.tolist(),
-            n_cens.tolist(), map(repr, survival.tolist()),
-            map(repr, greenwood.tolist()),
+            map(repr, curve.times.tolist()), curve.n_risk.tolist(),
+            curve.n_event.tolist(), curve.n_censored.tolist(),
+            map(repr, curve.survival.tolist()),
+            map(repr, curve.greenwood_var.tolist()),
         ))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from html import escape
 
-from .survival import KMCurve, StepFunction
+from .survival import KMCurve
 
 _WIDTH = 640
 _HEIGHT = 420
@@ -25,12 +25,7 @@ def _fmt(v: float) -> str:
 
 def km_svg(curve: KMCurve, title: str = "Survival of injected sequences") -> str:
     """Render one Kaplan-Meier curve as an SVG document string."""
-    t_candidates = [1.0]
-    if curve.times.size:
-        t_candidates.append(float(curve.times.max()))
-    if curve.censor_times.size:
-        t_candidates.append(float(curve.censor_times.max()))
-    t_max = max(t_candidates)
+    t_max = float(curve.times.max(initial=1.0))
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -44,16 +39,18 @@ def km_svg(curve: KMCurve, title: str = "Survival of injected sequences") -> str
     # step path: start at S(0) = 1, horizontal to each event, then drop
     path = [f"M {sx(0):.2f} {sy(1.0):.2f}"]
     level = 1.0
-    for t, s in zip(curve.times, curve.survival):
+    event = curve.n_event > 0
+    for t, s in zip(curve.times[event], curve.survival[event]):
         path.append(f"L {sx(float(t)):.2f} {sy(level):.2f}")
         path.append(f"L {sx(float(t)):.2f} {sy(float(s)):.2f}")
         level = float(s)
     path.append(f"L {sx(t_max):.2f} {sy(level):.2f}")
 
-    marks, _ = curve.censor_counts()
-    surv = StepFunction(curve.times, curve.survival, initial=1.0)
+    # a censoring tick sits on the curve after any event at its time
+    censored = curve.n_censored > 0
     censor_marks = []
-    for t, s in zip(marks.tolist(), surv(marks).tolist()):
+    for t, s in zip(curve.times[censored].tolist(),
+                    curve.survival[censored].tolist()):
         y = sy(s)
         x = sx(t)
         censor_marks.append(

@@ -7,8 +7,9 @@ sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
 The flow-CSV parser reads the whole text and converts cell by cell, the
 survival-table writer formats one record at a time, its reader builds
-every row as a list of strings, the Kaplan-Meier writer looks each time
-up in dicts and step functions, the tree builder recurses and re-sorts
+every row as a list of strings, the Kaplan-Meier writer formats one row
+at a time, the Kaplan-Meier plot reads its censoring marks off a step
+function of the event times, the tree builder recurses and re-sorts
 every candidate feature at every node, and the tree walk masks every row
 at every level.  Tests that state their
 data record by record stack the records into a table with
@@ -16,6 +17,7 @@ data record by record stack the records into a table with
 """
 
 import csv
+import html
 import io
 import math
 
@@ -210,84 +212,157 @@ def csv_rows_read_survival_table(source) -> SurvivalTable:
     return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:], feature_names)
 
 
-def per_time_km_to_csv(curve: KMCurve, sink) -> None:
-    """One row per distinct observed time (events and censorings)."""
+def per_time_km_to_csv(rows: KMCurve, sink) -> None:
+    """The oracle's rows (:func:`per_time_km_fit`), written one record at
+    a time."""
     with open_text(sink, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["time", "n_risk", "n_event", "n_censored", "survival",
              "greenwood_var"]
         )
-        ct, counts = np.unique(curve.censor_times, return_counts=True)
-        censor_map = dict(zip(ct.tolist(), counts.tolist()))
-        all_times = sorted(set(curve.times.tolist()) | set(ct.tolist()))
-        surv = StepFunction(curve.times, curve.survival, initial=1.0)
-        gw = StepFunction(curve.times, curve.greenwood_var, initial=0.0)
-        event_map = {
-            t: (int(r), int(d), float(s), float(g))
-            for t, r, d, s, g in zip(
-                curve.times.tolist(), curve.n_risk, curve.n_event,
-                curve.survival, curve.greenwood_var,
-            )
-        }
-        remaining = curve.n_total
-        for t in all_times:
-            n_cens = censor_map.get(t, 0)
-            if t in event_map:
-                n_risk, n_event, s, g = event_map[t]
-            else:
-                n_risk, n_event, s, g = remaining, 0, float(surv(t)), float(gw(t))
-            writer.writerow(
-                [repr(float(t)), n_risk, n_event, n_cens, repr(s), repr(g)]
-            )
-            remaining = n_risk - n_event - n_cens
+        for i in range(rows.times.shape[0]):
+            writer.writerow([
+                repr(float(rows.times[i])), int(rows.n_risk[i]),
+                int(rows.n_event[i]), int(rows.n_censored[i]),
+                repr(float(rows.survival[i])),
+                repr(float(rows.greenwood_var[i])),
+            ])
 
 
-def per_time_km_fit(records):
-    """Kaplan-Meier by one pass per distinct event time: events counted
-    at the time, at-risk and censored counts by searchsorted."""
+def per_time_km_fit(records) -> KMCurve:
+    """Kaplan-Meier by one pass over the distinct observed times: each
+    time's events, censorings and risk set counted by masks, the survival
+    and Greenwood sum carried in Python floats and updated only at a time
+    with events."""
     records = list(records)
     if not records:
         raise EmptyInput("no survival records")
     times = np.array([r.time for r in records])
     events = np.array([r.event for r in records])
-    n = times.shape[0]
 
-    event_times = np.unique(times[events == 1])
-    censor_times = np.sort(times[events == 0])
-    all_sorted = np.sort(times)
-
-    k = event_times.shape[0]
+    distinct = np.unique(times)
+    k = distinct.shape[0]
     d = np.zeros(k, dtype=np.int64)
+    c = np.zeros(k, dtype=np.int64)
     r = np.zeros(k, dtype=np.int64)
-    c_before = np.zeros(k, dtype=np.int64)
-    prev = -np.inf
-    for i, t in enumerate(event_times):
-        d[i] = int(np.sum((times == t) & (events == 1)))
-        r[i] = n - int(np.searchsorted(all_sorted, t, side="left"))
-        c_before[i] = int(
-            np.searchsorted(censor_times, t, side="left")
-            - np.searchsorted(censor_times, prev, side="left")
-        )
-        prev = t
-
-    frac = 1.0 - d / r if k else np.zeros(0)
-    survival = np.cumprod(frac)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(r > d, d / (r * (r - d).astype(np.float64)), np.inf)
-        gw = survival**2 * np.cumsum(terms)
-    gw = np.where(survival == 0.0, 0.0, gw)
-
+    survival = np.zeros(k)
+    gw = np.zeros(k)
+    s, total = 1.0, 0.0
+    for i, t in enumerate(distinct):
+        at_t = times == t
+        d[i] = int(np.sum(at_t & (events == 1)))
+        c[i] = int(np.sum(at_t & (events == 0)))
+        r[i] = int(np.sum(times >= t))
+        if d[i]:
+            n_dead, n_risk = int(d[i]), int(r[i])
+            s *= 1.0 - n_dead / n_risk
+            if n_risk > n_dead:
+                total += n_dead / (n_risk * float(n_risk - n_dead))
+            else:
+                total = math.inf
+        survival[i] = s
+        gw[i] = 0.0 if s == 0.0 else s * s * total
     return KMCurve(
-        times=event_times.astype(np.float64),
+        times=distinct.astype(np.float64),
         n_risk=r,
         n_event=d,
-        censored_before=c_before,
+        n_censored=c,
         survival=survival,
         greenwood_var=gw,
-        n_total=n,
-        censor_times=censor_times.astype(np.float64),
     )
+
+
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 420
+_SVG_MARGIN_L = 60
+_SVG_MARGIN_R = 20
+_SVG_MARGIN_T = 36
+_SVG_MARGIN_B = 48
+
+
+def _svg_fmt(v: float) -> str:
+    return f"{v:.2f}".rstrip("0").rstrip(".") or "0"
+
+
+def per_time_km_svg(rows: KMCurve,
+                    title: str = "Survival of injected sequences") -> str:
+    """The KM plot drawn from the oracle's rows (:func:`per_time_km_fit`)
+    split in two: the event times with their survival make the step
+    path, and each distinct censoring time reads its mark's height off
+    the step function of the event times."""
+    event = rows.n_event > 0
+    event_times = rows.times[event]
+    event_survival = rows.survival[event]
+    marks = rows.times[rows.n_censored > 0]
+    t_candidates = [1.0]
+    if event_times.size:
+        t_candidates.append(float(event_times.max()))
+    if marks.size:
+        t_candidates.append(float(marks.max()))
+    t_max = max(t_candidates)
+
+    plot_w = _SVG_WIDTH - _SVG_MARGIN_L - _SVG_MARGIN_R
+    plot_h = _SVG_HEIGHT - _SVG_MARGIN_T - _SVG_MARGIN_B
+
+    def sx(t: float) -> float:
+        return _SVG_MARGIN_L + plot_w * (t / t_max)
+
+    def sy(s: float) -> float:
+        return _SVG_MARGIN_T + plot_h * (1.0 - s)
+
+    # step path: start at S(0) = 1, horizontal to each event, then drop
+    path = [f"M {sx(0):.2f} {sy(1.0):.2f}"]
+    level = 1.0
+    for t, s in zip(event_times, event_survival):
+        path.append(f"L {sx(float(t)):.2f} {sy(level):.2f}")
+        path.append(f"L {sx(float(t)):.2f} {sy(float(s)):.2f}")
+        level = float(s)
+    path.append(f"L {sx(t_max):.2f} {sy(level):.2f}")
+
+    surv = StepFunction(event_times, event_survival, initial=1.0)
+    censor_marks = []
+    for t, s in zip(marks.tolist(), surv(marks).tolist()):
+        y = sy(s)
+        x = sx(t)
+        censor_marks.append(
+            f'<line x1="{x:.2f}" y1="{y - 5:.2f}" x2="{x:.2f}" '
+            f'y2="{y + 5:.2f}" stroke="#444" stroke-width="1"/>'
+        )
+
+    x_ticks = []
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        t = frac * t_max
+        x = sx(t)
+        x_ticks.append(
+            f'<line x1="{x:.2f}" y1="{_SVG_MARGIN_T + plot_h:.2f}" '
+            f'x2="{x:.2f}" y2="{_SVG_MARGIN_T + plot_h + 5:.2f}" stroke="#000"/>'
+            f'<text x="{x:.2f}" y="{_SVG_MARGIN_T + plot_h + 20:.2f}" '
+            f'text-anchor="middle" font-size="11">{_svg_fmt(t)}</text>'
+        )
+    y_ticks = []
+    for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+        y = sy(s)
+        y_ticks.append(
+            f'<line x1="{_SVG_MARGIN_L - 5:.2f}" y1="{y:.2f}" '
+            f'x2="{_SVG_MARGIN_L:.2f}" y2="{y:.2f}" stroke="#000"/>'
+            f'<text x="{_SVG_MARGIN_L - 9:.2f}" y="{y + 4:.2f}" '
+            f'text-anchor="end" font-size="11">{_svg_fmt(s)}</text>'
+        )
+
+    return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">
+<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>
+<text x="{_SVG_WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="14">{html.escape(title, quote=False)}</text>
+<line x1="{_SVG_MARGIN_L}" y1="{_SVG_MARGIN_T}" x2="{_SVG_MARGIN_L}" y2="{_SVG_MARGIN_T + plot_h}" stroke="#000"/>
+<line x1="{_SVG_MARGIN_L}" y1="{_SVG_MARGIN_T + plot_h}" x2="{_SVG_MARGIN_L + plot_w}" y2="{_SVG_MARGIN_T + plot_h}" stroke="#000"/>
+{''.join(x_ticks)}
+{''.join(y_ticks)}
+<text x="{_SVG_MARGIN_L + plot_w / 2:.0f}" y="{_SVG_HEIGHT - 10}" text-anchor="middle" font-size="12">flow index</text>
+<text x="16" y="{_SVG_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" font-size="12" transform="rotate(-90 16 {_SVG_MARGIN_T + plot_h / 2:.0f})">survival probability</text>
+<path d="{' '.join(path)}" fill="none" stroke="#1f6fb2" stroke-width="2"/>
+{''.join(censor_marks)}
+</svg>
+"""
 
 
 def _own_shift_sums(eta, X, risk, order):

@@ -121,10 +121,11 @@ def test_c2_km_hand_oracles():
             assert abs(got - want) < 1e-12
 
         mixed = km_fit(stack_records([rec(1, 1), rec(2, 0), rec(3, 1)]))
-        assert mixed.times.tolist() == [1.0, 3.0]
-        assert mixed.n_risk.tolist() == [3, 1]
-        assert abs(mixed.survival[0] - 2 / 3) < 1e-12
-        assert abs(mixed.survival[1] - 0.0) < 1e-12
+        event = mixed.n_event > 0
+        assert mixed.times[event].tolist() == [1.0, 3.0]
+        assert mixed.n_risk[event].tolist() == [3, 1]
+        assert abs(mixed.survival[event][0] - 2 / 3) < 1e-12
+        assert abs(mixed.survival[event][1] - 0.0) < 1e-12
         assert abs(km_survival_at(curve, 2.5) - 1 / 3) < 1e-12
 
 

@@ -660,6 +660,20 @@ class TestCoxCommand:
         assert err["error"] == "SchemaMismatch"
         assert "time" in err["message"]
 
+    def test_repeated_covariate_name_exits_2(self, tmp_path, capsys):
+        # a reader keyed by feature name would keep one of two 'a' rows
+        table = tmp_path / "twice.csv"
+        table.write_text("sequence_id,time,event,a,a\n0,1,1,0.5,1.5\n"
+                         "1,2,0,0.25,1.0\n")
+        rc = main(["cox", "--table", str(table),
+                   "--out", str(tmp_path / "fit")])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "SchemaMismatch"
+        assert err["exit_code"] == 2
+        assert "'a'" in err["message"]
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("cell, column, value", [
         (2, "time", "-1.5"),
         (3, "event", "2"),

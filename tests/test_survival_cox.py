@@ -8,7 +8,7 @@ from flowhazard.errors import LengthMismatch, NoEvents
 from flowhazard.survival import (
     CoxOptions,
     SurvivalRecord,
-    breslow_baseline,
+    SurvivalTable,
     cox_fit,
     cox_gradient,
     cox_hessian,
@@ -20,6 +20,7 @@ from flowhazard.survival import (
 from _oracles import (
     grid_search_beta,
     naive_log_partial_likelihood,
+    per_time_breslow_cumhaz,
     stack_records,
 )
 
@@ -415,7 +416,7 @@ class TestBreslowBaseline:
         )
         model = cox_fit(records, CoxOptions(ridge=1e-3))
         np.testing.assert_allclose(model.beta, 0.0, atol=1e-8)
-        base = breslow_baseline(model, records)
+        base = model.baseline_cumhaz
         increments = np.diff(np.concatenate([[0.0], base.values]))
         np.testing.assert_allclose(
             increments, [1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0], rtol=1e-6
@@ -431,19 +432,37 @@ class TestBreslowBaseline:
         records[0] = rec(1.0, 1, rng.standard_normal(2))
         records = stack_records(records)
         model = cox_fit(records, CoxOptions(ridge=1e-2))
-        base = breslow_baseline(model, records)
+        base = model.baseline_cumhaz
         assert (np.diff(base.values) >= -1e-15).all()
         assert base(0.0) == 0.0 or base.times.min() <= 0.0
 
-    def test_baseline_on_model_matches_free_function(self):
-        records = stack_records(
-            [rec(float(t + 1), 1, [float(t % 2)]) for t in range(8)]
+    @pytest.mark.parametrize("case", ["offset", "retry", "constant"])
+    def test_fitted_baseline_equals_per_time_oracle(self, case):
+        # the fit reads log S0 of standardized covariates off its last
+        # Newton scan; the oracle sums exp(beta . x) on the raw scale
+        rng = np.random.default_rng(73)
+        n = 40
+        times = rng.integers(1, 12, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        events[0] = 1
+        x = rng.standard_normal(n)
+        X = {
+            "offset": np.c_[x + 30.0, 5.0 - 2.0 * rng.standard_normal(n)],
+            # identical columns: singular at ridge 0, so the fit retries
+            "retry": np.c_[x, x],
+            "constant": np.c_[x, np.full(n, 7.0)],
+        }[case]
+        table = SurvivalTable(times, events, X)
+        model = cox_fit(table, CoxOptions(ridge=0.0))
+        assert any("retried" in w for w in model.warnings) == (
+            case != "offset"
         )
-        model = cox_fit(records, CoxOptions(ridge=1e-3))
-        free = breslow_baseline(model, records)
-        np.testing.assert_allclose(
-            model.baseline_cumhaz.values, free.values, rtol=1e-12
+        want_times, want_values = per_time_breslow_cumhaz(
+            times, table.events, X, model.beta
         )
+        assert np.array_equal(model.baseline_cumhaz.times, want_times)
+        np.testing.assert_allclose(model.baseline_cumhaz.values, want_values,
+                                   rtol=1e-12)
 
     def test_predicted_survival_from_baseline(self):
         from flowhazard.survival import cox_survival_at

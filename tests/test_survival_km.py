@@ -13,8 +13,14 @@ from flowhazard.survival import (
     km_survival_at,
     km_to_csv,
 )
+from flowhazard.svgplot import km_svg
 
-from _oracles import per_time_km_to_csv, stack_records
+from _oracles import (
+    per_time_km_fit,
+    per_time_km_svg,
+    per_time_km_to_csv,
+    stack_records,
+)
 
 
 def rec(time, event, cov=(0.0,)):
@@ -38,7 +44,7 @@ class TestKMFit:
 
     def test_all_censored_is_flat_one(self):
         curve = km([rec(5, 0), rec(7, 0)])
-        assert curve.times.size == 0
+        assert curve.times[curve.n_event > 0].size == 0
         for t in (0.0, 5.0, 100.0):
             assert km_survival_at(curve, t) == 1.0
 
@@ -46,10 +52,13 @@ class TestKMFit:
         # times {1,2,3}, events {1,0,1}: S(1)=2/3 (d=1,r=3); the censoring
         # at 2 shrinks the risk set; S(3)=0 (d=1,r=1)
         curve = km([rec(1, 1), rec(2, 0), rec(3, 1)])
-        assert curve.times.tolist() == [1.0, 3.0]
-        assert curve.n_risk.tolist() == [3, 1]
-        assert curve.censored_before.tolist() == [0, 1]
-        np.testing.assert_allclose(curve.survival, [2 / 3, 0.0], atol=1e-12)
+        event = curve.n_event > 0
+        assert curve.times[event].tolist() == [1.0, 3.0]
+        assert curve.n_risk[event].tolist() == [3, 1]
+        # no censoring before t=1, one in the gap [1, 3)
+        assert curve.n_censored.tolist() == [0, 1, 0]
+        np.testing.assert_allclose(curve.survival[event], [2 / 3, 0.0],
+                                   atol=1e-12)
 
     def test_greenwood_hand_oracle(self):
         # no censoring, n=4: terms d/(r(r-d)) = 1/12, 1/6, 1/2; S^2 * cumsum
@@ -75,15 +84,19 @@ class TestKMFit:
             if not any(r.event for r in records):
                 continue
             curve = km(records)
+            rows = np.flatnonzero(curve.n_event > 0)
             # r_1 = N minus censorings strictly before the first event
-            assert curve.n_risk[0] == curve.n_total - curve.censored_before[0]
-            for i in range(1, curve.times.size):
-                assert curve.n_risk[i] == (
-                    curve.n_risk[i - 1]
-                    - curve.n_event[i - 1]
-                    - curve.censored_before[i]
+            assert curve.n_risk[rows[0]] == (
+                len(records) - curve.n_censored[:rows[0]].sum()
+            )
+            # between event times, the censorings in [t_{i-1}, t_i)
+            for i, j in zip(rows, rows[1:]):
+                assert curve.n_risk[j] == (
+                    curve.n_risk[i]
+                    - curve.n_event[i]
+                    - curve.n_censored[i:j].sum()
                 )
-            assert (np.diff(curve.survival) <= 1e-15).all()
+            assert (np.diff(curve.survival[rows]) <= 1e-15).all()
 
     def test_no_censoring_matches_empirical_fraction(self):
         rng = np.random.default_rng(3)
@@ -125,14 +138,14 @@ class TestReadOff:
         assert km_survival_at(self.curve, 10.0) == 0.0
 
 
-def _curve(times, events):
-    return km_fit(SurvivalTable(np.array(times, dtype=np.float64),
-                                np.array(events), np.zeros((len(times), 0))))
+def _table(times, events):
+    return SurvivalTable(np.array(times, dtype=np.float64), np.array(events),
+                         np.zeros((len(times), 0)))
 
 
 @st.composite
-def km_curves(draw):
-    """Curves on few distinct times, so events and censorings tie; the
+def km_tables(draw):
+    """Tables on few distinct times, so events and censorings tie; the
     events may be all, none or some of the rows."""
     n = draw(st.integers(1, 25))
     times = draw(st.lists(
@@ -145,17 +158,56 @@ def km_curves(draw):
         events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     else:
         events = [int(mode == "events")] * n
-    return _curve(times, events)
+    return _table(times, events)
+
+
+def _with_examples(test):
+    for times, events in (
+        ([1, 1, 2, 2, 2, 3], [1, 0, 1, 1, 0, 0]),  # ties of both kinds
+        ([1, 4, 4, 5, 9, 9], [0, 1, 0, 0, 0, 0]),
+        ([2, 2, 3], [0, 0, 0]),                    # all censored
+        ([2, 2, 3], [1, 1, 1]),                    # all events
+        ([1e-300, 1e-300, 1e308, 1e308], [1, 0, 1, 0]),
+        ([0.0, 1e-300, 1e308], [0, 0, 1]),
+    ):
+        test = example(table=_table(times, events))(test)
+    return test
+
+
+class TestKMCurveRows:
+    @given(table=km_tables())
+    @_with_examples
+    def test_counts_and_steps(self, table):
+        curve = km_fit(table)
+        n = len(table)
+        assert curve.n_risk[0] == n
+        assert np.array_equal(
+            curve.n_risk[1:],
+            curve.n_risk[:-1] - curve.n_event[:-1] - curve.n_censored[:-1],
+        )
+        assert curve.n_event.sum() + curve.n_censored.sum() == n
+        assert (curve.n_event + curve.n_censored > 0).all()
+        assert (np.diff(curve.times) > 0).all()
+        assert (np.diff(curve.survival) <= 0.0).all()
+        before = np.r_[1.0, curve.survival[:-1]]
+        flat = curve.n_event == 0
+        assert np.array_equal(curve.survival[flat], before[flat])
 
 
 class TestKMWriterEqualsPerTimeWriter:
-    @given(curve=km_curves())
-    @example(curve=_curve([1, 1, 2, 2, 2, 3], [1, 0, 1, 1, 0, 0]))
-    @example(curve=_curve([1, 4, 4, 5, 9, 9], [0, 1, 0, 0, 0, 0]))
-    @example(curve=_curve([2, 2, 3], [0, 0, 0]))
-    @example(curve=_curve([2, 2, 3], [1, 1, 1]))
-    def test_same_text(self, curve):
+    @given(table=km_tables())
+    @_with_examples
+    def test_same_text(self, table):
         got, want = io.StringIO(), io.StringIO()
-        km_to_csv(curve, got)
-        per_time_km_to_csv(curve, want)
+        km_to_csv(km_fit(table), got)
+        per_time_km_to_csv(per_time_km_fit(list(table)), want)
         assert got.getvalue() == want.getvalue()
+
+
+class TestKMPlotEqualsPerTimePlot:
+    @given(table=km_tables())
+    @_with_examples
+    def test_same_text(self, table):
+        assert km_svg(km_fit(table)) == per_time_km_svg(
+            per_time_km_fit(list(table))
+        )

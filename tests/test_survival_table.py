@@ -13,6 +13,7 @@ from flowhazard.errors import (
     InvalidValue,
     LengthMismatch,
     NonFinite,
+    SchemaMismatch,
 )
 from flowhazard.experiment import SequenceResult
 from flowhazard.survival import (
@@ -83,6 +84,15 @@ class TestValidation:
         with pytest.raises(LengthMismatch):
             cox_fit(SurvivalTable(np.ones(3), np.ones(3), np.zeros((3, 0))))
 
+    @pytest.mark.parametrize("names, repeated", [
+        (("a", "a"), "a"), (("a", "b", "c", "b"), "b"), (["x", "x"], "x"),
+    ])
+    def test_repeated_name_is_a_schema_mismatch(self, names, repeated):
+        with pytest.raises(SchemaMismatch) as err:
+            SurvivalTable(np.ones(2), np.ones(2), np.zeros((2, len(names))),
+                          names)
+        assert repr(repeated) in str(err.value)
+
 
 class TestReader:
     def test_ragged_row_is_a_length_mismatch(self):
@@ -132,7 +142,8 @@ def survival_tables(draw):
         np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
         np.array(draw(st.lists(_covariates, min_size=n * width,
                                max_size=n * width))).reshape(n, width),
-        tuple(draw(st.lists(_names, min_size=width, max_size=width))),
+        tuple(draw(st.lists(_names, min_size=width, max_size=width,
+                            unique=True))),
     )
 
 
