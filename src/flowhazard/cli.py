@@ -32,7 +32,7 @@ import logging
 import os
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -41,18 +41,17 @@ from .errors import (
     InvalidSpec,
     MissingInput,
     UnusablePath,
+    check_fields,
+    read_config,
 )
 
 if TYPE_CHECKING:  # annotations only
     from .experiment import ExperimentConfig
-    from .flowdata import FlowSchema
+    from .flowdata import FlowSchema, SyntheticSpec
 
 log = logging.getLogger("flowhazard")
 
 _EMIT_CHOICES = ("km", "cox", "json", "svg")
-_CSV_INPUTS = ("benign_csv", "pre_attack_csv", "post_attack_csv")
-_CONFIG_KEYS = ("inputs", "schema", "experiment", "output_dir", "emit",
-                "benign_label")
 
 
 def _configure_logging():
@@ -103,113 +102,115 @@ def _dump_json(obj: dict, path: str) -> None:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Parsed pipeline config: schema, inputs, experiment, emit flags."""
+class SyntheticInputs:
+    """``inputs`` drawn from a synthetic spec."""
 
-    schema: FlowSchema
-    experiment: ExperimentConfig
-    output_dir: str
-    emit: frozenset
-    benign_label: str
-    csv_inputs: dict | None  # benign_csv / pre_attack_csv / post_attack_csv
-    synthetic: dict | None   # spec (SyntheticSpec) + rows_per_class
+    synthetic_spec: str
+    rows_per_class: int = 1000
+
+    def __post_init__(self):
+        check_fields(self)
 
 
-def _text(doc: dict, key: str, default=None) -> str:
-    """``doc[key]``, which must be a string."""
-    raw = doc.get(key, default)
-    if not isinstance(raw, str):
-        raise InvalidSpec(f"{key!r} must be a string, got {raw!r}")
-    return raw
+@dataclass(frozen=True)
+class CsvInputs:
+    """``inputs`` read from one flow CSV per role."""
+
+    benign_csv: str
+    pre_attack_csv: str
+    post_attack_csv: str
+
+    def __post_init__(self):
+        check_fields(self)
 
 
-def _texts(doc: dict, key: str, default=None) -> list:
-    """``doc[key]``, which must be a list of strings."""
-    raw = doc.get(key, default)
-    if not (isinstance(raw, list) and all(isinstance(v, str) for v in raw)):
-        raise InvalidSpec(f"{key!r} must be a list of strings, got {raw!r}")
-    return raw
+@dataclass(frozen=True)
+class SchemaColumns:
+    """A ``schema`` given by its columns."""
+
+    features: tuple[str, ...]
+    label_column: str | None = None  # None: FlowSchema's default
+
+    def __post_init__(self):
+        check_fields(self)
 
 
-def _schema_from_config(doc: dict, synthetic_spec) -> FlowSchema:
-    from .experiment import _section
+def _read_schema(raw, spec: SyntheticSpec | None) -> FlowSchema:
+    """The flow schema of the ``schema`` section ``raw``: absent, the spec's
+    or CIC-IDS2017's; beside a synthetic spec, the spec's."""
     from .flowdata import FlowSchema, cicids2017_schema
 
-    if doc.get("schema") is None:
-        if synthetic_spec is not None:
-            return synthetic_spec.schema
-        return cicids2017_schema()
-    raw = _section(doc["schema"], "schema",
-                   ("preset", "features", "label_column"))
-    if "preset" in raw:
-        if raw["preset"] != "cicids2017":
-            raise InvalidSpec(f"unknown schema preset {raw['preset']!r}")
-        return cicids2017_schema()
-    return FlowSchema(
-        tuple(_texts(raw, "features")),
-        label_column=_text(raw, "label_column", "Label"),
-    )
+    if raw is None:
+        return spec.schema if spec is not None else cicids2017_schema()
+    if isinstance(raw, dict) and "preset" in raw:
+        if raw != {"preset": "cicids2017"}:
+            raise InvalidSpec(f"the schema preset is 'cicids2017' and takes "
+                              f"no other key, got {raw!r}")
+        schema = cicids2017_schema()
+    else:
+        columns = read_config(raw, SchemaColumns, "schema")
+        schema = FlowSchema(*(v for v in astuple(columns) if v is not None))
+    if spec is not None and schema != spec.schema:
+        raise InvalidSpec(f"schema must be the synthetic spec's, {spec.schema}")
+    return schema
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A pipeline config, its input paths resolved and the synthetic spec
+    that ``inputs`` names loaded (None for CSV inputs)."""
+
+    inputs: SyntheticInputs | CsvInputs
+    synthetic: SyntheticSpec | None
+    schema: FlowSchema
+    experiment: ExperimentConfig
+    output_dir: str = "."
+    emit: tuple[str, ...] = _EMIT_CHOICES
+    benign_label: str = "BENIGN"
+
+    def __post_init__(self):
+        check_fields(self)
+        bad = set(self.emit) - set(_EMIT_CHOICES)
+        if bad:
+            raise InvalidSpec(f"unknown emit flags {sorted(bad)}")
 
 
 def load_pipeline_config(path: str, args) -> PipelineConfig:
-    from .experiment import ExperimentConfig, _section
+    """The config in the file at ``path``, with the ``--seed``, ``--out``
+    and ``--emit`` flags of ``args`` applied."""
+    from .experiment import ExperimentConfig
     from .flowdata import SyntheticSpec
 
-    doc = _section(_load_json(path), path, _CONFIG_KEYS)
     # paths inside the config resolve relative to the config file itself;
     # the --out flag stays relative to the working directory
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
-        return os.path.join(base, p) if not os.path.isabs(p) else p
-
-    inputs = _section(doc.get("inputs", {}), "inputs",
-                      ("synthetic_spec", "rows_per_class", *_CSV_INPUTS))
-    synthetic = None
-    csv_inputs = None
-    spec = None
-    if "synthetic_spec" in inputs:
-        spec_doc = _load_json(resolve(_text(inputs, "synthetic_spec")))
-        spec = SyntheticSpec.from_json_dict(spec_doc)
-        rows = inputs.get("rows_per_class", 1000)
-        if isinstance(rows, bool) or not isinstance(rows, int):
-            raise InvalidSpec(
-                f"'rows_per_class' must be an integer, got {rows!r}"
+    def sections(doc: dict) -> dict:
+        raw, spec = doc.pop("inputs", {}), None
+        # one key picks the form, so a key of the other form is unknown
+        if isinstance(raw, dict) and "synthetic_spec" in raw:
+            inputs = read_config(raw, SyntheticInputs, "inputs")
+            spec = SyntheticSpec.from_json_dict(
+                _load_json(os.path.join(base, inputs.synthetic_spec))
             )
-        synthetic = {"spec": spec, "rows_per_class": rows}
-    else:
-        missing = [k for k in _CSV_INPUTS if k not in inputs]
-        if missing:
-            raise InvalidSpec(
-                f"inputs must name either synthetic_spec or CSV paths; "
-                f"missing {missing}"
-            )
-        csv_inputs = {
-            k: _require_path(resolve(_text(inputs, k))) for k in _CSV_INPUTS
-        }
+        else:
+            paths = astuple(read_config(raw, CsvInputs, "inputs"))
+            inputs = CsvInputs(*(_require_path(os.path.join(base, p))
+                                 for p in paths))
+        experiment = ExperimentConfig.from_json_dict(
+            doc.pop("experiment", None), getattr(args, "seed", None)
+        )
+        return {"inputs": inputs, "synthetic": spec, "experiment": experiment,
+                "schema": _read_schema(doc.pop("schema", None), spec)}
 
-    experiment = ExperimentConfig.from_json_dict(
-        doc.get("experiment"), getattr(args, "seed", None)
-    )
-
-    emit = _texts(doc, "emit", list(_EMIT_CHOICES))
-    if getattr(args, "emit", None):
-        emit = [e.strip() for e in args.emit.split(",") if e.strip()]
-    bad = set(emit) - set(_EMIT_CHOICES)
-    if bad:
-        raise InvalidSpec(f"unknown emit flags {sorted(bad)}")
-
-    output_dir = getattr(args, "out", None) or resolve(
-        _text(doc, "output_dir", ".")
-    )
-    return PipelineConfig(
-        schema=_schema_from_config(doc, spec),
-        experiment=experiment,
-        output_dir=output_dir,
-        emit=frozenset(emit),
-        benign_label=_text(doc, "benign_label", "BENIGN"),
-        csv_inputs=csv_inputs,
-        synthetic=synthetic,
+    cfg = read_config(_load_json(path), PipelineConfig, path, sections)
+    emit = getattr(args, "emit", None)
+    return replace(
+        cfg,
+        output_dir=(getattr(args, "out", None)
+                    or os.path.join(base, cfg.output_dir)),
+        emit=(tuple(e.strip() for e in emit.split(",") if e.strip())
+              if emit else cfg.emit),
     )
 
 
@@ -301,9 +302,8 @@ def _load_role_datasets(cfg: PipelineConfig):
 
     combo = cfg.experiment.combination
     if cfg.synthetic is not None:
-        spec = cfg.synthetic["spec"]
         pool = synthesize_flows(
-            spec, cfg.synthetic["rows_per_class"],
+            cfg.synthetic, cfg.inputs.rows_per_class,
             seed=(cfg.experiment.master_seed, 104729),
         )
         benign = filter_label(pool, cfg.benign_label)
@@ -313,7 +313,7 @@ def _load_role_datasets(cfg: PipelineConfig):
 
     import multiprocessing
 
-    post_path = cfg.csv_inputs["post_attack_csv"]
+    post_path = cfg.inputs.post_attack_csv
     # a socket pair: the matrix moves through it faster than through a pipe
     conn, child_end = multiprocessing.Pipe(duplex=True)
     child = multiprocessing.Process(
@@ -325,10 +325,10 @@ def _load_role_datasets(cfg: PipelineConfig):
     reports = {}
     try:
         benign, reports["benign"] = _read_role(
-            cfg.csv_inputs["benign_csv"], cfg.schema, cfg.benign_label
+            cfg.inputs.benign_csv, cfg.schema, cfg.benign_label
         )
         pre_attack, reports["pre_attack"] = _read_role(
-            cfg.csv_inputs["pre_attack_csv"], cfg.schema, combo.pre_attack
+            cfg.inputs.pre_attack_csv, cfg.schema, combo.pre_attack
         )
     except BaseException:
         child.terminate()
@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic flow CSVs per class")
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
-    p.add_argument("--n", type=int, default=1000, help="rows per class")
+    p.add_argument("--n", type=int, default=SyntheticInputs.rows_per_class,
+                   help="rows per class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument(
         "--emit", default=None,
-        help="comma-separated artifact flags: km,cox,json,svg",
+        help=f"comma-separated artifact flags: {','.join(_EMIT_CHOICES)}",
     )
     p.set_defaults(func=cmd_pipeline)
 

@@ -99,29 +99,33 @@ class AccuracyGateFailed(FlowHazardError):
 
 
 # annotation -> (accepted type, stored type, what the error asks for)
-_SCALARS = {
+_TYPES = {
     "int": (numbers.Integral, int, "an integer"),
     "float": (numbers.Real, float, "a number that fits a float, not NaN"),
     "bool": (bool, bool, "true or false"),
     "str": (str, str, "a string"),
+    "tuple[str, ...]": ((list, tuple), tuple, "a list of strings"),
 }
 
 
 def check_fields(obj) -> None:
     """Type-check each field of the dataclass ``obj`` annotated ``int``,
-    ``float``, ``bool`` or ``str`` (``X | None`` also takes None), and
-    store numbers as plain ints and floats.  No bool passes as a number,
-    and no NaN or integer too large for a float as a ``float``.  The
-    annotations must be strings (``from __future__ import annotations``).
-    Raises :class:`InvalidValue` naming the field."""
+    ``float``, ``bool``, ``str`` or ``tuple[str, ...]`` (``X | None``
+    also takes None), and store numbers as plain ints and floats and
+    lists of strings as tuples.  No bool passes as a number, and no NaN
+    or integer too large for a float as a ``float``.  The annotations
+    must be strings (``from __future__ import annotations``).  Raises
+    :class:`InvalidValue` naming the field."""
     for field in dataclasses.fields(obj):
         kind, _, none = field.type.partition(" | ")
         value = getattr(obj, field.name)
-        if kind not in _SCALARS or (value is None and none == "None"):
+        if kind not in _TYPES or (value is None and none == "None"):
             continue
-        accepted, stored, wanted = _SCALARS[kind]
+        accepted, stored, wanted = _TYPES[kind]
         if (isinstance(value, accepted)
-                and (stored is bool) == isinstance(value, bool)):
+                and (stored is bool) == isinstance(value, bool)
+                and (stored is not tuple
+                     or all(isinstance(v, str) for v in value))):
             try:
                 typed = stored(value)
             except OverflowError:  # an integer too large for a float
@@ -130,3 +134,31 @@ def check_fields(obj) -> None:
                 object.__setattr__(obj, field.name, typed)
                 continue
         raise InvalidValue(f"{field.name} must be {wanted}, got {value!r}")
+
+
+def read_config(raw, config, name: str, read=None, renamed=()):
+    """The config dataclass ``config`` (or a copy of the instance
+    ``config``) read from ``raw``, the JSON object of config section
+    ``name``; an absent key takes its field's default.  ``read`` gets a
+    copy of ``raw``, pops the keys it reads itself (nested sections and
+    the ``renamed`` keys, which name no field) and returns the fields
+    they give; any other key must name a field ``read`` did not give.
+    A non-object, an unknown key, and a ``TypeError`` or ``ValueError``
+    from the dataclass raise :class:`InvalidSpec` naming the key."""
+    if not isinstance(raw, dict):
+        raise InvalidSpec(f"{name!r} must be an object, got {raw!r}")
+    fields = {f.name for f in dataclasses.fields(config)}
+    rest = dict(raw)
+    # a misspelt key is named before ``read`` reads what is inside
+    unknown = sorted(set(rest) - fields - set(renamed))
+    if not unknown:
+        given = read(rest) if read else {}
+        unknown = sorted(set(rest) - (fields - set(given)))
+    if unknown:
+        raise InvalidSpec(f"unknown key {unknown[0]!r} in {name!r}")
+    try:
+        if isinstance(config, type):
+            return config(**rest, **given)
+        return dataclasses.replace(config, **rest, **given)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpec(f"{name}: {err}") from None

@@ -30,7 +30,7 @@ import csv
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     InvalidSpec,
     SchemaMismatch,
     check_fields,
+    read_config,
 )
 from .flowdata import (
     FeatureSummary,
@@ -137,37 +138,31 @@ class ExperimentConfig:
         ``master_seed``.  An absent key takes the field's default.  An
         unknown key, a bad value and an infinite ``band`` high end raise
         :class:`InvalidSpec` naming the key."""
-        exp = _section(raw, "experiment", _EXPERIMENT_KEYS)
-        kwargs = {k: exp[k] for k in _SCALAR_KEYS if k in exp}
-        if seed is not None:
-            kwargs["master_seed"] = seed
-        band = exp.get("band", [cls.band_low, cls.band_high])
-        if not (isinstance(band, list) and len(band) == 2):
-            raise InvalidSpec(
-                f"band must be a list of two numbers, got {band!r}"
-            )
-        try:
-            config = cls(
-                regressor=regressor_from_dict(
-                    _section(exp.get("regressor"), "regressor")
-                ),
-                combination=AttackCombination(**_section(
-                    exp.get("combination"), "combination", AttackCombination
-                )),
-                band_low=band[0],
-                band_high=band[1],
-                cox_options=replace(cls.cox_options, **_section(
-                    exp.get("cox", {}), "cox", CoxOptions
-                )),
-                selection=replace(cls.selection, **_section(
-                    exp.get("selection", {}), "selection", SelectionRule
-                )),
-                **kwargs,
-            )
-        except (TypeError, ValueError) as err:
-            raise InvalidSpec(f"bad experiment config: {err}") from None
+        def sections(exp: dict) -> dict:
+            band = exp.pop("band", [cls.band_low, cls.band_high])
+            if not (isinstance(band, list) and len(band) == 2):
+                raise InvalidSpec(
+                    f"band must be a list of two numbers, got {band!r}"
+                )
+            if seed is not None:
+                exp["master_seed"] = seed
+            return {
+                "regressor": regressor_from_dict(exp.pop("regressor", None)),
+                "combination": read_config(exp.pop("combination", None),
+                                           AttackCombination, "combination"),
+                "band_low": band[0], "band_high": band[1],
+                "cox_options": read_config(exp.pop("cox", {}),
+                                           cls.cox_options, "cox"),
+                "selection": read_config(exp.pop("selection", {}),
+                                         cls.selection, "selection"),
+            }
+
+        config = read_config(raw, cls, "experiment", sections,
+                             renamed=("band", "cox"))
         if config.band_high == math.inf:
-            raise InvalidSpec(f"band needs a finite high end, got {band!r}")
+            raise InvalidSpec(
+                f"band needs a finite high end, got {raw['band']!r}"
+            )
         return config
 
     def to_json_dict(self) -> dict:
@@ -177,25 +172,6 @@ class ExperimentConfig:
         doc["band"] = [doc.pop("band_low"), doc.pop("band_high")]
         doc["cox"] = doc.pop("cox_options")
         return doc
-
-
-_SCALAR_KEYS = ("seq_len", "n_sequences", "n_iterations", "master_seed",
-                "accuracy_gate", "holdout_fraction")
-_EXPERIMENT_KEYS = ("regressor", "combination", "band", "cox", "selection",
-                    *_SCALAR_KEYS)
-
-
-def _section(raw, name: str, keys=None) -> dict:
-    """``raw``, the config section ``name``: a JSON object with no key
-    outside ``keys``, names or a dataclass's fields (any key when None)."""
-    if not isinstance(raw, dict):
-        raise InvalidSpec(f"{name!r} must be an object, got {raw!r}")
-    if isinstance(keys, type):
-        keys = [f.name for f in fields(keys)]
-    unknown = sorted(set(raw) - set(keys or raw))
-    if unknown:
-        raise InvalidSpec(f"unknown key {unknown[0]!r} in {name!r}")
-    return raw
 
 
 @dataclass(frozen=True)

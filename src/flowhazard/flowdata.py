@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     NonFinite,
     SchemaMismatch,
     check_fields,
+    read_config,
 )
 from .seeding import normalize_key, rng_from
 
@@ -72,13 +73,12 @@ class FlowSchema:
     label_column: str = "Label"
 
     def __post_init__(self):
-        names = tuple(self.feature_names)
-        object.__setattr__(self, "feature_names", names)
-        if len(names) < 1:
+        check_fields(self)
+        if not self.feature_names:
             raise InvalidSpec("schema needs at least one feature")
-        if len(set(names)) != len(names):
+        if len(set(self.feature_names)) != len(self.feature_names):
             raise InvalidSpec("feature names must be unique")
-        if self.label_column in names:
+        if self.label_column in self.feature_names:
             raise InvalidSpec(
                 f"label column {self.label_column!r} is also a feature"
             )
@@ -90,7 +90,7 @@ class FlowSchema:
 
 def cicids2017_schema() -> FlowSchema:
     """Schema matching the published CIC-IDS2017 flow CSV header."""
-    return FlowSchema(CICIDS2017_FEATURES, label_column="Label")
+    return FlowSchema(CICIDS2017_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,7 @@ class ParseReport:
     malformed_dropped: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "nonfinite_dropped": self.nonfinite_dropped,
-            "malformed_dropped": self.malformed_dropped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -368,20 +363,6 @@ class ClassSpec:
     stds: np.ndarray
     truncate_at_zero: np.ndarray  # bool per feature
 
-    def __post_init__(self):
-        m = np.asarray(self.means, dtype=np.float64)
-        s = np.asarray(self.stds, dtype=np.float64)
-        t = np.asarray(self.truncate_at_zero, dtype=bool)
-        if not (m.shape == s.shape == t.shape) or m.ndim != 1:
-            raise InvalidSpec("class spec vectors must be 1-D of equal length")
-        if np.any(s < 0):
-            raise InvalidSpec("negative std in synthetic spec")
-        if not np.all(np.isfinite(m)) or not np.all(np.isfinite(s)):
-            raise InvalidSpec("non-finite parameter in synthetic spec")
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "stds", s)
-        object.__setattr__(self, "truncate_at_zero", t)
-
 
 @dataclass(frozen=True)
 class _Normal:
@@ -393,6 +374,10 @@ class _Normal:
 
     def __post_init__(self):
         check_fields(self)
+        if not np.isfinite(self.mean):
+            raise ValueError("mean must be finite")
+        if not 0 <= self.std < np.inf:
+            raise ValueError("std must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -410,7 +395,7 @@ class SyntheticSpec:
                 )
 
     @classmethod
-    def from_json_dict(cls, spec: dict, label_column: str = "Label"):
+    def from_json_dict(cls, spec: dict):
         """Build from ``{class: {feature: {mean, std, truncate_at_zero}}}``.
 
         Feature order follows the first class; every class must define the
@@ -418,34 +403,29 @@ class SyntheticSpec:
         """
         if not spec:
             raise InvalidSpec("synthetic spec has no classes")
+        schema = None
+        classes = {}
         for label, feats in spec.items():
-            if not isinstance(feats, dict) or not all(
-                isinstance(dist, dict) for dist in feats.values()
-            ):
+            if not isinstance(feats, dict):
                 raise InvalidSpec(
                     f"class {label!r} must map each feature to an object "
                     f"with mean, std and truncate_at_zero"
                 )
-        first = next(iter(spec.values()))
-        feature_names = tuple(first.keys())
-        schema = FlowSchema(feature_names, label_column=label_column)
-        classes = {}
-        for label, feats in spec.items():
-            if tuple(sorted(feats.keys())) != tuple(sorted(feature_names)):
+            if schema is None:
+                schema = FlowSchema(tuple(feats))
+            if sorted(feats) != sorted(schema.feature_names):
                 raise InvalidSpec(
                     f"class {label!r} does not define the same features as "
                     f"the first class"
                 )
-            dists = []
-            for name in feature_names:
-                try:
-                    dists.append(_Normal(**feats[name]))
-                except (TypeError, ValueError) as err:
-                    raise InvalidSpec(
-                        f"class {label!r}, feature {name!r}: {err}"
-                    ) from None
+            dists = [
+                read_config(feats[name], _Normal,
+                            f"class {label!r}, feature {name!r}")
+                for name in schema.feature_names
+            ]
             means, stds, clips = zip(*map(astuple, dists))
-            classes[label] = ClassSpec(means, stds, clips)
+            classes[label] = ClassSpec(np.array(means), np.array(stds),
+                                       np.array(clips))
         return cls(schema=schema, classes=classes)
 
 

@@ -16,7 +16,10 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from ..errors import DegenerateData, EmptyInput, SchemaMismatch, check_fields
+from ..errors import (
+    DegenerateData, EmptyInput, InvalidSpec, SchemaMismatch, check_fields,
+    read_config,
+)
 from ..flowdata import FlowDataset
 from ..seeding import normalize_key
 from .bayes_ridge import LinearState, fit_bayesian_ridge
@@ -91,13 +94,14 @@ _KINDS = {
 }
 
 
-def regressor_from_dict(spec: dict) -> RegressorKind:
-    """Build hyperparameters from ``{"kind": ..., **params}``."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown regressor kind {kind!r}; one of {sorted(_KINDS)}")
-    return _KINDS[kind](**spec)
+def regressor_from_dict(spec) -> RegressorKind:
+    """The ``regressor`` config section ``{"kind": ..., **params}``; a bad
+    one raises :class:`InvalidSpec` naming the key."""
+    kinds = sorted(_KINDS)
+    if not (isinstance(spec, dict) and spec.get("kind") in kinds):
+        raise InvalidSpec(f"'regressor' needs a kind in {kinds}, got {spec!r}")
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    return read_config(params, _KINDS[spec["kind"]], "regressor")
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,8 @@ class StepFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, t):
+        if np.isnan(t).any():
+            raise InvalidValue(f"step function read at a NaN time: {t!r}")
         idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate([[self.initial], self.values])
         out = padded[idx]
@@ -599,9 +601,13 @@ def cox_survival_at(model: CoxModel, covariates, t):
         raise LengthMismatch(
             f"covariates have shape {x.shape}, model has {model.beta.shape}"
         )
-    relative_risk = math.exp(float(model.beta @ x))
     cumhaz = np.asarray(model.baseline_cumhaz(t), dtype=np.float64)
-    out = np.exp(-cumhaz * relative_risk)
+    with np.errstate(over="ignore"):  # past float range the risk is inf
+        relative_risk = np.exp(model.beta @ x)
+        # a zero H0(t) is no hazard at any risk: 0 * inf is 0 here, not nan
+        hazard = np.multiply(cumhaz, relative_risk, where=cumhaz > 0,
+                             out=np.zeros_like(cumhaz))
+    out = np.exp(-hazard)
     return float(out) if np.isscalar(t) else out
 
 

@@ -374,6 +374,18 @@ class TestPipelineCommand:
             assert role["rows_kept"] == 300
             assert role["nonfinite_dropped"] == 0
 
+    def test_rows_per_class_beside_csv_paths_is_invalid_spec(
+            self, workspace, tmp_path, capsys):
+        csv_config = csv_workspace(workspace, tmp_path)
+        config = json.loads(csv_config.read_text())
+        config["inputs"]["rows_per_class"] = "many"
+        csv_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(csv_config)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "rows_per_class" in err["message"]
+
     def test_seed_override_changes_report(self, workspace, tmp_path):
         _, config_path, _ = workspace
         out_a = tmp_path / "sa"
@@ -938,6 +950,11 @@ class TestConfigMutations:
         (("experiment", "regressor", "zz"), 1, "zz"),
         (("experiment", "combination", "zz"), 1, "zz"),
         (("experiment", "selection", "zz"), 1, "zz"),
+        (("schema",), {"features": ["totally", "different", "names"],
+                       "label_column": "Nope"}, "schema"),
+        (("schema",), {"preset": "cicids2017"}, "schema"),
+        (("schema", "preset"), "cicids2017", "preset"),
+        (("inputs", "benign_csv"), "does/not/exist.csv", "benign_csv"),
     ], ids=["rows_per_class", "emit", "schema_features", "seq_len",
             "accuracy_gate", "negative_seed", "float_iterations",
             "float_seq_len", "float_n_sequences", "float_n_iterations",
@@ -949,7 +966,9 @@ class TestConfigMutations:
             "unknown_cox_key", "unknown_top_level_key", "unknown_inputs_key",
             "unknown_schema_key", "unknown_experiment_key",
             "unknown_regressor_key", "unknown_combination_key",
-            "unknown_selection_key"])
+            "unknown_selection_key", "schema_unlike_the_synthetic_spec",
+            "preset_beside_synthetic_spec", "preset_beside_features",
+            "csv_path_beside_synthetic_spec"])
     def test_wrong_type_is_invalid_spec(self, mutation_dir, capsys, path,
                                         value, named):
         config = json.loads(json.dumps(_MUTATED_CONFIG))
@@ -963,6 +982,22 @@ class TestConfigMutations:
         err = only_error_line(capsys)
         assert err["error"] == "InvalidSpec"
         assert named in err["message"]
+
+    @pytest.mark.parametrize("path, key, misspelt", [
+        ((), "experiment", "experimnet"),
+        (("experiment",), "regressor", "regresor"),
+    ], ids=["top_level", "experiment"])
+    def test_misspelt_key_is_named_before_the_missing_one(
+            self, mutation_dir, capsys, path, key, misspelt):
+        config = json.loads(json.dumps(_MUTATED_CONFIG))
+        section = _at(config, path)
+        section[misspelt] = section.pop(key)
+        config_path = mutation_dir / "misspelt.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert f"unknown key {misspelt!r}" in err["message"]
 
     def test_negative_seed_flag_is_invalid_spec(self, mutation_dir, capsys):
         config_path = mutation_dir / "valid.json"

@@ -9,6 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowhazard.cli import (
+    CsvInputs,
+    PipelineConfig,
+    SchemaColumns,
+    SyntheticInputs,
+)
 from flowhazard.errors import InvalidSpec, InvalidValue
 from flowhazard.experiment import (
     AttackCombination,
@@ -20,7 +26,7 @@ from flowhazard.models import (
     LinearSVRParams,
     RandomForestParams,
 )
-from flowhazard.flowdata import _Normal
+from flowhazard.flowdata import FlowSchema, _Normal
 from flowhazard.survival import CoxOptions
 
 # every config dataclass, with the arguments a valid instance needs
@@ -34,15 +40,26 @@ CONFIGS = {
     ExperimentConfig: {"regressor": BayesianRidgeParams(),
                        "combination": AttackCombination("a", "b")},
     _Normal: {},
+    FlowSchema: {"feature_names": ("a",)},
+    SyntheticInputs: {"synthetic_spec": "spec.json"},
+    CsvInputs: {"benign_csv": "a.csv", "pre_attack_csv": "b.csv",
+                "post_attack_csv": "c.csv"},
+    SchemaColumns: {"features": ("a",)},
+    PipelineConfig: {"inputs": SyntheticInputs("spec.json"), "synthetic": None,
+                     "schema": FlowSchema(("a",)),
+                     "experiment": ExperimentConfig(
+                         BayesianRidgeParams(), AttackCombination("a", "b"))},
 }
 # fields holding another config instead of a scalar
-NESTED = {"regressor", "combination", "cox_options", "selection"}
+NESTED = {"regressor", "combination", "cox_options", "selection", "inputs",
+          "synthetic", "schema", "experiment"}
 # values of another type than the annotation, per annotation
 WRONG = {
     "int": [True, "6", 2.5, 2.0, None],
     "float": [True, "0.9", math.nan, 10 ** 400, None],
     "bool": [1, "no", None],
     "str": [5, b"a", None],
+    "tuple[str, ...]": [5, "ab", ["a", 2], {"a": 1}, None],
 }
 
 

@@ -1,13 +1,15 @@
 """The package layout: every module imports on its own, the survival
 commands load only the survival code and no ``numpy.random``, only a
-CSV-input pipeline or train loads ``multiprocessing``, and the README
-library example runs against the modules it names."""
+CSV-input pipeline or train loads ``multiprocessing``, the README
+library example runs against the modules it names, and the README's
+config defaults are the dataclasses' own."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +112,42 @@ def test_readme_library_example_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "('bytes', 'flags')"
     assert (tmp_path / "survival.csv").exists()
+
+
+def field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)
+            if f.default is not MISSING}
+
+
+def test_readme_config_defaults_are_the_field_defaults():
+    from flowhazard.cli import PipelineConfig, SyntheticInputs
+    from flowhazard.experiment import AttackCombination, ExperimentConfig
+    from flowhazard.flowdata import FlowSchema
+    from flowhazard.models import (
+        BayesianRidgeParams, LinearSVRParams, RandomForestParams,
+    )
+
+    experiment = ExperimentConfig(BayesianRidgeParams(),
+                                  AttackCombination("a", "b")).to_json_dict()
+    expected = {
+        "top level": field_defaults(PipelineConfig),
+        "`inputs`": field_defaults(SyntheticInputs),
+        "`schema`": field_defaults(FlowSchema),
+        "`experiment`": {k: v for k, v in experiment.items()
+                         if not isinstance(v, dict)},
+        "`cox`": experiment["cox"],
+        "`selection`": experiment["selection"],
+        "`regressor`, `random_forest`": field_defaults(RandomForestParams),
+        "`regressor`, `bayesian_ridge`": field_defaults(BayesianRidgeParams),
+        "`regressor`, `linear_svr`": field_defaults(LinearSVRParams),
+    }
+    text = README.read_text()
+    table = text[text.index("| section | defaults |"):].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        section, defaults = (cell.strip() for cell in row.strip("|").split("|"))
+        listed[section] = {
+            key: json.loads(value) for key, value in re.findall(
+                r'`(\w+)` (\[[^\]]*\]|"[^"]*"|[^\s,]+)', defaults)
+        }
+    assert listed == json.loads(json.dumps(expected))

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from flowhazard.errors import LengthMismatch, NoEvents
+from flowhazard.errors import InvalidValue, LengthMismatch, NoEvents
 from flowhazard.survival import (
     CoxOptions,
     SurvivalRecord,
@@ -487,3 +488,35 @@ class TestBreslowBaseline:
         assert s1 == pytest.approx(
             math.exp(-model.baseline_cumhaz(10.0) * rr), rel=1e-12
         )
+
+    @staticmethod
+    def six_row_fit():
+        # one covariate, ridge 0.1: beta is about -0.465
+        table = SurvivalTable(
+            np.arange(1.0, 7.0), np.array([1, 0, 1, 1, 0, 1]),
+            np.array([[0.5], [1.5], [0.2], [2.0], [1.0], [0.7]]),
+        )
+        return cox_fit(table, CoxOptions(ridge=0.1))
+
+    def test_relative_risk_past_float_range(self):
+        from flowhazard.survival import cox_survival_at
+
+        model = self.six_row_fit()
+        assert model.beta[0] == pytest.approx(-0.465, abs=1e-3)
+        # beta . x is about 4650, so exp(beta . x) overflows a float: the
+        # survival is 1 before the first event time and 0 from it on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cox_survival_at(model, [-1e4], 3.0) == 0.0
+            assert cox_survival_at(model, [-1e4], 0.5) == 1.0
+            vals = cox_survival_at(model, [-1e4], np.array([0.5, 1.0, 9.0]))
+            assert vals.tolist() == [1.0, 0.0, 0.0]
+            assert cox_survival_at(model, [1e4], 9.0) == 1.0
+
+    @pytest.mark.parametrize("t", [float("nan"), np.array([1.0, np.nan])],
+                             ids=["scalar", "array_element"])
+    def test_nan_time_is_invalid_value(self, t):
+        from flowhazard.survival import cox_survival_at
+
+        with pytest.raises(InvalidValue, match="NaN"):
+            cox_survival_at(self.six_row_fit(), [0.5], t)

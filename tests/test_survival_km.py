@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowhazard.errors import EmptyInput
+from flowhazard.errors import EmptyInput, InvalidValue
 from flowhazard.survival import (
     SurvivalRecord,
     SurvivalTable,
@@ -136,6 +136,12 @@ class TestReadOff:
 
     def test_beyond_last_event_all_dead(self):
         assert km_survival_at(self.curve, 10.0) == 0.0
+
+    @pytest.mark.parametrize("t", [float("nan"), np.array([1.0, np.nan])],
+                             ids=["scalar", "array_element"])
+    def test_nan_time_is_invalid_value(self, t):
+        with pytest.raises(InvalidValue, match="NaN"):
+            km_survival_at(self.curve, t)
 
 
 def _table(times, events):
