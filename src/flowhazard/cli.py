@@ -186,7 +186,11 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
     base = os.path.dirname(os.path.abspath(path))
 
     def sections(doc: dict) -> dict:
-        raw, spec = doc.pop("inputs", {}), None
+        raw, spec = doc.pop("inputs", None), None
+        if raw is None:
+            raise InvalidSpec("'inputs' needs 'synthetic_spec', or "
+                              "'benign_csv', 'pre_attack_csv' and "
+                              "'post_attack_csv'")
         # one key picks the form, so a key of the other form is unknown
         if isinstance(raw, dict) and "synthetic_spec" in raw:
             inputs = read_config(raw, SyntheticInputs, "inputs")

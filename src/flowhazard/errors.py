@@ -143,22 +143,30 @@ def read_config(raw, config, name: str, read=None, renamed=()):
     copy of ``raw``, pops the keys it reads itself (nested sections and
     the ``renamed`` keys, which name no field) and returns the fields
     they give; any other key must name a field ``read`` did not give.
-    A non-object, an unknown key, and a ``TypeError`` or ``ValueError``
-    from the dataclass raise :class:`InvalidSpec` naming the key."""
+    A non-object, an unknown key, an absent key of a field with no
+    default and an :class:`InvalidValue` from the dataclass raise
+    :class:`InvalidSpec` naming the key."""
     if not isinstance(raw, dict):
         raise InvalidSpec(f"{name!r} must be an object, got {raw!r}")
-    fields = {f.name for f in dataclasses.fields(config)}
+    fields = dataclasses.fields(config)
+    names = {f.name for f in fields}
     rest = dict(raw)
     # a misspelt key is named before ``read`` reads what is inside
-    unknown = sorted(set(rest) - fields - set(renamed))
+    unknown = sorted(set(rest) - names - set(renamed))
     if not unknown:
         given = read(rest) if read else {}
-        unknown = sorted(set(rest) - (fields - set(given)))
+        unknown = sorted(set(rest) - (names - set(given)))
     if unknown:
         raise InvalidSpec(f"unknown key {unknown[0]!r} in {name!r}")
+    values = {**rest, **given}
+    if isinstance(config, type):  # a copy keeps the instance's values
+        for f in fields:
+            if (f.name not in values and f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                raise InvalidSpec(f"missing key {f.name!r} in {name!r}")
     try:
         if isinstance(config, type):
-            return config(**rest, **given)
-        return dataclasses.replace(config, **rest, **given)
-    except (TypeError, ValueError) as err:
+            return config(**values)
+        return dataclasses.replace(config, **values)
+    except InvalidValue as err:
         raise InvalidSpec(f"{name}: {err}") from None

@@ -41,6 +41,7 @@ from .errors import (
     EmptyInput,
     FlowHazardError,
     InvalidSpec,
+    InvalidValue,
     SchemaMismatch,
     check_fields,
     read_config,
@@ -99,9 +100,9 @@ class SelectionRule:
     def __post_init__(self):
         check_fields(self)
         if self.min_abs_beta < 0:
-            raise ValueError("min_abs_beta must be >= 0")
+            raise InvalidValue("min_abs_beta must be >= 0")
         if not 0 <= self.min_fraction <= 1:
-            raise ValueError("min_fraction must be in [0, 1]")
+            raise InvalidValue("min_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,15 @@ class ExperimentConfig:
         check_fields(self)
         # band_low may be -inf (detect-everything probe runs)
         if not self.band_low < self.band_high:
-            raise ValueError("band_low must be strictly below band_high")
+            raise InvalidValue("band_low must be strictly below band_high")
         if self.seq_len < 1 or self.n_sequences < 1 or self.n_iterations < 1:
-            raise ValueError("seq_len, n_sequences, n_iterations must be >= 1")
+            raise InvalidValue(
+                "seq_len, n_sequences, n_iterations must be >= 1"
+            )
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
+            raise InvalidValue("holdout_fraction must be in (0, 1)")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+            raise InvalidValue("master_seed must be >= 0")
 
     @classmethod
     def from_json_dict(cls, raw, seed: int | None = None) -> ExperimentConfig:
@@ -382,8 +385,9 @@ def run_iteration(
         feature_summary(split.pre), idx,
     )
     names = table.feature_names
-    keep = np.flatnonzero(table.X.std(axis=0) > 0.0)
-    dropped = tuple(names[j] for j in range(len(names)) if j not in set(keep))
+    varies = table.X.std(axis=0) > 0.0
+    keep = np.flatnonzero(varies)
+    dropped = tuple(name for name, v in zip(names, varies) if not v)
 
     cox = None
     cox_error = None

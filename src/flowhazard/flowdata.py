@@ -375,9 +375,9 @@ class _Normal:
     def __post_init__(self):
         check_fields(self)
         if not np.isfinite(self.mean):
-            raise ValueError("mean must be finite")
+            raise InvalidValue("mean must be finite")
         if not 0 <= self.std < np.inf:
-            raise ValueError("std must be finite and >= 0")
+            raise InvalidValue("std must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from .base import (
     TrainReport,
     TrainedModel,
     evaluate_accuracy,
-    model_from_json,
     model_to_json,
     predict_many,
     regressor_from_dict,

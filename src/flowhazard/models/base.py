@@ -17,13 +17,13 @@ from typing import ClassVar, Union
 import numpy as np
 
 from ..errors import (
-    DegenerateData, EmptyInput, InvalidSpec, SchemaMismatch, check_fields,
-    read_config,
+    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, SchemaMismatch,
+    check_fields, read_config,
 )
 from ..flowdata import FlowDataset
 from ..seeding import normalize_key
 from .bayes_ridge import LinearState, fit_bayesian_ridge
-from .forest import ForestState, Tree, forest_predict, train_forest
+from .forest import ForestState, forest_predict, train_forest
 from .linear_svr import fit_linear_svr
 
 MODEL_FORMAT = "flowhazard-model"
@@ -43,11 +43,11 @@ class RandomForestParams:
     def __post_init__(self):
         check_fields(self)
         if self.n_trees < 1 or self.min_leaf < 1:
-            raise ValueError("n_trees and min_leaf must be >= 1")
+            raise InvalidValue("n_trees and min_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
+            raise InvalidValue("max_depth must be None or >= 0")
         if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be None or >= 1")
+            raise InvalidValue("features_per_split must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class BayesianRidgeParams:
     def __post_init__(self):
         check_fields(self)
         if self.max_evidence_iters < 1:
-            raise ValueError("max_evidence_iters must be >= 1")
+            raise InvalidValue("max_evidence_iters must be >= 1")
         if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+            raise InvalidValue("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,11 @@ class LinearSVRParams:
     def __post_init__(self):
         check_fields(self)
         if not 0 < self.C < math.inf:
-            raise ValueError("C must be finite and positive")
+            raise InvalidValue("C must be finite and positive")
         if not 0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and >= 0")
+            raise InvalidValue("epsilon must be finite and >= 0")
         if not 0 < self.learning_rate < math.inf or self.epochs < 1:
-            raise ValueError(
+            raise InvalidValue(
                 "learning_rate must be finite and positive, epochs >= 1"
             )
 
@@ -134,10 +134,13 @@ def train(kind: RegressorKind, data: FlowDataset, seed) -> TrainedModel:
     """Fit one regressor on a dataset carrying 0.0/1.0 targets.
 
     Deterministic given ``seed`` (an int, or a tuple key path).  Raises
-    :class:`DegenerateData` unless both target values are present.
+    :class:`DegenerateData` unless both target values are present, and
+    :class:`InvalidSpec` for a ``kind`` that is not a regressor's params.
     """
     if data.targets is None:
-        raise ValueError("dataset has no training targets; use binary_dataset")
+        raise DegenerateData(
+            "dataset has no training targets; use binary_dataset"
+        )
     y = data.targets
     if len(data) < 2 or not (np.any(y == 0.0) and np.any(y == 1.0)):
         raise DegenerateData(
@@ -158,7 +161,7 @@ def train(kind: RegressorKind, data: FlowDataset, seed) -> TrainedModel:
     elif isinstance(kind, LinearSVRParams):
         state = fit_linear_svr((X - mean) / std, y, kind, key)
     else:
-        raise TypeError(f"unsupported regressor kind: {kind!r}")
+        raise InvalidSpec(f"unsupported regressor kind: {kind!r}")
 
     return TrainedModel(kind=kind, state=state, scale_mean=mean, scale_std=std)
 
@@ -186,7 +189,7 @@ def evaluate_accuracy(
     if len(data) == 0:
         raise EmptyInput("cannot evaluate on an empty dataset")
     if data.targets is None:
-        raise ValueError("dataset has no targets to evaluate against")
+        raise DegenerateData("dataset has no targets to evaluate against")
     scores = predict_many(model, data.features)
     return float(np.mean((scores >= cut) == (data.targets == 1.0)))
 
@@ -197,9 +200,8 @@ def _floats(arr) -> list[float]:
 
 def model_to_json(model: TrainedModel,
                   train_report: TrainReport | None = None) -> str:
-    """Versioned JSON; round-trips predictions bit-exactly.  A
-    ``train_report``, when given, is recorded in the document; it
-    describes the training run and is not read back."""
+    """The model as a versioned JSON document, every float exact.  A
+    ``train_report``, when given, is recorded in the document."""
     if isinstance(model.state, ForestState):
         state = {
             "trees": [
@@ -232,37 +234,3 @@ def model_to_json(model: TrainedModel,
     if train_report is not None:
         doc["train_report"] = asdict(train_report)
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def model_from_json(text: str) -> TrainedModel:
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError("not a flowhazard model document")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    kind = _KINDS[doc["kind"]](**doc["hyperparams"])
-    raw = doc["state"]
-    if "trees" in raw:
-        state = ForestState(
-            trees=tuple(
-                Tree(
-                    feature=np.array(t["feature"], dtype=np.int32),
-                    threshold=np.array(t["threshold"], dtype=np.float64),
-                    left=np.array(t["left"], dtype=np.int32),
-                    right=np.array(t["right"], dtype=np.int32),
-                    value=np.array(t["value"], dtype=np.float64),
-                )
-                for t in raw["trees"]
-            )
-        )
-    else:
-        state = LinearState(
-            weights=np.array(raw["weights"], dtype=np.float64),
-            intercept=float(raw["intercept"]),
-        )
-    return TrainedModel(
-        kind=kind,
-        state=state,
-        scale_mean=np.array(doc["scaling"]["mean"], dtype=np.float64),
-        scale_std=np.array(doc["scaling"]["std"], dtype=np.float64),
-    )

@@ -85,8 +85,8 @@ class SurvivalTable:
     and 0 for a censoring, covariate matrix ``X`` (n, F), and one name per
     column (``x0``, ``x1``, ... when none are given).  The columns are
     checked once, when the table is built; an invalid value is reported
-    with its 1-based data row and its column.  ``len``, iteration and
-    integer indexing give :class:`SurvivalRecord` rows.
+    with its 1-based data row and its column.  ``len`` counts the rows
+    and iteration gives each as a :class:`SurvivalRecord`.
     """
 
     times: np.ndarray
@@ -134,11 +134,8 @@ class SurvivalTable:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def __getitem__(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(self.times[i], self.events[i], self.X[i])
-
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return map(SurvivalRecord, self.times, self.events, self.X)
 
 
 @dataclass(frozen=True)
@@ -579,20 +576,6 @@ def cox_fit(table: SurvivalTable,
     )
 
 
-def wald_stats(model: CoxModel) -> dict:
-    """Per-feature Wald statistics aligned with ``model.feature_names``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(model.std_errors > 0, model.beta / model.std_errors, 0.0)
-    return {
-        "feature": model.feature_names,
-        "se": model.std_errors,
-        "z": z,
-        "p": model.p_values,
-        "ci95_low": model.ci95_low,
-        "ci95_high": model.ci95_high,
-    }
-
-
 def cox_survival_at(model: CoxModel, covariates, t):
     """Predicted survival ``S0(t) ** exp(beta . x)`` for one covariate
     vector, with ``S0(t) = exp(-H0(t))`` from the Breslow baseline."""
@@ -769,14 +752,17 @@ def cox_to_csv(model: CoxModel, sink) -> None:
         writer.writerow(
             ["feature", "beta", "hr", "se", "z", "p", "ci_low", "ci_high"]
         )
-        stats = wald_stats(model)
+        # the Wald statistic beta / se, 0 where se is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(model.std_errors > 0,
+                         model.beta / model.std_errors, 0.0)
         for j, name in enumerate(model.feature_names):
             writer.writerow([
                 name,
                 repr(float(model.beta[j])),
                 repr(float(model.hazard_ratios[j])),
                 repr(float(model.std_errors[j])),
-                repr(float(stats["z"][j])),
+                repr(float(z[j])),
                 repr(float(model.p_values[j])),
                 repr(float(model.ci95_low[j])),
                 repr(float(model.ci95_high[j])),

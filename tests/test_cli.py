@@ -999,6 +999,24 @@ class TestConfigMutations:
         assert err["error"] == "InvalidSpec"
         assert f"unknown key {misspelt!r}" in err["message"]
 
+    @pytest.mark.parametrize("path, named", [
+        (("inputs",), ("benign_csv", "synthetic_spec")),
+        (("experiment", "combination", "post_attack"), ("post_attack",)),
+    ], ids=["inputs", "post_attack"])
+    def test_missing_key_is_named(self, mutation_dir, capsys, path, named):
+        config = json.loads(json.dumps(_MUTATED_CONFIG))
+        del _at(config, path[:-1])[path[-1]]
+        config_path = mutation_dir / "missing.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        for key in named:
+            assert repr(key) in err["message"]
+        # the message speaks of config keys, not of the classes behind them
+        for word in ("__init__", "Inputs", "Combination", "positional"):
+            assert word not in err["message"]
+
     def test_negative_seed_flag_is_invalid_spec(self, mutation_dir, capsys):
         config_path = mutation_dir / "valid.json"
         config_path.write_text(json.dumps(_MUTATED_CONFIG))

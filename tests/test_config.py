@@ -15,7 +15,7 @@ from flowhazard.cli import (
     SchemaColumns,
     SyntheticInputs,
 )
-from flowhazard.errors import InvalidSpec, InvalidValue
+from flowhazard.errors import InvalidSpec, InvalidValue, read_config
 from flowhazard.experiment import (
     AttackCombination,
     ExperimentConfig,
@@ -115,17 +115,33 @@ class TestCheckFields:
         (BayesianRidgeParams, {"tol": math.inf}),
         (LinearSVRParams, {"C": math.inf}),
         (LinearSVRParams, {"learning_rate": math.inf}),
+        (ExperimentConfig, {"seq_len": 0}),
+        (ExperimentConfig, {"band_low": 0.6, "band_high": 0.4}),
+        (ExperimentConfig, {"holdout_fraction": 1.0}),
+        (ExperimentConfig, {"master_seed": -1}),
+        (_Normal, {"mean": math.inf}),
+        (_Normal, {"std": -1.0}),
+        (_Normal, {"std": math.inf}),
     ], ids=["negative_min_abs_beta", "min_fraction_above_1",
             "negative_min_fraction", "infinite_ridge_tol", "infinite_C",
-            "infinite_learning_rate"])
+            "infinite_learning_rate", "zero_seq_len", "inverted_band",
+            "holdout_fraction_1", "negative_master_seed", "infinite_mean",
+            "negative_std", "infinite_std"])
     def test_range_checks(self, cls, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            cls(**kwargs)
+        with pytest.raises(InvalidValue, match=next(iter(kwargs))):
+            cls(**{**CONFIGS[cls], **kwargs})
 
     def test_infinite_band_high_is_a_library_value(self):
         config = ExperimentConfig(**CONFIGS[ExperimentConfig],
                                   band_low=-math.inf, band_high=math.inf)
         assert config.band_high == math.inf
+
+
+class TestReadConfig:
+    def test_first_missing_key_is_named_in_field_order(self):
+        with pytest.raises(InvalidSpec) as err:
+            read_config({"post_attack_csv": "c.csv"}, CsvInputs, "inputs")
+        assert str(err.value) == "missing key 'benign_csv' in 'inputs'"
 
 
 _regressors = st.one_of(

@@ -1,9 +1,12 @@
 """The package layout: every module imports on its own, the survival
 commands load only the survival code and no ``numpy.random``, only a
 CSV-input pipeline or train loads ``multiprocessing``, the README
-library example runs against the modules it names, and the README's
-config defaults are the dataclasses' own."""
+library example runs against the modules it names, the README's
+config defaults are the dataclasses' own, and no code raises a builtin
+exception class."""
 
+import ast
+import builtins
 import json
 import os
 import re
@@ -151,3 +154,45 @@ def test_readme_config_defaults_are_the_field_defaults():
                 r'`(\w+)` (\[[^\]]*\]|"[^"]*"|[^\s,]+)', defaults)
         }
     assert listed == json.loads(json.dumps(expected))
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def builtin_raises(root: Path) -> list[str]:
+    """``path:line`` of each ``raise`` of a builtin exception class
+    (``raise ValueError(...)``, ``raise TypeError``) in the modules under
+    ``root``.  A bare ``raise`` and a raise of a caught or forwarded
+    object are not counted."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_builtin_raises_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(x, error):\n"
+        "    if x:\n"
+        "        raise ValueError('x')\n"
+        "    try:\n"
+        "        raise KeyError\n"
+        "    except KeyError as err:\n"
+        "        raise error(str(err)) from err\n"
+        "    except OSError:\n"
+        "        raise\n"
+    )
+    assert builtin_raises(tmp_path) == ["m.py:3", "m.py:5"]
+
+
+def test_no_builtin_exception_is_raised():
+    # every failure reaches the caller as a FlowHazardError subclass
+    assert builtin_raises(PACKAGE) == []

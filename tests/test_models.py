@@ -1,18 +1,24 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from flowhazard.errors import DegenerateData, EmptyInput, SchemaMismatch
+from flowhazard.errors import (
+    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, SchemaMismatch,
+)
 from flowhazard.flowdata import FlowDataset, FlowSchema
 from flowhazard.models import (
     BayesianRidgeParams,
     LinearSVRParams,
     RandomForestParams,
+    TrainReport,
     evaluate_accuracy,
-    model_from_json,
     model_to_json,
     predict_many,
     train,
 )
+from flowhazard.models.forest import ForestState
 
 ALL_KINDS = [
     RandomForestParams(n_trees=30),
@@ -58,6 +64,19 @@ class TestTrain:
                        np.zeros(10))
         with pytest.raises(DegenerateData):
             train(kind, data, seed=0)
+
+    def test_dataset_without_targets_is_degenerate(self):
+        data = separable_toy()
+        model = train(BayesianRidgeParams(), data, seed=0)
+        unlabeled = FlowDataset(data.schema, data.features, data.labels)
+        with pytest.raises(DegenerateData):
+            train(BayesianRidgeParams(), unlabeled, seed=0)
+        with pytest.raises(DegenerateData):
+            evaluate_accuracy(model, unlabeled)
+
+    def test_unknown_kind_is_invalid_spec(self):
+        with pytest.raises(InvalidSpec, match="unsupported regressor kind"):
+            train({"kind": "random_forest"}, separable_toy(), seed=0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_same_seed_byte_identical(self, kind):
@@ -274,30 +293,45 @@ class TestEvaluateAccuracy:
             assert 0.0 <= acc <= 1.0
 
 
+def assert_written_exactly(values, array):
+    """``values``, read from JSON, hold ``array``'s numbers bit for bit."""
+    array = np.asarray(array)
+    assert np.array(values, dtype=array.dtype).tobytes() == array.tobytes()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
-    def test_round_trip_preserves_predictions_bit_exactly(self, kind):
-        data = separable_toy(seed=47)
-        model = train(kind, data, seed=9)
-        text = model_to_json(model)
-        again = model_from_json(text)
-        rng = np.random.default_rng(53)
-        X = rng.normal(size=(40, 2))
-        assert np.array_equal(predict_many(model, X), predict_many(again, X))
-        assert model_to_json(again) == text
-
-    def test_rejects_foreign_documents(self):
-        with pytest.raises(ValueError):
-            model_from_json('{"format": "something-else", "version": 1}')
+    def test_document_holds_the_model_exactly(self, kind):
+        model = train(kind, separable_toy(seed=47), seed=9)
+        report = TrainReport(n_rows=120, train_accuracy=0.975)
+        doc = json.loads(model_to_json(model, report))
+        assert (doc["format"], doc["version"]) == ("flowhazard-model", 1)
+        assert doc["kind"] == kind.kind
+        assert doc["hyperparams"] == asdict(kind)
+        assert_written_exactly(doc["scaling"]["mean"], model.scale_mean)
+        assert_written_exactly(doc["scaling"]["std"], model.scale_std)
+        state = doc["state"]
+        if isinstance(model.state, ForestState):
+            assert len(state["trees"]) == len(model.state.trees)
+            for written, tree in zip(state["trees"], model.state.trees):
+                for field in ("feature", "threshold", "left", "right",
+                              "value"):
+                    assert_written_exactly(written[field],
+                                           getattr(tree, field))
+        else:
+            assert_written_exactly(state["weights"], model.state.weights)
+            assert_written_exactly([state["intercept"]],
+                                   [model.state.intercept])
+        assert doc["train_report"] == asdict(report)
 
 
 class TestHyperparameterValidation:
     def test_bad_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             RandomForestParams(n_trees=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             LinearSVRParams(C=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             LinearSVRParams(epsilon=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidValue):
             BayesianRidgeParams(max_evidence_iters=0)
