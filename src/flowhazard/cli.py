@@ -201,11 +201,13 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
             paths = astuple(read_config(raw, CsvInputs, "inputs"))
             inputs = CsvInputs(*(_require_path(os.path.join(base, p))
                                  for p in paths))
-        experiment = ExperimentConfig.from_json_dict(
-            doc.pop("experiment", None), getattr(args, "seed", None)
-        )
-        return {"inputs": inputs, "synthetic": spec, "experiment": experiment,
-                "schema": _read_schema(doc.pop("schema", None), spec)}
+        given = {"inputs": inputs, "synthetic": spec}
+        if "experiment" in doc:  # if absent, read_config names it
+            given["experiment"] = ExperimentConfig.from_json_dict(
+                doc.pop("experiment"), getattr(args, "seed", None)
+            )
+        given["schema"] = _read_schema(doc.pop("schema", None), spec)
+        return given
 
     cfg = read_config(_load_json(path), PipelineConfig, path, sections)
     emit = getattr(args, "emit", None)
@@ -218,22 +220,22 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
     )
 
 
-def _read_role(path: str, schema: FlowSchema, label: str):
-    """The dataset in the CSV at ``path``, cut to the rows labeled
-    ``label`` when it holds more than one label, and the sanitization
-    report of its parse."""
+def _read_roles(path: str, schema: FlowSchema, *labels: str):
+    """The datasets in the CSV at ``path``, one per label of ``labels``,
+    each cut to the rows with its label when the file holds more than one
+    label, and the sanitization report of the file's one parse."""
     from .flowdata import filter_label, parse_flow_csv
 
     ds = parse_flow_csv(path, schema)
     report = ds.report.to_json_dict()
     if len(set(ds.labels)) > 1:
-        ds = filter_label(ds, label)
-    return ds, report
+        return [filter_label(ds, label) for label in labels], report
+    return [ds] * len(labels), report
 
 
 def _send_role(parent_end, conn, path: str, schema: FlowSchema,
                label: str) -> None:
-    """Child-process body: :func:`_read_role` sent over ``conn``, as the
+    """Child-process body: :func:`_read_roles` sent over ``conn``, as the
     error it raised, or as the labels, parse report, sanitization report
     and matrix shape followed by the feature matrix as raw bytes, written
     straight to the socket.
@@ -245,7 +247,7 @@ def _send_role(parent_end, conn, path: str, schema: FlowSchema,
     later ones are ignored, so none cuts the reply short."""
     parent_end.close()
     try:
-        ds, report = _read_role(path, schema, label)
+        (ds,), report = _read_roles(path, schema, label)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (FlowHazardError, OSError, KeyboardInterrupt) as err:
         conn.send(err)
@@ -257,8 +259,8 @@ def _send_role(parent_end, conn, path: str, schema: FlowSchema,
 
 
 def _receive_role(conn, child, path: str, schema: FlowSchema):
-    """What :func:`_send_role` sent over ``conn``, as :func:`_read_role`
-    returns it; an error it sent is raised here.  The matrix is read
+    """What :func:`_send_role` sent over ``conn``, as one dataset and its
+    report; an error it sent is raised here.  The matrix is read
     straight into the array it is returned in.  A reply cut short by the
     child's death raises :class:`UnusablePath`."""
     import numpy as np
@@ -301,6 +303,8 @@ def _load_role_datasets(cfg: PipelineConfig):
     calling the returned function waits for it and writes a per-role
     sanitization report next to the other artifacts as
     sanitization.json.  Its errors are those of reading the file here.
+    When the benign and known-attack CSVs are one file, it is parsed once
+    and its report given to both roles.
     """
     from .flowdata import filter_label, synthesize_flows
 
@@ -327,13 +331,21 @@ def _load_role_datasets(cfg: PipelineConfig):
     child.start()
     child_end.close()  # so a child that dies unheard reads as EOF here
     reports = {}
+    inputs = cfg.inputs
     try:
-        benign, reports["benign"] = _read_role(
-            cfg.inputs.benign_csv, cfg.schema, cfg.benign_label
-        )
-        pre_attack, reports["pre_attack"] = _read_role(
-            cfg.inputs.pre_attack_csv, cfg.schema, combo.pre_attack
-        )
+        if os.path.samefile(inputs.benign_csv, inputs.pre_attack_csv):
+            (benign, pre_attack), reports["benign"] = _read_roles(
+                inputs.benign_csv, cfg.schema, cfg.benign_label,
+                combo.pre_attack,
+            )
+            reports["pre_attack"] = reports["benign"]
+        else:
+            (benign,), reports["benign"] = _read_roles(
+                inputs.benign_csv, cfg.schema, cfg.benign_label
+            )
+            (pre_attack,), reports["pre_attack"] = _read_roles(
+                inputs.pre_attack_csv, cfg.schema, combo.pre_attack
+            )
     except BaseException:
         child.terminate()
         child.join()

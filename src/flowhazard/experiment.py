@@ -30,7 +30,8 @@ import csv
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,10 +150,16 @@ class ExperimentConfig:
                 )
             if seed is not None:
                 exp["master_seed"] = seed
+            given = {}
+            # an absent section is left to read_config, which names it
+            if "regressor" in exp:
+                given["regressor"] = regressor_from_dict(exp.pop("regressor"))
+            if "combination" in exp:
+                given["combination"] = read_config(
+                    exp.pop("combination"), AttackCombination, "combination"
+                )
             return {
-                "regressor": regressor_from_dict(exp.pop("regressor", None)),
-                "combination": read_config(exp.pop("combination", None),
-                                           AttackCombination, "combination"),
+                **given,
                 "band_low": band[0], "band_high": band[1],
                 "cox_options": read_config(exp.pop("cox", {}),
                                            cls.cox_options, "cox"),
@@ -215,17 +222,34 @@ class ExperimentReport:
     config: ExperimentConfig
     feature_names: tuple[str, ...]
     iterations: tuple[IterationResult | IterationFailure, ...]
-    mean_beta: np.ndarray
-    n_converged: int
+    betas: np.ndarray  # (n_converged, F): beta_full of each converged fit
     pooled_km: KMCurve
     detection_rate: float
-    selected_features: tuple[str, ...]
 
     @property
     def successes(self) -> tuple[IterationResult, ...]:
         return tuple(
             it for it in self.iterations if isinstance(it, IterationResult)
         )
+
+    @property
+    def n_converged(self) -> int:
+        return len(self.betas)
+
+    @cached_property
+    def mean_beta(self) -> np.ndarray:
+        """Per feature, the mean beta of the converged fits (0 if none)."""
+        return self.betas.sum(axis=0) / max(self.n_converged, 1)
+
+    @cached_property
+    def selected_features(self) -> tuple[str, ...]:
+        return select_features(self, self.config.selection)
+
+    def nonzero_fraction(self, min_abs_beta: float) -> np.ndarray:
+        """Per feature, the share of converged fits whose |beta| is at
+        least ``min_abs_beta`` (0 if none converged)."""
+        hits = np.count_nonzero(np.abs(self.betas) >= min_abs_beta, axis=0)
+        return hits / max(self.n_converged, 1)
 
 
 def _draw_indices(
@@ -469,9 +493,6 @@ def run_experiment(
         raise AllIterationsFailed(f"no iteration completed ({details})")
 
     names = post.schema.feature_names
-    betas = _converged_betas(successes, len(names))
-    mean_beta = betas.mean(axis=0) if len(betas) else np.zeros(len(names))
-
     pooled = SurvivalTable(
         *(np.concatenate([getattr(o.table, col) for o in successes])
           for col in ("times", "events", "X")),
@@ -480,18 +501,15 @@ def run_experiment(
     pooled_km = km_fit(pooled)
     detection_rate = int(pooled.events.sum()) / len(pooled)
 
-    report = ExperimentReport(
+    converged = [o.beta_full for o in successes
+                 if o.cox is not None and o.cox.converged]
+    return ExperimentReport(
         config=config,
         feature_names=tuple(names),
         iterations=tuple(outcomes),
-        mean_beta=mean_beta,
-        n_converged=len(betas),
+        betas=np.array(converged).reshape(len(converged), len(names)),
         pooled_km=pooled_km,
         detection_rate=float(detection_rate),
-        selected_features=(),
-    )
-    return replace(
-        report, selected_features=select_features(report, config.selection)
     )
 
 
@@ -500,29 +518,12 @@ def select_features(
 ) -> tuple[str, ...]:
     """Features whose |beta| clears the threshold in enough converged
     fits, ordered by |mean beta| descending."""
-    frac = _nonzero_fraction(report, rule.min_abs_beta)
-    if frac is None:
+    if not report.n_converged:
         return ()
+    frac = report.nonzero_fraction(rule.min_abs_beta)
     picked = np.flatnonzero(frac >= rule.min_fraction).tolist()
     picked.sort(key=lambda j: (-abs(report.mean_beta[j]), j))
     return tuple(report.feature_names[j] for j in picked)
-
-
-def _converged_betas(successes, width: int) -> np.ndarray:
-    """The ``beta_full`` of every converged Cox fit, one row per fit, as
-    an (m, width) matrix."""
-    rows = [o.beta_full for o in successes
-            if o.cox is not None and o.cox.converged]
-    return np.array(rows).reshape(len(rows), width)
-
-
-def _nonzero_fraction(report: ExperimentReport, min_abs_beta: float):
-    """Per feature, the share of converged fits whose |beta| is at least
-    ``min_abs_beta``; None when no fit converged."""
-    betas = _converged_betas(report.successes, len(report.feature_names))
-    if not len(betas):
-        return None
-    return np.mean(np.abs(betas) >= min_abs_beta, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +538,7 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
             ["feature", "mean_beta", "hazard_ratio", "nonzero_fraction",
              "selected"]
         )
-        frac = _nonzero_fraction(report, report.config.selection.min_abs_beta)
-        if frac is None:
-            frac = np.zeros(len(report.feature_names))
+        frac = report.nonzero_fraction(report.config.selection.min_abs_beta)
         chosen = set(report.selected_features)
         for j, name in enumerate(report.feature_names):
             writer.writerow([

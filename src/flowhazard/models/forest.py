@@ -132,15 +132,16 @@ class _TreeBuilder:
             left.append(-1)
             right.append(-1)
             y = self.y[idx]
+            total = float(y.sum())  # 0/1 targets: pure at 0 or idx.size
             split = None
             if not (
                 (self.max_depth is not None and depth >= self.max_depth)
                 or idx.size < 2 * self.min_leaf
-                or y.min() == y.max()
+                or total in (0.0, idx.size)
             ):
-                split = self._best_split(idx, y)
+                split = self._best_split(idx, y, total)
             if split is None:
-                value.append(float(y.mean()))
+                value.append(total / idx.size)
                 continue
             value.append(0.0)
             feat, thr = split
@@ -165,9 +166,8 @@ class _TreeBuilder:
         picked = self.rng.choice(n_features, size=self.mtry, replace=False)
         return np.sort(picked)
 
-    def _best_split(self, idx: np.ndarray, y: np.ndarray):
+    def _best_split(self, idx: np.ndarray, y: np.ndarray, total: float):
         feats = self._candidate_features()
-        total = float(y.sum())
         if idx.size > _BIG_NODE:
             return self._split_by_bins(idx, y, feats, total)
         return self._split_by_sort(idx, y, feats, total)

@@ -374,6 +374,45 @@ class TestPipelineCommand:
             assert role["rows_kept"] == 300
             assert role["nonfinite_dropped"] == 0
 
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_one_file_for_both_known_roles_is_parsed_once(
+            self, workspace, tmp_path, monkeypatch, command):
+        from flowhazard import flowdata
+
+        csv_config = csv_workspace(workspace, tmp_path)
+        csvs = tmp_path / "csvs"
+        # one file holds the benign and the known-attack rows
+        known = (csvs / "dos_ish.csv").read_text().splitlines(True)[1:]
+        joined = (csvs / "benign.csv").read_text() + "".join(known)
+        (csvs / "known.csv").write_text(joined)
+        (csvs / "copy.csv").write_text(joined)
+        config = json.loads(csv_config.read_text())
+        config["inputs"]["benign_csv"] = str(csvs / "known.csv")
+        parse = flowdata.parse_flow_csv
+        parent = os.getpid()
+        outputs = {}
+        # the same file spelt another way, then a copy of it
+        for run, pre_attack in (("shared", "known.csv"),
+                                ("copies", "copy.csv")):
+            config["inputs"]["pre_attack_csv"] = os.path.join(
+                str(csvs), ".", pre_attack)
+            csv_config.write_text(json.dumps(config))
+            parsed = []
+
+            def counting_parse(source, schema):
+                if os.getpid() == parent:
+                    parsed.append(source)
+                return parse(source, schema)
+
+            monkeypatch.setattr(flowdata, "parse_flow_csv", counting_parse)
+            out = tmp_path / run
+            assert main([command, "--config", str(csv_config),
+                         "--out", str(out)]) == 0
+            assert len(parsed) == (1 if run == "shared" else 2), parsed
+            outputs[run] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "sanitization.json" in outputs["shared"]
+        assert outputs["shared"] == outputs["copies"]
+
     def test_rows_per_class_beside_csv_paths_is_invalid_spec(
             self, workspace, tmp_path, capsys):
         csv_config = csv_workspace(workspace, tmp_path)
@@ -546,14 +585,14 @@ class TestNovelAttackReader:
 
         csv_config = csv_workspace(workspace, tmp_path)
         parent = os.getpid()
-        read_role = cli._read_role
+        read_roles = cli._read_roles
 
-        def dying_read_role(*args):
+        def dying_read_roles(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return read_role(*args)
+            return read_roles(*args)
 
-        monkeypatch.setattr(cli, "_read_role", dying_read_role)
+        monkeypatch.setattr(cli, "_read_roles", dying_read_roles)
         assert main(["train", "--config", str(csv_config)]) == 2
         err = only_error_line(capsys)
         assert err["error"] == "UnusablePath"
@@ -571,7 +610,7 @@ class TestNovelAttackReader:
 
         def dying_send_role(parent_end, conn, path, schema, label):
             parent_end.close()
-            ds, report = cli._read_role(path, schema, label)
+            (ds,), report = cli._read_roles(path, schema, label)
             conn.send((ds.labels, ds.report, report, ds.features.shape))
             if sent == "half_the_matrix":
                 raw = ds.features.tobytes()
@@ -999,11 +1038,18 @@ class TestConfigMutations:
         assert err["error"] == "InvalidSpec"
         assert f"unknown key {misspelt!r}" in err["message"]
 
-    @pytest.mark.parametrize("path, named", [
-        (("inputs",), ("benign_csv", "synthetic_spec")),
-        (("experiment", "combination", "post_attack"), ("post_attack",)),
-    ], ids=["inputs", "post_attack"])
-    def test_missing_key_is_named(self, mutation_dir, capsys, path, named):
+    @pytest.mark.parametrize("path, says", [
+        (("inputs",), ("'benign_csv'", "'synthetic_spec'")),
+        (("experiment", "combination", "post_attack"),
+         ("missing key 'post_attack' in 'combination'",)),
+        (("experiment",), ("missing key 'experiment' in ",)),
+        (("experiment", "combination"),
+         ("missing key 'combination' in 'experiment'",)),
+        (("experiment", "regressor"),
+         ("missing key 'regressor' in 'experiment'",)),
+    ], ids=["inputs", "post_attack", "experiment", "combination",
+            "regressor"])
+    def test_missing_key_is_named(self, mutation_dir, capsys, path, says):
         config = json.loads(json.dumps(_MUTATED_CONFIG))
         del _at(config, path[:-1])[path[-1]]
         config_path = mutation_dir / "missing.json"
@@ -1011,10 +1057,12 @@ class TestConfigMutations:
         assert main(["pipeline", "--config", str(config_path)]) == 2
         err = only_error_line(capsys)
         assert err["error"] == "InvalidSpec"
-        for key in named:
-            assert repr(key) in err["message"]
+        for phrase in says:
+            assert phrase in err["message"]
         # the message speaks of config keys, not of the classes behind them
-        for word in ("__init__", "Inputs", "Combination", "positional"):
+        # or of the None an absent section reads as
+        for word in ("__init__", "Inputs", "Combination", "positional",
+                     "None"):
             assert word not in err["message"]
 
     def test_negative_seed_flag_is_invalid_spec(self, mutation_dir, capsys):

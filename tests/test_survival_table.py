@@ -110,6 +110,31 @@ class TestReader:
         assert table.events.tolist() == [1, 0]
         assert table.X.tolist() == [[0.5], [0.25]]
 
+    @pytest.mark.parametrize("as_path", [True, False],
+                             ids=["path", "handle"])
+    @pytest.mark.parametrize("text, first", [
+        ("sequence_id,time,event,x\n0,1,1,0.5\n1,2,0,0.25\n", ("x",)),
+        ('"sequence_id",time,event,x\r\n0,1,1,0.5\r\n', ("x",)),
+        ("", EmptyInput),
+    ], ids=["plain", "quoted_crlf", "empty"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text, first,
+                                                as_path):
+        def read(text):
+            if as_path:
+                path = tmp_path / "table.csv"
+                path.write_bytes(text.encode("utf-8"))
+                return _read_outcome(read_survival_table, str(path))
+            return _read_outcome(read_survival_table, io.StringIO(text))
+
+        assert read("\ufeff" + text) == read(text)
+        assert read(text)[0] == first
+
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_binary_handle_is_a_typed_error(self, mark):
+        text = mark + "sequence_id,time,event,x\n0,1,1,0.5\n"
+        with pytest.raises(InvalidValue, match="header: .*text mode"):
+            read_survival_table(io.BytesIO(text.encode("utf-8")))
+
 
 # floats whose text form is easy to get wrong: signed zero, subnormals,
 # the largest magnitudes and integral values
