@@ -14,8 +14,10 @@ code: 2 input error, 3 numerical failure, 4 accuracy-gate failure.
 ``FLOWHAZARD_LOG`` selects log verbosity (error, info, debug).
 
 Each command imports the modules it runs when it runs, so ``--help``
-loads no numpy and ``cox`` and ``km`` never load the classifiers, flow
-ingest or ``numpy.random``.
+loads no numpy, ``dataclasses`` or ``logging``, and ``cox`` and ``km``
+never load the classifiers, flow ingest, the pipeline config
+(:mod:`flowhazard.config`) or ``numpy.random``.  This module loads
+``logging`` only when ``FLOWHAZARD_LOG`` asks for info or debug.
 
 The ``flowhazard`` entry point (:func:`entrypoint`) runs its one command
 with the cycle collector off and freezes the collector's objects before
@@ -28,44 +30,45 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import signal
 import sys
-from dataclasses import astuple, dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import (
-    EXIT_OK,
-    FlowHazardError,
-    InvalidSpec,
-    MissingInput,
-    UnusablePath,
-    check_fields,
-    read_config,
-)
+from .errors import EXIT_OK, FlowHazardError, MissingInput, UnusablePath
 
 if TYPE_CHECKING:  # annotations only
-    from .experiment import ExperimentConfig
-    from .flowdata import FlowSchema, SyntheticSpec
+    from .config import PipelineConfig
+    from .flowdata import FlowSchema
 
-log = logging.getLogger("flowhazard")
+# the artifacts `pipeline` writes, and the default of the config's `emit`
+EMIT_CHOICES = ("km", "cox", "json", "svg")
 
-_EMIT_CHOICES = ("km", "cox", "json", "svg")
 
-
-def _configure_logging():
+def _configure_logging() -> bool:
+    """Send log records at the level ``FLOWHAZARD_LOG`` names to stderr,
+    and say whether it named ``info`` or ``debug``.  At ``error``, the
+    default, nothing is logged, so ``logging`` is not loaded."""
     level = os.environ.get("FLOWHAZARD_LOG", "error").strip().lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}
+    if level not in ("info", "debug"):
+        return False
+    import logging
+
     logging.basicConfig(
-        level=levels.get(level, logging.ERROR),
+        level=level.upper(),
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    return True
 
 
-def _fail(err: FlowHazardError) -> int:
+def _fail(err: FlowHazardError, verbose: bool) -> int:
+    """Print ``err`` as one JSON line on stderr and return its exit code;
+    when ``verbose``, log the traceback being handled first (at debug)."""
+    if verbose:
+        import logging
+
+        logging.getLogger("flowhazard").debug("command failed", exc_info=True)
     payload = {"error": err.kind, "message": str(err),
                "exit_code": err.exit_code}
     if hasattr(err, "achieved"):
@@ -81,143 +84,10 @@ def _require_path(path: str) -> str:
     return path
 
 
-def _load_json(path: str) -> dict:
-    """The JSON object in the file at ``path``."""
-    with open(_require_path(path)) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:
-            raise InvalidSpec(f"{path}: not valid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec(
-            f"{path}: expected a JSON object, got {type(doc).__name__}"
-        )
-    return doc
-
-
 def _dump_json(obj: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-@dataclass(frozen=True)
-class SyntheticInputs:
-    """``inputs`` drawn from a synthetic spec."""
-
-    synthetic_spec: str
-    rows_per_class: int = 1000
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class CsvInputs:
-    """``inputs`` read from one flow CSV per role."""
-
-    benign_csv: str
-    pre_attack_csv: str
-    post_attack_csv: str
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class SchemaColumns:
-    """A ``schema`` given by its columns."""
-
-    features: tuple[str, ...]
-    label_column: str | None = None  # None: FlowSchema's default
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-def _read_schema(raw, spec: SyntheticSpec | None) -> FlowSchema:
-    """The flow schema of the ``schema`` section ``raw``: absent, the spec's
-    or CIC-IDS2017's; beside a synthetic spec, the spec's."""
-    from .flowdata import FlowSchema, cicids2017_schema
-
-    if raw is None:
-        return spec.schema if spec is not None else cicids2017_schema()
-    if isinstance(raw, dict) and "preset" in raw:
-        if raw != {"preset": "cicids2017"}:
-            raise InvalidSpec(f"the schema preset is 'cicids2017' and takes "
-                              f"no other key, got {raw!r}")
-        schema = cicids2017_schema()
-    else:
-        columns = read_config(raw, SchemaColumns, "schema")
-        schema = FlowSchema(*(v for v in astuple(columns) if v is not None))
-    if spec is not None and schema != spec.schema:
-        raise InvalidSpec(f"schema must be the synthetic spec's, {spec.schema}")
-    return schema
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """A pipeline config, its input paths resolved and the synthetic spec
-    that ``inputs`` names loaded (None for CSV inputs)."""
-
-    inputs: SyntheticInputs | CsvInputs
-    synthetic: SyntheticSpec | None
-    schema: FlowSchema
-    experiment: ExperimentConfig
-    output_dir: str = "."
-    emit: tuple[str, ...] = _EMIT_CHOICES
-    benign_label: str = "BENIGN"
-
-    def __post_init__(self):
-        check_fields(self)
-        bad = set(self.emit) - set(_EMIT_CHOICES)
-        if bad:
-            raise InvalidSpec(f"unknown emit flags {sorted(bad)}")
-
-
-def load_pipeline_config(path: str, args) -> PipelineConfig:
-    """The config in the file at ``path``, with the ``--seed``, ``--out``
-    and ``--emit`` flags of ``args`` applied."""
-    from .experiment import ExperimentConfig
-    from .flowdata import SyntheticSpec
-
-    # paths inside the config resolve relative to the config file itself;
-    # the --out flag stays relative to the working directory
-    base = os.path.dirname(os.path.abspath(path))
-
-    def sections(doc: dict) -> dict:
-        raw, spec = doc.pop("inputs", None), None
-        if raw is None:
-            raise InvalidSpec("'inputs' needs 'synthetic_spec', or "
-                              "'benign_csv', 'pre_attack_csv' and "
-                              "'post_attack_csv'")
-        # one key picks the form, so a key of the other form is unknown
-        if isinstance(raw, dict) and "synthetic_spec" in raw:
-            inputs = read_config(raw, SyntheticInputs, "inputs")
-            spec = SyntheticSpec.from_json_dict(
-                _load_json(os.path.join(base, inputs.synthetic_spec))
-            )
-        else:
-            paths = astuple(read_config(raw, CsvInputs, "inputs"))
-            inputs = CsvInputs(*(_require_path(os.path.join(base, p))
-                                 for p in paths))
-        given = {"inputs": inputs, "synthetic": spec}
-        if "experiment" in doc:  # if absent, read_config names it
-            given["experiment"] = ExperimentConfig.from_json_dict(
-                doc.pop("experiment"), getattr(args, "seed", None)
-            )
-        given["schema"] = _read_schema(doc.pop("schema", None), spec)
-        return given
-
-    cfg = read_config(_load_json(path), PipelineConfig, path, sections)
-    emit = getattr(args, "emit", None)
-    return replace(
-        cfg,
-        output_dir=(getattr(args, "out", None)
-                    or os.path.join(base, cfg.output_dir)),
-        emit=(tuple(e.strip() for e in emit.split(",") if e.strip())
-              if emit else cfg.emit),
-    )
 
 
 def _read_roles(path: str, schema: FlowSchema, *labels: str):
@@ -298,13 +168,13 @@ def _load_role_datasets(cfg: PipelineConfig):
     """Benign and known-attack datasets per the config, and a function
     that returns the novel-attack dataset.
 
-    When the inputs are CSV files, a child process reads the novel-attack
-    CSV, the largest input, while the caller trains on the other two;
-    calling the returned function waits for it and writes a per-role
-    sanitization report next to the other artifacts as
-    sanitization.json.  Its errors are those of reading the file here.
-    When the benign and known-attack CSVs are one file, it is parsed once
-    and its report given to both roles.
+    When the inputs are CSV files, each file is parsed once, its
+    sanitization report given to every role it is named for, and the
+    reports are written next to the other artifacts as sanitization.json
+    when the returned function is called.  When the novel-attack CSV,
+    the largest input, is named for no other role, a child process reads
+    it while the caller trains on the other two; the returned function
+    waits for it, and its errors are those of reading the file here.
     """
     from .flowdata import filter_label, synthesize_flows
 
@@ -319,64 +189,69 @@ def _load_role_datasets(cfg: PipelineConfig):
         post = filter_label(pool, combo.post_attack)
         return benign, pre_attack, lambda: post
 
-    import multiprocessing
-
-    post_path = cfg.inputs.post_attack_csv
-    # a socket pair: the matrix moves through it faster than through a pipe
-    conn, child_end = multiprocessing.Pipe(duplex=True)
-    child = multiprocessing.Process(
-        target=_send_role, daemon=True,
-        args=(conn, child_end, post_path, cfg.schema, combo.post_attack),
-    )
-    child.start()
-    child_end.close()  # so a child that dies unheard reads as EOF here
-    reports = {}
     inputs = cfg.inputs
+    post_path = inputs.post_attack_csv
+    roles = {"benign": (inputs.benign_csv, cfg.benign_label),
+             "pre_attack": (inputs.pre_attack_csv, combo.pre_attack),
+             "post_attack": (post_path, combo.post_attack)}
+    # the roles named for each file, by its first path
+    files: dict[str, list[str]] = {}
+    for role, (path, _) in roles.items():
+        first = next((p for p in files if os.path.samefile(p, path)), path)
+        files.setdefault(first, []).append(role)
+    child = None
+    if files.get(post_path) == ["post_attack"]:
+        import multiprocessing
+
+        del files[post_path]
+        # a socket pair: the matrix moves through it faster than through a pipe
+        conn, child_end = multiprocessing.Pipe(duplex=True)
+        child = multiprocessing.Process(
+            target=_send_role, daemon=True,
+            args=(conn, child_end, post_path, cfg.schema, combo.post_attack),
+        )
+        child.start()
+        child_end.close()  # so a child that dies unheard reads as EOF here
+    datasets, reports = {}, {}
     try:
-        if os.path.samefile(inputs.benign_csv, inputs.pre_attack_csv):
-            (benign, pre_attack), reports["benign"] = _read_roles(
-                inputs.benign_csv, cfg.schema, cfg.benign_label,
-                combo.pre_attack,
-            )
-            reports["pre_attack"] = reports["benign"]
-        else:
-            (benign,), reports["benign"] = _read_roles(
-                inputs.benign_csv, cfg.schema, cfg.benign_label
-            )
-            (pre_attack,), reports["pre_attack"] = _read_roles(
-                inputs.pre_attack_csv, cfg.schema, combo.pre_attack
-            )
+        for path, named in files.items():
+            found, report = _read_roles(path, cfg.schema,
+                                        *(roles[r][1] for r in named))
+            datasets.update(zip(named, found))
+            reports.update(dict.fromkeys(named, report))
     except BaseException:
-        child.terminate()
-        child.join()
-        conn.close()
+        if child is not None:
+            child.terminate()
+            child.join()
+            conn.close()
         raise
 
     def load_post():
-        try:
-            post, reports["post_attack"] = _receive_role(
-                conn, child, post_path, cfg.schema
-            )
-        except BaseException:
-            child.terminate()
-            raise
-        finally:
-            child.join()
-            conn.close()
+        if child is not None:
+            try:
+                datasets["post_attack"], reports["post_attack"] = (
+                    _receive_role(conn, child, post_path, cfg.schema)
+                )
+            except BaseException:
+                child.terminate()
+                raise
+            finally:
+                child.join()
+                conn.close()
         os.makedirs(cfg.output_dir, exist_ok=True)
         _dump_json(reports, os.path.join(cfg.output_dir, "sanitization.json"))
-        return post
+        return datasets["post_attack"]
 
-    return benign, pre_attack, load_post
+    return datasets["benign"], datasets["pre_attack"], load_post
 
 
 def cmd_synth(args) -> int:
-    from .flowdata import (
-        SyntheticSpec, filter_label, serialize_flow_csv, synthesize_flows,
-    )
+    from .config import SyntheticInputs, load_synthetic_spec
+    from .flowdata import filter_label, serialize_flow_csv, synthesize_flows
 
-    spec = SyntheticSpec.from_json_dict(_load_json(args.spec))
-    dataset = synthesize_flows(spec, args.n, seed=args.seed)
+    spec = load_synthetic_spec(args.spec)
+    n = getattr(args, "n", SyntheticInputs.rows_per_class)
+    dataset = synthesize_flows(spec, n, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     written = []
     for label in spec.classes:
@@ -393,6 +268,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .config import load_pipeline_config
     from .experiment import train_on_split
     from .models import TrainReport, evaluate_accuracy, model_to_json
 
@@ -429,6 +305,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    import logging  # loaded with experiment
+
+    from .config import load_pipeline_config
     from .experiment import (
         aggregate_cox_to_csv, report_to_json_dict, run_experiment,
     )
@@ -437,7 +316,7 @@ def cmd_pipeline(args) -> int:
 
     cfg = load_pipeline_config(args.config, args)
     benign, pre_attack, load_post = _load_role_datasets(cfg)
-    log.info(
+    logging.getLogger("flowhazard").info(
         "running experiment: %d iterations x %d sequences",
         cfg.experiment.n_iterations, cfg.experiment.n_sequences,
     )
@@ -533,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic flow CSVs per class")
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
-    p.add_argument("--n", type=int, default=SyntheticInputs.rows_per_class,
+    # an absent flag takes the SyntheticInputs default
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS,
                    help="rows per class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
@@ -551,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument(
         "--emit", default=None,
-        help=f"comma-separated artifact flags: {','.join(_EMIT_CHOICES)}",
+        help=f"comma-separated artifact flags: {','.join(EMIT_CHOICES)}",
     )
     p.set_defaults(func=cmd_pipeline)
 
@@ -574,21 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    verbose = _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except FlowHazardError as err:
-        log.debug("command failed", exc_info=True)
-        return _fail(err)
+        return _fail(err, verbose)
     except OSError as err:
         # an input that cannot be opened or an output that cannot be
         # created, such as a directory given as a file or the reverse
         if err.filename is None:
             raise
-        log.debug("command failed", exc_info=True)
-        return _fail(UnusablePath(f"{err.filename}: {err.strerror}"))
+        return _fail(UnusablePath(f"{err.filename}: {err.strerror}"),
+                     verbose)
 
 
 def entrypoint() -> None:

@@ -83,19 +83,23 @@ def _plain_block(lines, feat_idx, label_idx=None, n_cells=None):
     would split at each comma is read here: no quote or NUL, no carriage
     return but in a ``"\r\n"`` line end, no blank line, no line long
     enough to hit the csv field limit, and, when ``n_cells`` is given, that
-    many cells on every line.  The C reader converts each cell with the
-    same ``PyOS_string_to_double`` as ``float``; any cell it rejects
-    (``float`` accepts underscores and non-ASCII digits) sends the chunk
-    back to the csv path.  ``labels`` is None without a ``label_idx``.
+    many cells on every line.  The cells are counted by the chunk's
+    commas, so a line with a cell too many passes when another lacks one;
+    the short line has no last cell, so the C reader rejects it when the
+    last cell is one it reads (in ``feat_idx`` or ``label_idx``).  The C
+    reader converts each cell with the same ``PyOS_string_to_double`` as
+    ``float``; any cell it rejects (``float`` accepts underscores and
+    non-ASCII digits) sends the chunk back to the csv path.  ``labels``
+    is None without a ``label_idx``.
     """
     text = "".join(lines)
+    limit = csv.field_size_limit()
     if ('"' in text or "\0" in text
             or "\r" in text and text.count("\r") != text.count("\r\n")
             or not all(map(str.strip, lines))
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    if n_cells is not None and set(
-            map(str.count, lines, itertools.repeat(","))) != {n_cells - 1}:
+            or len(text) > limit and max(map(len, lines)) > limit
+            or n_cells is not None
+            and text.count(",") != len(lines) * (n_cells - 1)):
         return None
     fields = [("x", np.float64, (len(feat_idx),))]
     usecols = [*feat_idx]

@@ -2,10 +2,10 @@
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 documented exit codes: 2 for input problems, 3 for numerical failures,
-4 for a failed training-accuracy gate.
+4 for a failed training-accuracy gate.  The config checks import
+``dataclasses`` when they run, so importing this module does not.
 """
 
-import dataclasses
 import math
 import numbers
 
@@ -116,6 +116,8 @@ def check_fields(obj) -> None:
     or integer too large for a float as a ``float``.  The annotations
     must be strings (``from __future__ import annotations``).  Raises
     :class:`InvalidValue` naming the field."""
+    import dataclasses
+
     for field in dataclasses.fields(obj):
         kind, _, none = field.type.partition(" | ")
         value = getattr(obj, field.name)
@@ -146,6 +148,8 @@ def read_config(raw, config, name: str, read=None, renamed=()):
     A non-object, an unknown key, an absent key of a field with no
     default and an :class:`InvalidValue` from the dataclass raise
     :class:`InvalidSpec` naming the key."""
+    import dataclasses
+
     if not isinstance(raw, dict):
         raise InvalidSpec(f"{name!r} must be an object, got {raw!r}")
     fields = dataclasses.fields(config)

@@ -737,19 +737,16 @@ def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
 
 
 def km_to_csv(curve: KMCurve, sink) -> None:
-    """One row per distinct observed time (events and censorings)."""
+    """One row per distinct observed time (events and censorings), floats
+    written by ``repr``: the bytes the csv module would write, since no
+    cell needs quoting."""
+    rows = zip(curve.times.tolist(), curve.n_risk.tolist(),
+               curve.n_event.tolist(), curve.n_censored.tolist(),
+               curve.survival.tolist(), curve.greenwood_var.tolist())
     with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time", "n_risk", "n_event", "n_censored", "survival",
-             "greenwood_var"]
-        )
-        writer.writerows(zip(
-            map(repr, curve.times.tolist()), curve.n_risk.tolist(),
-            curve.n_event.tolist(), curve.n_censored.tolist(),
-            map(repr, curve.survival.tolist()),
-            map(repr, curve.greenwood_var.tolist()),
-        ))
+        fh.write("time,n_risk,n_event,n_censored,survival,greenwood_var\r\n")
+        fh.writelines(f"{t!r},{r},{e},{c},{s!r},{v!r}\r\n"
+                      for t, r, e, c, s, v in rows)
 
 
 def cox_to_csv(model: CoxModel, sink) -> None:

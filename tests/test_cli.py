@@ -8,6 +8,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowhazard
-from flowhazard.cli import _load_role_datasets, load_pipeline_config, main
+from flowhazard.cli import _load_role_datasets, main
+from flowhazard.config import load_pipeline_config
 from flowhazard.experiment import (
     ExperimentConfig, run_iteration, train_on_split,
 )
@@ -377,41 +379,66 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("command", ["pipeline", "train"])
     def test_one_file_for_both_known_roles_is_parsed_once(
             self, workspace, tmp_path, monkeypatch, command):
+        # also one file for all three roles, and one for the benign and
+        # the novel-attack role: each is parsed once, in this process
         from flowhazard import flowdata
 
         csv_config = csv_workspace(workspace, tmp_path)
         csvs = tmp_path / "csvs"
-        # one file holds the benign and the known-attack rows
-        known = (csvs / "dos_ish.csv").read_text().splitlines(True)[1:]
-        joined = (csvs / "benign.csv").read_text() + "".join(known)
-        (csvs / "known.csv").write_text(joined)
-        (csvs / "copy.csv").write_text(joined)
-        config = json.loads(csv_config.read_text())
-        config["inputs"]["benign_csv"] = str(csvs / "known.csv")
+        lines = {name: (csvs / f"{name}.csv").read_text().splitlines(True)
+                 for name in ("benign", "dos_ish", "web_ish")}
         parse = flowdata.parse_flow_csv
-        parent = os.getpid()
-        outputs = {}
-        # the same file spelt another way, then a copy of it
-        for run, pre_attack in (("shared", "known.csv"),
-                                ("copies", "copy.csv")):
-            config["inputs"]["pre_attack_csv"] = os.path.join(
-                str(csvs), ".", pre_attack)
-            csv_config.write_text(json.dumps(config))
-            parsed = []
+        parsed = tmp_path / "parsed.txt"
+        started = []
+        start = multiprocessing.Process.start
 
-            def counting_parse(source, schema):
-                if os.getpid() == parent:
-                    parsed.append(source)
-                return parse(source, schema)
+        def counting_parse(source, schema):
+            with open(parsed, "a") as fh:  # a forked child writes here too
+                fh.write(f"{os.getpid()}\n")
+            return parse(source, schema)
 
-            monkeypatch.setattr(flowdata, "parse_flow_csv", counting_parse)
-            out = tmp_path / run
-            assert main([command, "--config", str(csv_config),
-                         "--out", str(out)]) == 0
-            assert len(parsed) == (1 if run == "shared" else 2), parsed
-            outputs[run] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert "sanitization.json" in outputs["shared"]
-        assert outputs["shared"] == outputs["copies"]
+        def counting_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(flowdata, "parse_flow_csv", counting_parse)
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        config = json.loads(csv_config.read_text())
+        keys = ("benign_csv", "pre_attack_csv", "post_attack_csv")
+        # the classes in each role's file
+        for n, layout in enumerate((
+                (("benign", "dos_ish"),) * 2 + (("web_ish",),),
+                (("benign", "dos_ish", "web_ish"),) * 3,
+                (("benign", "web_ish"), ("dos_ish",), ("benign", "web_ish")))):
+            outputs = {}
+            # one file per distinct class list, then a copy per role
+            for run in ("shared", "copies"):
+                folder = csvs / run
+                folder.mkdir(exist_ok=True)
+                for i, (key, names) in enumerate(zip(keys, layout)):
+                    name = "+".join(names) if run == "shared" else key
+                    (folder / f"{name}.csv").write_text(
+                        lines[names[0]][0]
+                        + "".join(line for c in names for line in lines[c][1:])
+                    )
+                    # the same file spelt another way for each role
+                    config["inputs"][key] = os.path.join(
+                        str(folder), *["."] * i, f"{name}.csv")
+                csv_config.write_text(json.dumps(config))
+                parsed.unlink(missing_ok=True)
+                started.clear()
+                out = tmp_path / f"{run}{n}"
+                assert main([command, "--config", str(csv_config),
+                             "--out", str(out)]) == 0
+                files = len(set(layout)) if run == "shared" else 3
+                child = run == "copies" or layout.count(layout[2]) == 1
+                pids = parsed.read_text().split()
+                assert len(pids) == files, pids
+                assert pids.count(str(os.getpid())) == files - child
+                assert len(started) == child
+                outputs[run] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert "sanitization.json" in outputs["shared"]
+            assert outputs["shared"] == outputs["copies"]
 
     def test_rows_per_class_beside_csv_paths_is_invalid_spec(
             self, workspace, tmp_path, capsys):
@@ -451,22 +478,77 @@ class TestPipelineCommand:
         assert ExperimentConfig.from_json_dict(report["config"]) == run
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this flowhazard."""
+def run_python(code: str, log=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this flowhazard, with
+    ``FLOWHAZARD_LOG`` set to ``log`` (unset when None)."""
     env = dict(os.environ)
+    env.pop("FLOWHAZARD_LOG", None)
+    if log is not None:
+        env["FLOWHAZARD_LOG"] = log
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(flowhazard.__file__))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
-def run_cli(argv) -> subprocess.CompletedProcess:
-    """``flowhazard argv`` in a fresh interpreter that prints the child
-    processes still running when the command returns."""
+def run_cli(argv, log=None) -> subprocess.CompletedProcess:
+    """``flowhazard argv`` in a fresh interpreter, ``FLOWHAZARD_LOG`` set
+    to ``log``, that prints the child processes still running when the
+    command returns."""
     return run_python(
         "import multiprocessing, sys; from flowhazard.cli import main; "
         f"rc = main({[str(a) for a in argv]!r}); "
-        "print(multiprocessing.active_children()); sys.exit(rc)"
+        "print(multiprocessing.active_children()); sys.exit(rc)",
+        log,
     )
+
+
+class TestLogLevel:
+    """``FLOWHAZARD_LOG`` selects what stderr holds besides a failure's
+    JSON line: ``LEVEL name: message`` records from ``info`` on, and from
+    ``debug`` the traceback of the failure too."""
+
+    def test_info_logs_the_run_and_each_iteration(self, workspace):
+        _, config_path, _ = workspace
+        out = run_cli(["pipeline", "--config", config_path], log="info")
+        assert out.returncode == 0, out.stderr
+        lines = out.stderr.splitlines()
+        assert lines[0] == ("INFO flowhazard: running experiment: "
+                            "2 iterations x 10 sequences")
+        assert len(lines) == 3, lines
+        for i, line in enumerate(lines[1:]):
+            assert re.fullmatch(
+                rf"INFO flowhazard\.experiment: iteration {i}: holdout "
+                r"accuracy \d\.\d{4}, \d+/10 events, cox converged=\w+ "
+                r"in \d+ steps", line), line
+
+    @pytest.mark.parametrize("table, raised", [
+        ("absent.csv", "flowhazard.errors.MissingInput: input path does "
+                       "not exist: "),
+        (".", "IsADirectoryError: [Errno 21] Is a directory: "),
+    ], ids=["missing", "directory"])
+    def test_debug_logs_the_traceback_of_a_failure(self, tmp_path, table,
+                                                   raised):
+        out = run_cli(["km", "--table", tmp_path / table], log="debug")
+        assert out.returncode == 2
+        lines = out.stderr.splitlines()
+        assert lines[:2] == ["DEBUG flowhazard: command failed",
+                             "Traceback (most recent call last):"]
+        assert lines[-2].startswith(raised), lines[-2]
+        assert json.loads(lines[-1])["exit_code"] == 2
+
+    @pytest.mark.parametrize("log", [None, "error"], ids=["unset", "error"])
+    def test_error_level_leaves_only_the_json_line(self, workspace, tmp_path,
+                                                   log):
+        _, config_path, _ = workspace
+        out = run_cli(["pipeline", "--config", config_path], log=log)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        out = run_cli(["km", "--table", tmp_path / "absent.csv"], log=log)
+        assert out.returncode == 2
+        assert [json.loads(line) for line in out.stderr.splitlines()] == [{
+            "error": "MissingInput", "exit_code": 2,
+            "message": f"input path does not exist: {tmp_path / 'absent.csv'}",
+        }]
 
 
 def spoil(path, fault):

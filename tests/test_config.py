@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhazard.cli import (
+from flowhazard.config import (
     CsvInputs,
     PipelineConfig,
     SchemaColumns,

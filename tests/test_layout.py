@@ -1,9 +1,10 @@
-"""The package layout: every module imports on its own, the survival
-commands load only the survival code and no ``numpy.random``, only a
-CSV-input pipeline or train loads ``multiprocessing``, the README
-library example runs against the modules it names, the README's
-config defaults are the dataclasses' own, and no code raises a builtin
-exception class."""
+"""The package layout: every module imports on its own, importing the
+CLI and ``--help`` load no numpy, ``dataclasses`` or ``logging``, the
+survival commands load only the survival code and no ``numpy.random``
+or ``logging``, only a CSV-input pipeline or train loads
+``multiprocessing``, the README library example runs against the
+modules it names, the README's config defaults are the dataclasses'
+own, and no code raises a builtin exception class."""
 
 import ast
 import builtins
@@ -30,8 +31,10 @@ MODULES = sorted(
 
 
 def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this flowhazard."""
+    """``code`` in a fresh interpreter that imports this flowhazard, with
+    ``FLOWHAZARD_LOG`` unset."""
     env = dict(os.environ)
+    env.pop("FLOWHAZARD_LOG", None)
     env["PYTHONPATH"] = str(PACKAGE.parent)
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True)
@@ -51,6 +54,7 @@ def test_module_imports_on_its_own(module):
     (["km", "--svg"], ["csvio", "errors", "survival", "svgplot"]),
 ], ids=["cox", "km"])
 def test_survival_commands_load_no_classifier(tmp_path, argv, loaded):
+    # nor, with FLOWHAZARD_LOG unset, logging or the pipeline config
     from flowhazard.survival import SurvivalTable, write_survival_table
 
     table = tmp_path / "table.csv"
@@ -65,13 +69,28 @@ def test_survival_commands_load_no_classifier(tmp_path, argv, loaded):
         f"assert cli.main({args!r}) == 0; "
         "print('multiprocessing' in sys.modules); "
         "print('numpy.random' in sys.modules); "
+        "print('logging' in sys.modules); "
         "print(sorted(m for m in sys.modules if m.startswith('flowhazard')))"
     )
     assert out.returncode == 0, out.stderr
     expected = ["flowhazard", "flowhazard.cli"]
     expected += [f"flowhazard.{m}" for m in loaded]
-    assert out.stdout.splitlines()[-3:] == ["False", "False",
+    assert out.stdout.splitlines()[-4:] == ["False", "False", "False",
                                             repr(sorted(expected))]
+
+
+@pytest.mark.parametrize("code", [
+    "import flowhazard.cli",
+    "from flowhazard.cli import main\n"
+    "try:\n    main(['--help'])\nexcept SystemExit as done:\n"
+    "    assert done.code == 0",
+], ids=["import", "help"])
+def test_cli_import_and_help_load_no_numpy_dataclasses_or_logging(code):
+    out = run_python(code + "\nimport sys\n"
+                     "print([m for m in ('numpy', 'dataclasses', 'logging') "
+                     "if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_import_loads_no_multiprocessing():
@@ -123,7 +142,7 @@ def field_defaults(cls) -> dict:
 
 
 def test_readme_config_defaults_are_the_field_defaults():
-    from flowhazard.cli import PipelineConfig, SyntheticInputs
+    from flowhazard.config import PipelineConfig, SyntheticInputs
     from flowhazard.experiment import AttackCombination, ExperimentConfig
     from flowhazard.flowdata import FlowSchema
     from flowhazard.models import (

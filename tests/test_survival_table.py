@@ -100,6 +100,22 @@ class TestReader:
             read_survival_table(buf)
         assert "data row 2" in str(err.value)
 
+    @pytest.mark.parametrize("rows, cells", [
+        (["1,2,0,0.25,9", "2,3,1"], 5),
+        (["1,2,0", "2,3,1,0.25,9"], 3),
+    ], ids=["long_then_short", "short_then_long"])
+    def test_a_cell_too_many_and_one_too_few_in_one_chunk(self, rows, cells):
+        # the chunk holds as many commas as four good rows, so the cell
+        # count over the chunk passes and the short row must stop it
+        lines = ["0,1,1,0.5\n", *(row + "\n" for row in rows), "3,4,0,0.1\n"]
+        assert csvio._plain_block(lines, range(1, 4), n_cells=4) is None
+        text = "sequence_id,time,event,x\n" + "".join(lines)
+        got = _read_outcome(read_survival_table, io.StringIO(text))
+        assert got == (LengthMismatch,
+                       f"data row 2 has {cells} cells, the header has 4")
+        assert got == _read_outcome(csv_rows_read_survival_table,
+                                    io.StringIO(text))
+
     def test_blank_lines_skipped_and_ids_not_read(self):
         buf = io.StringIO(
             "sequence_id,time,event,x\n,1,1,0.5\n\n , , , \nabc,2,0,0.25\n"
