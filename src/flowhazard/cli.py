@@ -92,14 +92,21 @@ def _dump_json(obj: dict, path: str) -> None:
 
 def _read_roles(path: str, schema: FlowSchema, *labels: str):
     """The datasets in the CSV at ``path``, one per label of ``labels``,
-    each cut to the rows with its label when the file holds more than one
-    label, and the sanitization report of the file's one parse."""
+    each cut to the rows with its label, and the sanitization report of
+    the file's one parse.  A file that holds one label is used whole, and
+    :class:`EmptyInput` is raised when that is not every role's label."""
+    from .errors import EmptyInput
     from .flowdata import filter_label, parse_flow_csv
 
     ds = parse_flow_csv(path, schema)
     report = ds.report.to_json_dict()
-    if len(set(ds.labels)) > 1:
+    held, *more = set(ds.labels)  # parse_flow_csv keeps at least one row
+    if more:
         return [filter_label(ds, label) for label in labels], report
+    for label in labels:
+        if label != held:
+            raise EmptyInput(f"{path}: no rows labeled {label!r}; every "
+                             f"row is labeled {held!r}")
     return [ds] * len(labels), report
 
 
@@ -247,22 +254,28 @@ def _load_role_datasets(cfg: PipelineConfig):
 
 def cmd_synth(args) -> int:
     from .config import SyntheticInputs, load_synthetic_spec
+    from .errors import InvalidSpec
     from .flowdata import filter_label, serialize_flow_csv, synthesize_flows
 
     spec = load_synthetic_spec(args.spec)
-    n = getattr(args, "n", SyntheticInputs.rows_per_class)
-    dataset = synthesize_flows(spec, n, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
+    # each class's file name, checked before anything is written
+    slugs: dict[str, str] = {}
     for label in spec.classes:
-        part = filter_label(dataset, label)
         slug = "".join(
             ch.lower() if ch.isalnum() else "_" for ch in label
         ).strip("_")
+        if not slug:
+            raise InvalidSpec(f"class {label!r} has no letter or digit")
+        if slug in slugs:
+            raise InvalidSpec(f"classes {slugs[slug]!r} and {label!r} "
+                              f"would both be written to {slug}.csv")
+        slugs[slug] = label
+    n = getattr(args, "n", SyntheticInputs.rows_per_class)
+    dataset = synthesize_flows(spec, n, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    for slug, label in slugs.items():
         path = os.path.join(args.out, f"{slug}.csv")
-        serialize_flow_csv(part, path)
-        written.append(path)
-    for path in written:
+        serialize_flow_csv(filter_label(dataset, label), path)
         print(path)
     return EXIT_OK
 
@@ -419,21 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one classifier on pre-novelty data")
-    p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("pipeline", help="run the full injection experiment")
-    p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--seed", type=int, default=None, help="override master seed")
+    for name, func, text in (
+        ("train", cmd_train, "train one classifier on pre-novelty data"),
+        ("pipeline", cmd_pipeline, "run the full injection experiment"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="pipeline config JSON")
+        p.add_argument("--out", default=None, help="override output directory")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override master seed")
+        p.set_defaults(func=func)
     p.add_argument(
         "--emit", default=None,
         help=f"comma-separated artifact flags: {','.join(EMIT_CHOICES)}",
     )
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("cox", help="fit proportional hazards on a survival table")
     p.add_argument("--table", required=True, help="survival table CSV")

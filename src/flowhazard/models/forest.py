@@ -7,20 +7,22 @@ index and lowest threshold.  Per-tree randomness (bootstrap rows, feature
 subsets) comes from streams derived as (seed, tree_index).
 
 The search is exact over the distinct values of each feature within a
-node: a cut between two adjacent distinct values sends every row at or
-below the lower one left, and the threshold is their midpoint (or the
-lower value, where the midpoint would round onto the upper one or
-overflow).  It runs one of two ways, and both pick the same feature and
-threshold:
+node, and reads the features only as per-row value ranks, computed once
+per forest with ``np.unique``; no float copy of the matrix is kept.  A
+cut is a feature and the ranks of two adjacent distinct values in the
+node: rows at or below the lower rank go left, and the threshold is the
+values' midpoint (or the lower value, where the midpoint would round
+onto the upper one or overflow).  It runs one of two ways, and both
+pick the same cut:
 
 * Nodes above ``_BIG_NODE`` rows count, per distinct value, the node's
   rows and its rows with target 1, with one ``np.bincount`` each over
-  per-row value ranks (``train_forest`` computes the ranks once per
-  forest with ``np.unique``).  The candidates' ranks are laid end to end,
-  so each count covers every candidate; the non-empty bins are the
-  node's distinct values in ascending order.
-* Smaller nodes sort the node's block of candidate columns in one stable
-  ``argsort`` and take cumulative sums along the sorted rows.
+  the ranks.  The candidates' ranks are laid end to end, so each count
+  covers every candidate; the non-empty bins are the node's distinct
+  values in ascending order.
+* Smaller nodes sort the node's block of candidate ranks in one stable
+  ``argsort``, take cumulative sums along the sorted rows and take the
+  first maximum over the whole block.
 
 Targets are 0.0/1.0 (``FlowDataset`` enforces it), so a target equals its
 square and every left-side row count and target sum is an integer held
@@ -62,24 +64,21 @@ class ForestState:
 
 @dataclass(frozen=True)
 class _Columns:
-    """The training features by column, shared by every tree."""
+    """The training features by column, as ranks, shared by every tree."""
 
-    XT: np.ndarray       # (F, n) float64, contiguous
     values: tuple        # per feature, its distinct values ascending
     ranks: np.ndarray    # (F, n) int32, each row's index into ``values``
     n_values: np.ndarray  # (F,) int32, the number of distinct values
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_Columns":
-        XT = np.ascontiguousarray(X.T)
-        ranks = np.empty(XT.shape, dtype=np.int32)
+        ranks = np.empty(X.shape[::-1], dtype=np.int32)
         values = []
-        for f, col in enumerate(XT):
-            distinct, ranks[f] = np.unique(col, return_inverse=True)
+        for f in range(X.shape[1]):
+            distinct, ranks[f] = np.unique(X[:, f], return_inverse=True)
             values.append(distinct)
         n_values = np.array([v.size for v in values], dtype=np.int32)
-        return cls(XT=XT, values=tuple(values), ranks=ranks,
-                   n_values=n_values)
+        return cls(values=tuple(values), ranks=ranks, n_values=n_values)
 
 
 def _threshold(lo, hi) -> float:
@@ -115,11 +114,7 @@ class _TreeBuilder:
         self.rng = rng
 
     def build(self, idx: np.ndarray) -> Tree:
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
+        feature, threshold, left, right, value = [], [], [], [], []
         # (rows, depth, parent node, parent's child list to link into)
         stack = [(idx, 0, -1, None)]
         while stack:
@@ -139,15 +134,18 @@ class _TreeBuilder:
                 or idx.size < 2 * self.min_leaf
                 or total in (0.0, idx.size)
             ):
-                split = self._best_split(idx, y, total)
+                search = (self._split_by_bins if idx.size > _BIG_NODE
+                          else self._split_by_sort)
+                split = search(idx, y, self._candidate_features(), total)
             if split is None:
                 value.append(total / idx.size)
                 continue
             value.append(0.0)
-            feat, thr = split
-            go_left = self.cols.XT[feat, idx] <= thr
+            feat, lo, hi = split
+            v = self.cols.values[feat]
+            go_left = self.cols.ranks[feat, idx] <= lo
             feature[node] = feat
-            threshold[node] = thr
+            threshold[node] = _threshold(v[lo], v[hi])
             # the left child is popped first, so nodes number in preorder
             stack.append((idx[~go_left], depth + 1, node, right))
             stack.append((idx[go_left], depth + 1, node, left))
@@ -160,17 +158,10 @@ class _TreeBuilder:
         )
 
     def _candidate_features(self) -> np.ndarray:
-        n_features = self.cols.XT.shape[0]
+        n_features = self.cols.n_values.size
         if self.mtry >= n_features:
             return np.arange(n_features)
-        picked = self.rng.choice(n_features, size=self.mtry, replace=False)
-        return np.sort(picked)
-
-    def _best_split(self, idx: np.ndarray, y: np.ndarray, total: float):
-        feats = self._candidate_features()
-        if idx.size > _BIG_NODE:
-            return self._split_by_bins(idx, y, feats, total)
-        return self._split_by_sort(idx, y, feats, total)
+        return np.sort(self.rng.choice(n_features, self.mtry, replace=False))
 
     def _split_by_bins(self, idx, y, feats, total):
         n = idx.size
@@ -201,35 +192,31 @@ class _TreeBuilder:
         if not gain[pos] > 0.0:
             return None
         s = slot[pos]
-        v = self.cols.values[feats[s]]
-        lo, hi = present[pos] - first[s], present[pos + 1] - first[s]
-        return int(feats[s]), _threshold(v[lo], v[hi])
+        return (int(feats[s]), int(present[pos] - first[s]),
+                int(present[pos + 1] - first[s]))
 
     def _split_by_sort(self, idx, y, feats, total):
         n = idx.size
-        block = self.cols.XT[feats[:, None], idx]  # (mtry, n)
+        block = self.cols.ranks[feats[:, None], idx]  # (mtry, n)
         order = np.argsort(block, axis=1, kind="stable")
-        sx = np.take_along_axis(block, order, axis=1)
+        sr = np.take_along_axis(block, order, axis=1)
         c1 = np.cumsum(y[order], axis=1)[:, :-1]
         k = np.arange(1, n)
         gain = _gains(
-            k, c1, n, total, self.min_leaf, sx[:, :-1] < sx[:, 1:]
+            k, c1, n, total, self.min_leaf, sr[:, :-1] < sr[:, 1:]
         )
-        pos = gain.argmax(axis=1)  # per feature, the lowest threshold
-        best = gain[np.arange(feats.size), pos]
-        j = int(np.argmax(best))  # first max = lowest feature index
-        if not best[j] > 0.0:
+        # first max: lowest feature, then lowest value
+        j, p = divmod(int(np.argmax(gain)), n - 1)
+        if not gain[j, p] > 0.0:
             return None
-        p = pos[j]
-        return int(feats[j]), _threshold(sx[j, p], sx[j, p + 1])
+        return int(feats[j]), int(sr[j, p]), int(sr[j, p + 1])
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, params, seed_key) -> ForestState:
     n, n_features = X.shape
-    mtry = params.features_per_split
-    if mtry is None:
-        mtry = math.ceil(n_features / 3)
-    mtry = min(mtry, n_features)
+    # features_per_split is None or >= 1
+    mtry = min(params.features_per_split or math.ceil(n_features / 3),
+               n_features)
     cols = _Columns.of(X)
     trees = []
     for i in range(params.n_trees):

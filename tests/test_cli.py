@@ -155,6 +155,25 @@ class TestSynth:
         assert err["error"] == "InvalidSpec"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("classes, named", [
+        (("a-b", "a_b"), "'a-b' and 'a_b' would both be written to a_b.csv"),
+        (("A", "a"), "'A' and 'a' would both be written to a.csv"),
+        (("ok", "!!!"), "'!!!' has no letter or digit"),
+    ], ids=["punctuation", "case", "no_letter"])
+    def test_clashing_file_names_exit_2_before_writing(
+            self, tmp_path, capsys, classes, named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {c: {"f": {"mean": 0.0, "std": 1.0}} for c in classes}))
+        out = tmp_path / "synthed"
+        rc = main(["synth", "--spec", str(path), "--n", "5",
+                   "--out", str(out)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert named in err["message"]
+        assert not out.exists()
+
     def test_pipeline_spec_entry_is_checked(self, workspace, capsys):
         tmp, config_path, _ = workspace
         (tmp / "synth_spec.json").write_text(json.dumps({"A": {"f": [1]}}))
@@ -375,6 +394,30 @@ class TestPipelineCommand:
             assert role["rows_read"] == 300
             assert role["rows_kept"] == 300
             assert role["nonfinite_dropped"] == 0
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    @pytest.mark.parametrize("key, file, label, holds", [
+        ("benign_csv", "dos_ish", "BENIGN", "DoS-ish"),
+        ("pre_attack_csv", "web_ish", "DoS-ish", "web-ish"),
+        ("post_attack_csv", "dos_ish", "web-ish", "DoS-ish"),
+    ], ids=["benign", "pre_attack", "post_attack"])
+    def test_one_label_file_of_another_role_exits_2(
+            self, workspace, tmp_path, capsys, command, key, file, label,
+            holds):
+        # a file that holds one label is used whole only when that label
+        # is its role's, as synthetic inputs are always cut by label
+        csv_config = csv_workspace(workspace, tmp_path)
+        config = json.loads(csv_config.read_text())
+        path = str(tmp_path / "csvs" / f"{file}.csv")
+        config["inputs"][key] = path
+        csv_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(csv_config)]) == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "EmptyInput"
+        assert err["message"] == (f"{path}: no rows labeled {label!r}; "
+                                  f"every row is labeled {holds!r}")
+        assert not (tmp_path / "csv_run").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "train"])
     def test_one_file_for_both_known_roles_is_parsed_once(
