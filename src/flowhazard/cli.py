@@ -91,31 +91,23 @@ def _dump_json(obj: dict, path: str) -> None:
 
 
 def _read_roles(path: str, schema: FlowSchema, *labels: str):
-    """The datasets in the CSV at ``path``, one per label of ``labels``,
-    each cut to the rows with its label, and the sanitization report of
-    the file's one parse.  A file that holds one label is used whole, and
-    :class:`EmptyInput` is raised when that is not every role's label."""
+    """One dataset per label of ``labels``, each cut by ``filter_label``
+    from one parse of the CSV at ``path``; its EmptyInput names the file."""
     from .errors import EmptyInput
     from .flowdata import filter_label, parse_flow_csv
 
     ds = parse_flow_csv(path, schema)
-    report = ds.report.to_json_dict()
-    held, *more = set(ds.labels)  # parse_flow_csv keeps at least one row
-    if more:
-        return [filter_label(ds, label) for label in labels], report
-    for label in labels:
-        if label != held:
-            raise EmptyInput(f"{path}: no rows labeled {label!r}; every "
-                             f"row is labeled {held!r}")
-    return [ds] * len(labels), report
+    try:
+        return [filter_label(ds, label) for label in labels]
+    except EmptyInput as err:
+        raise EmptyInput(f"{path}: {err}") from None
 
 
 def _send_role(parent_end, conn, path: str, schema: FlowSchema,
                label: str) -> None:
     """Child-process body: :func:`_read_roles` sent over ``conn``, as the
-    error it raised, or as the labels, parse report, sanitization report
-    and matrix shape followed by the feature matrix as raw bytes, written
-    straight to the socket.
+    error it raised, or as the parse report and matrix shape followed by
+    the feature matrix as raw bytes, written straight to the socket.
 
     The copy of the parent's end of the socket is closed first, so a
     send fails, and the child exits, once the parent is gone.  Ctrl-C
@@ -124,22 +116,22 @@ def _send_role(parent_end, conn, path: str, schema: FlowSchema,
     later ones are ignored, so none cuts the reply short."""
     parent_end.close()
     try:
-        (ds,), report = _read_roles(path, schema, label)
+        (ds,) = _read_roles(path, schema, label)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (FlowHazardError, OSError, KeyboardInterrupt) as err:
         conn.send(err)
         return
-    conn.send((ds.labels, ds.report, report, ds.features.shape))
+    conn.send((ds.report, ds.features.shape))
     view = memoryview(ds.features).cast("B")
     while view:
         view = view[os.write(conn.fileno(), view):]
 
 
-def _receive_role(conn, child, path: str, schema: FlowSchema):
-    """What :func:`_send_role` sent over ``conn``, as one dataset and its
-    report; an error it sent is raised here.  The matrix is read
-    straight into the array it is returned in.  A reply cut short by the
-    child's death raises :class:`UnusablePath`."""
+def _receive_role(conn, child, path: str, schema: FlowSchema, label: str):
+    """What :func:`_send_role` sent over ``conn``, as the dataset of the
+    rows labeled ``label``; an error it sent is raised here.  The matrix
+    is read straight into the array it is returned in.  A reply cut short
+    by the child's death raises :class:`UnusablePath`."""
     import numpy as np
 
     from .flowdata import FlowDataset
@@ -157,7 +149,7 @@ def _receive_role(conn, child, path: str, schema: FlowSchema):
         raise lost("before it replied") from None
     if isinstance(reply, BaseException):
         raise reply
-    labels, parse_report, report, shape = reply
+    report, shape = reply
     features = np.empty(shape)
     view = memoryview(features).cast("B")
     got = 0
@@ -166,19 +158,18 @@ def _receive_role(conn, child, path: str, schema: FlowSchema):
         if n == 0:
             raise lost(f"after {got} of {view.nbytes} matrix bytes")
         got += n
-    ds = FlowDataset(schema=schema, features=features, labels=labels,
-                     report=parse_report)
-    return ds, report
+    return FlowDataset(schema=schema, features=features,
+                       labels=(label,) * shape[0], report=report)
 
 
 def _load_role_datasets(cfg: PipelineConfig):
     """Benign and known-attack datasets per the config, and a function
     that returns the novel-attack dataset.
 
-    When the inputs are CSV files, each file is parsed once, its
-    sanitization report given to every role it is named for, and the
-    reports are written next to the other artifacts as sanitization.json
-    when the returned function is called.  When the novel-attack CSV,
+    When the inputs are CSV files, each file is parsed once, every role
+    it is named for keeps its sanitization report, and the reports are
+    written next to the other artifacts as sanitization.json when the
+    returned function is called.  When the novel-attack CSV,
     the largest input, is named for no other role, a child process reads
     it while the caller trains on the other two; the returned function
     waits for it, and its errors are those of reading the file here.
@@ -219,13 +210,11 @@ def _load_role_datasets(cfg: PipelineConfig):
         )
         child.start()
         child_end.close()  # so a child that dies unheard reads as EOF here
-    datasets, reports = {}, {}
+    datasets = {}
     try:
         for path, named in files.items():
-            found, report = _read_roles(path, cfg.schema,
-                                        *(roles[r][1] for r in named))
-            datasets.update(zip(named, found))
-            reports.update(dict.fromkeys(named, report))
+            datasets.update(zip(named, _read_roles(
+                path, cfg.schema, *(roles[r][1] for r in named))))
     except BaseException:
         if child is not None:
             child.terminate()
@@ -236,9 +225,8 @@ def _load_role_datasets(cfg: PipelineConfig):
     def load_post():
         if child is not None:
             try:
-                datasets["post_attack"], reports["post_attack"] = (
-                    _receive_role(conn, child, post_path, cfg.schema)
-                )
+                datasets["post_attack"] = _receive_role(
+                    conn, child, post_path, cfg.schema, combo.post_attack)
             except BaseException:
                 child.terminate()
                 raise
@@ -246,7 +234,9 @@ def _load_role_datasets(cfg: PipelineConfig):
                 child.join()
                 conn.close()
         os.makedirs(cfg.output_dir, exist_ok=True)
-        _dump_json(reports, os.path.join(cfg.output_dir, "sanitization.json"))
+        _dump_json({role: ds.report.to_json_dict()
+                    for role, ds in datasets.items()},
+                   os.path.join(cfg.output_dir, "sanitization.json"))
         return datasets["post_attack"]
 
     return datasets["benign"], datasets["pre_attack"], load_post

@@ -293,22 +293,30 @@ def serialize_flow_csv(dataset: FlowDataset, sink) -> None:
 
 
 def subset(dataset: FlowDataset, indices) -> FlowDataset:
-    """Row subset preserving schema and targets."""
+    """Row subset preserving schema, targets and parse report."""
     idx = np.asarray(indices, dtype=np.intp)
     return FlowDataset(
         schema=dataset.schema,
         features=dataset.features[idx],
         labels=tuple(dataset.labels[i] for i in idx),
         targets=None if dataset.targets is None else dataset.targets[idx],
+        report=dataset.report,
     )
 
 
 def filter_label(dataset: FlowDataset, label: str) -> FlowDataset:
-    """Rows whose label equals ``label`` exactly."""
-    idx = [i for i, lab in enumerate(dataset.labels) if lab == label]
-    if not idx:
-        raise EmptyInput(f"no rows labeled {label!r}")
-    return subset(dataset, idx)
+    """Rows labeled ``label`` exactly, with the parse report: ``dataset``
+    itself when every row is.  Its :class:`EmptyInput` names the labels."""
+    labels = dataset.labels
+    n = labels.count(label)
+    if not n:
+        held = sorted(set(labels))
+        says = (f"every row is labeled {held[0]!r}" if len(held) == 1
+                else f"the rows are labeled {held}")
+        raise EmptyInput(f"no rows labeled {label!r}; {says}")
+    if n == len(labels):
+        return dataset
+    return subset(dataset, [i for i, lab in enumerate(labels) if lab == label])
 
 
 def binary_dataset(

@@ -426,13 +426,13 @@ def _newton(blocks, Z, lam, tol, max_iter):
         floor = ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
         scale = 1.0
         accepted = False
-        for _ in range(20):  # step-halving; trials only need the objective
+        for _ in range(20):  # step-halving; an accepted trial's scan is kept
             trial = beta + scale * step
-            ll_t = _breslow_scan(blocks, Z, trial, order=0)[0]
-            ll_t_pen = ll_t - 0.5 * lam * float(trial @ trial)
+            scan = _breslow_scan(blocks, Z, trial)
+            ll_t_pen = scan[0] - 0.5 * lam * float(trial @ trial)
             if np.isfinite(ll_t_pen) and ll_t_pen >= floor:
                 beta = trial
-                ll, grad, hess, log_s0 = _breslow_scan(blocks, Z, beta)
+                ll, grad, hess, log_s0 = scan
                 ll_pen = ll_t_pen
                 accepted = True
                 break

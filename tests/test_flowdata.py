@@ -18,6 +18,7 @@ from flowhazard.flowdata import (
     binary_dataset,
     cicids2017_schema,
     feature_summary,
+    filter_label,
     parse_flow_csv,
     serialize_flow_csv,
     subset,
@@ -142,6 +143,34 @@ class TestParse:
         buf2 = io.StringIO()
         serialize_flow_csv(again, buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+
+class TestFilterLabel:
+    TEXT = "a,b,Label\n1,2,B\n3,4,A\n5,inf,A\n7,8,B\n9,10,C\n"
+
+    def test_one_label_dataset_comes_back_unchanged(self):
+        ds = parse_flow_csv(csv_bytes("a,b,Label\n1,2,B\n3,4,B\n"),
+                            SCHEMA)
+        assert filter_label(ds, "B") is ds
+        assert ds.report.rows_kept == 2
+
+    def test_cut_keeps_the_source_report(self):
+        ds = parse_flow_csv(csv_bytes(self.TEXT), SCHEMA)
+        cut = filter_label(ds, "B")
+        assert cut.features.tolist() == [[1.0, 2.0], [7.0, 8.0]]
+        assert cut.labels == ("B", "B")
+        assert cut.report == ds.report
+        assert cut.report.nonfinite_dropped == 1
+
+    @pytest.mark.parametrize("labels, says", [
+        ("BBB", "every row is labeled 'B'"),
+        ("BAACB", "the rows are labeled ['A', 'B', 'C']"),
+    ], ids=["one_label", "several"])
+    def test_missing_label_names_the_labels_held(self, labels, says):
+        ds = make_dataset(np.zeros((len(labels), 2)), labels)
+        with pytest.raises(EmptyInput) as err:
+            filter_label(ds, "D")
+        assert str(err.value) == f"no rows labeled 'D'; {says}"
 
 
 class TestBinaryDataset:

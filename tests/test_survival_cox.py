@@ -229,6 +229,29 @@ class TestCoxFit:
             accepted += 1
         assert accepted >= 5
 
+    def test_one_scan_per_accepted_newton_step(self, monkeypatch):
+        # a fit with no step-halving scans beta = 0, each accepted trial
+        # (keeping its derivatives) and the ray 2 beta, and nothing else
+        from flowhazard import survival
+
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((300, 2))
+        hazard = np.exp(X @ np.array([0.5, -0.3]))
+        times = rng.exponential(1.0 / hazard)
+        events = (times < rng.exponential(2.0, 300)).astype(np.int64)
+        table = SurvivalTable(np.round(times, 3), events, X, ("a", "b"))
+        scan = survival._breslow_scan
+        orders = []
+
+        def counting_scan(blocks, Z, beta, order=2):
+            orders.append(order)
+            return scan(blocks, Z, beta, order)
+
+        monkeypatch.setattr(survival, "_breslow_scan", counting_scan)
+        model = cox_fit(table)
+        assert model.converged and model.iterations >= 3
+        assert orders == [2] * (model.iterations + 1) + [0]
+
     def test_separation_case(self):
         # lone event with the larger covariate: likelihood is monotone in
         # beta, so the unpenalized path must either flag non-convergence or
