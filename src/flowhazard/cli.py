@@ -84,10 +84,14 @@ def _require_path(path: str) -> str:
     return path
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _read_roles(path: str, schema: FlowSchema, *labels: str):
@@ -289,8 +293,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "model.json")
-    with open(model_path, "w") as fh:
-        fh.write(model_to_json(model, TrainReport(len(split.train), train_acc)))
+    _write_text(model_path,
+                model_to_json(model, TrainReport(len(split.train), train_acc)))
     report = {
         "kind": exp.regressor.kind,
         "n_train": len(split.train),
@@ -348,8 +352,8 @@ def cmd_pipeline(args) -> int:
         combo = cfg.experiment.combination
         title = (f"{combo.pre_attack} trained, {combo.post_attack} injected "
                  f"({cfg.experiment.regressor.kind})")
-        with open(os.path.join(cfg.output_dir, "km.svg"), "w") as fh:
-            fh.write(km_svg(report.pooled_km, title=title))
+        _write_text(os.path.join(cfg.output_dir, "km.svg"),
+                    km_svg(report.pooled_km, title=title))
     print(
         f"detection rate {report.detection_rate:.4f} over "
         f"{len(report.successes)}/{cfg.experiment.n_iterations} iterations; "
@@ -394,8 +398,7 @@ def cmd_km(args) -> int:
     curve_path = os.path.join(args.out, "km_curve.csv")
     km_to_csv(curve, curve_path)
     if args.svg:
-        with open(os.path.join(args.out, "km.svg"), "w") as fh:
-            fh.write(km_svg(curve))
+        _write_text(os.path.join(args.out, "km.svg"), km_svg(curve))
     print(
         f"{len(table)} records, {curve.n_event.sum()} events over "
         f"{(curve.n_event > 0).sum()} distinct times -> {curve_path}"

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # annotations only
 
 def _load_json(path: str) -> dict:
     """The JSON object in the file at ``path``."""
-    with open(_require_path(path)) as fh:
+    with open(_require_path(path), encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as err:

@@ -1,16 +1,18 @@
 """Numeric CSV reading shared by flow ingest and survival tables.
 
-:func:`open_text` turns a path or an open handle into a text handle;
-:func:`_split_lines` reads a handle in blocks and yields its lines; and
-:class:`_CsvChunks` cuts lines into chunks that numpy's C reader parses
-when :func:`_plain_block` accepts them, with one csv reader for the rest.
-This module imports only the standard library and numpy, so reading a
-survival table loads no flow ingest and no random-number code.
+:func:`open_text` is the one text layer for every CSV file read or
+written: it turns a path, ``bytes``, or an open text or binary handle
+into a text handle, decoding bytes as UTF-8 with undecodable bytes
+replaced.
+:class:`_CsvChunks` takes the lines the handle yields, a leading
+byte-order mark dropped, and cuts them into chunks that numpy's C reader
+parses when :func:`_plain_block` accepts them, with one csv reader for
+the rest.  This module imports only the standard library and numpy, so
+reading a survival table loads no flow ingest and no random-number code.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import itertools
@@ -23,57 +25,35 @@ import numpy as np
 
 
 @contextmanager
-def open_text(source, mode: str = "r"):
-    """A text handle on ``source``.
+def open_text(source, mode: str = "r", newline: str = ""):
+    r"""A text handle on ``source``, UTF-8 with undecodable bytes replaced.
 
-    A path is opened (UTF-8, undecodable bytes replaced, no newline
-    translation, as the csv module expects) and closed on exit; an open
-    handle is passed through and left open.
+    A path is opened and closed on exit.  ``bytes`` and a binary handle
+    are wrapped, and a binary handle is left open: the wrapper is
+    detached on exit.  A text handle (one with an ``encoding``) is passed
+    through and left open.  ``newline`` is :func:`open`'s: ``""`` (the
+    csv module's choice) ends lines at ``"\n"``, ``"\r\n"`` or a bare
+    ``"\r"``, ``"\n"`` at ``"\n"`` alone; neither translates line ends.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, mode, encoding="utf-8", errors="replace",
-                  newline="") as fh:
+                  newline=newline) as fh:
             yield fh
-    else:
+    elif hasattr(source, "encoding"):
         yield source
+    else:
+        fh = io.TextIOWrapper(
+            io.BytesIO(source) if isinstance(source, bytes) else source,
+            encoding="utf-8", errors="replace", newline=newline)
+        try:
+            yield fh
+        finally:
+            fh.detach()
 
 
 # Lines per parse chunk.  A chunk is parsed by numpy's C reader when every
 # line is one plain record, and by the csv module otherwise.
 _CHUNK_LINES = 512
-# Characters per read from the source.
-_READ_CHARS = 1 << 20
-
-
-def _split_lines(fh):
-    r"""The text of ``fh`` as lines, each ending after a ``"\n"``.
-
-    Only ``"\n"`` ends a line (the csv module tells ``"\r\n"`` and
-    quoted newlines apart itself).  Bytes are decoded as UTF-8 with
-    undecodable bytes replaced; a leading byte-order mark is dropped.
-    """
-    decoder = None
-    tail = ""
-    first = True
-    while True:
-        data = fh.read(_READ_CHARS)
-        at_end = not data
-        if isinstance(data, bytes):
-            if decoder is None:
-                decoder = codecs.getincrementaldecoder("utf-8")("replace")
-            data = decoder.decode(data, final=at_end)
-        if first and data:
-            first = False
-            if data.startswith("\ufeff"):
-                data = data[1:]
-        if data:
-            lines = io.StringIO(tail + data).readlines()
-            tail = "" if lines[-1].endswith("\n") else lines.pop()
-            yield from lines
-        if at_end:
-            break
-    if tail:
-        yield tail
 
 
 def _plain_block(lines, feat_idx, label_idx=None, n_cells=None):
@@ -117,7 +97,8 @@ def _plain_block(lines, feat_idx, label_idx=None, n_cells=None):
 
 
 class _CsvChunks:
-    """Numeric CSV text read in chunks of ``_CHUNK_LINES`` lines.
+    """The lines of the text handle ``fh``, a byte-order mark at the start
+    dropped, read in chunks of ``_CHUNK_LINES`` lines.
 
     One csv reader, ``records``, runs over the whole input: it reads the
     header, then every chunk that :func:`_plain_block` does not read, so a
@@ -127,8 +108,10 @@ class _CsvChunks:
     until ``pending`` is empty.
     """
 
-    def __init__(self, lines):
-        self._lines = lines
+    def __init__(self, fh):
+        lines = iter(fh)
+        first = next(lines, "").removeprefix("\ufeff")
+        self._lines = itertools.chain([first] if first else [], lines)
         self.pending: deque[str] = deque()
         self.records = csv.reader(self._feed())
 

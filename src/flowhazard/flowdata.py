@@ -11,13 +11,12 @@ row.  All constructed datasets therefore contain only finite values.
 from __future__ import annotations
 
 import csv
-import io
 import sys
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .csvio import _CsvChunks, _split_lines, open_text
+from .csvio import _CsvChunks, open_text
 from .errors import (
     EmptyInput,
     InvalidSpec,
@@ -169,12 +168,16 @@ def _normalize_name(name: str) -> str:
 def parse_flow_csv(source, schema: FlowSchema) -> FlowDataset:
     """Parse a flow CSV into a dataset, dropping rows that fail sanitization.
 
-    ``source`` may be a path, raw bytes, or an open file object.  Header
-    columns are matched to schema names after whitespace trimming, case
-    insensitively; column order need not match schema order.  Rows with
-    unparseable cells are dropped as malformed; rows whose cells parse to
-    inf or nan are dropped as non-finite.  Both counts appear in the
-    attached :class:`ParseReport`.
+    ``source`` may be a path, ``bytes``, or an open text or binary
+    handle, and a leading byte-order mark is dropped.  Only ``"\n"`` ends
+    a line of a path, bytes or a binary handle, so a stray carriage return
+    makes its row malformed; a text handle's lines are the ones it yields.
+
+    Header columns are matched to schema names after whitespace trimming,
+    case insensitively; column order need not match schema order.  Rows
+    with unparseable cells are dropped as malformed; rows whose cells
+    parse to inf or nan are dropped as non-finite.  Both counts appear in
+    the attached :class:`ParseReport`.
 
     The file is read in chunks of lines, each converted straight into a
     float64 block, so peak memory is about twice the feature matrix.
@@ -184,14 +187,12 @@ def parse_flow_csv(source, schema: FlowSchema) -> FlowDataset:
     Raises :class:`MissingColumn` when a schema column is absent and
     :class:`EmptyInput` when no data row survives.
     """
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8", errors="replace"))
-    with open_text(source) as fh:
-        return _parse_lines(_split_lines(fh), schema)
+    with open_text(source, newline="\n") as fh:
+        return _parse_lines(fh, schema)
 
 
-def _parse_lines(lines, schema: FlowSchema) -> FlowDataset:
-    chunks = _CsvChunks(lines)
+def _parse_lines(fh, schema: FlowSchema) -> FlowDataset:
+    chunks = _CsvChunks(fh)
     reader = chunks.records
     try:
         header = next(reader)

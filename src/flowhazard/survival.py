@@ -30,7 +30,6 @@ A table is saved and read back as CSV by :func:`write_survival_table` and
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -632,20 +631,18 @@ def read_survival_table(source) -> SurvivalTable:
     handle that does not split lines there) with its data row, as
     :class:`InvalidValue`.  The ``sequence_id`` column is not read.
 
-    Lines are read as the handle yields them (a path is opened with
-    ``newline=""``, as the csv module expects), with a byte-order mark at
-    the start of the first dropped, in chunks: a chunk of plain records
-    with the header's cell count is read by numpy's C reader, and any
-    other chunk by the csv module.  A chunk that holds an error is
-    checked again together with the rest of the file, so the error
-    reported is the one a whole-file read meets first.
+    ``source`` may be a path, ``bytes``, or an open text or binary
+    handle.  A path, bytes and a binary handle are read with
+    ``newline=""``, as the csv module expects, so a bare carriage return
+    ends a line too; a text handle's lines are the ones it yields.  A
+    byte-order mark at the start is dropped.  Lines are read in chunks: a
+    chunk of plain records with the header's cell count is read by
+    numpy's C reader, and any other chunk by the csv module.  A chunk that
+    holds an error is checked again together with the rest of the file,
+    so the error reported is the one a whole-file read meets first.
     """
     with open_text(source) as fh:
-        lines = iter(fh)
-        first = next(lines, "")
-        if first[:1] == "\ufeff":  # never true of a binary handle's bytes
-            first = first[1:]
-        chunks = _CsvChunks(itertools.chain([first] if first else [], lines))
+        chunks = _CsvChunks(fh)
         try:
             header = next(chunks.records, None)
         except csv.Error as err:

@@ -455,10 +455,7 @@ def _whole_text(source) -> str:
     if isinstance(source, bytes):
         return source.decode("utf-8", errors="replace")
     with open_text(source) as fh:
-        data = fh.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8", errors="replace")
-    return data
+        return fh.read()
 
 
 def whole_text_parse_flow_csv(source, schema):

@@ -1,5 +1,6 @@
 """Settings shared by every test module."""
 
+import io
 import sys
 
 import pytest
@@ -22,3 +23,24 @@ def no_child_left_running():
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing is not None:
         assert multiprocessing.active_children() == []
+
+
+class _OneByteReads(io.RawIOBase):
+    """A binary handle on ``data`` that gives one byte per read, so each
+    multibyte UTF-8 character is split across reads."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(memoryview(buffer)[:1])
+
+
+@pytest.fixture
+def one_byte_reads():
+    """``one_byte_reads(data)`` is a binary handle that reads ``data``
+    one byte at a time."""
+    return _OneByteReads

@@ -311,6 +311,45 @@ class TestPipelineCommand:
             out_b / "report.json"
         )
 
+    def test_ascii_locale_writes_what_a_utf8_locale_writes(self, tmp_path):
+        # en dashes in the spec, the config and the km.svg title
+        spec = {label.replace("-", "\u2013"): features
+                for label, features in SYNTH_SPEC.items()}
+        (tmp_path / "spec.json").write_text(
+            json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+        config = {
+            "inputs": {"synthetic_spec": "spec.json", "rows_per_class": 200},
+            "experiment": {
+                "regressor": {"kind": "random_forest", "n_trees": 5},
+                "combination": {"pre_attack": "DoS\u2013ish",
+                                "post_attack": "web\u2013ish"},
+                "seq_len": 10, "n_sequences": 20, "n_iterations": 1,
+            },
+            "emit": ["km", "cox", "json", "svg"],
+        }
+        (tmp_path / "config.json").write_text(
+            json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        locales = {
+            "ascii": {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                      "LC_ALL": "C", "LANG": "C"},
+            "utf8": {"PYTHONUTF8": "1"},
+        }
+        runs = {}
+        for name, env in locales.items():
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from flowhazard.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "pipeline", "--config", "config.json", "--out", str(out)],
+                env={**os.environ, **env, "PYTHONPATH": os.path.dirname(
+                    os.path.dirname(flowhazard.__file__))},
+                cwd=tmp_path, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs[name] = tree_bytes(out)
+        assert "\u2013".encode() in runs["utf8"]["km.svg"]
+        assert runs["ascii"] == runs["utf8"]
+
     def test_emit_flags_off_writes_only_report(self, workspace, tmp_path):
         tmp, _, config = workspace
         config = dict(config)

@@ -165,14 +165,13 @@ class TestInputHandling:
     TEXT = "a,b,Label\n1,2,\xf1\n3,4,\xfcber\n"
 
     def test_every_source_kind_gives_the_same_dataset(self, tmp_path,
-                                                      monkeypatch):
-        # one character per read splits the two-byte UTF-8 labels
-        monkeypatch.setattr(csvio, "_READ_CHARS", 1)
+                                                      one_byte_reads):
         data = self.TEXT.encode("utf-8")
         path = tmp_path / "flows.csv"
         path.write_bytes(data)
+        # one byte per read splits the two-byte UTF-8 labels
         sources = [data, str(path), path, io.BytesIO(data),
-                   io.StringIO(self.TEXT)]
+                   one_byte_reads(data), io.StringIO(self.TEXT)]
         for source in sources:
             ds = parse_flow_csv(source, SCHEMA)
             assert ds.labels == ("\xf1", "\xfcber")

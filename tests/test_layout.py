@@ -4,7 +4,8 @@ survival commands load only the survival code and no ``numpy.random``
 or ``logging``, only a CSV-input pipeline or train loads
 ``multiprocessing``, the README library example runs against the
 modules it names, the README's config defaults are the dataclasses'
-own, and no code raises a builtin exception class."""
+own, no code raises a builtin exception class, and no text file is
+opened in the locale's encoding."""
 
 import ast
 import builtins
@@ -215,3 +216,44 @@ def test_builtin_raises_are_found(tmp_path):
 def test_no_builtin_exception_is_raised():
     # every failure reaches the caller as a FlowHazardError subclass
     assert builtin_raises(PACKAGE) == []
+
+
+def locale_opens(root: Path) -> list[str]:
+    """``path:line`` of each builtin ``open(...)`` call in the modules
+    under ``root`` that neither passes ``encoding=`` nor opens in a binary
+    mode (a literal mode holding ``"b"``), so reads and writes in the
+    locale's encoding."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            binary = (isinstance(mode, ast.Constant)
+                      and "b" in str(mode.value))
+            if "encoding" not in keywords and not binary:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_locale_opens_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(path, mode):\n"
+        "    open(path)\n"
+        "    open(path, 'w')\n"
+        "    open(path, mode)\n"
+        "    open(path, 'rb')\n"
+        "    open(path, mode='wb')\n"
+        "    open(path, mode, encoding='utf-8')\n"
+        "    with open(path, mode='a') as fh:\n"
+        "        fh.open(path)\n"
+    )
+    assert locale_opens(tmp_path) == ["m.py:2", "m.py:3", "m.py:4", "m.py:8"]
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # output and config files read the same under any locale
+    assert locale_opens(PACKAGE) == []

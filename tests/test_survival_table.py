@@ -146,10 +146,18 @@ class TestReader:
         assert read(text)[0] == first
 
     @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
-    def test_binary_handle_is_a_typed_error(self, mark):
-        text = mark + "sequence_id,time,event,x\n0,1,1,0.5\n"
-        with pytest.raises(InvalidValue, match="header: .*text mode"):
-            read_survival_table(io.BytesIO(text.encode("utf-8")))
+    def test_bytes_and_binary_handles_read_as_the_text(self, mark,
+                                                       one_byte_reads):
+        # one byte per read splits the two-byte UTF-8 covariate names
+        text = ("sequence_id,time,event,\xf1,\xfcber\r\n0,1,1,0.5,-0.0\r\n"
+                "1,2.5,0,5e-324,3\n")
+        want = _read_outcome(read_survival_table, io.StringIO(text))
+        assert want[0] == ("\xf1", "\xfcber")
+        data = (mark + text).encode("utf-8")
+        handles = [io.BytesIO(data), one_byte_reads(data)]
+        for source in [data, *handles]:
+            assert _read_outcome(read_survival_table, source) == want
+        assert not any(handle.closed for handle in handles)
 
 
 # floats whose text form is easy to get wrong: signed zero, subnormals,
