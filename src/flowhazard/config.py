@@ -22,8 +22,9 @@ if TYPE_CHECKING:  # annotations only
 
 
 def _load_json(path: str) -> dict:
-    """The JSON object in the file at ``path``."""
-    with open(_require_path(path), encoding="utf-8") as fh:
+    """The JSON object in the file at ``path``, which may start with a
+    byte-order mark."""
+    with open(_require_path(path), encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as err:
@@ -152,5 +153,5 @@ def load_pipeline_config(path: str, args) -> PipelineConfig:
         output_dir=(getattr(args, "out", None)
                     or os.path.join(base, cfg.output_dir)),
         emit=(tuple(e.strip() for e in emit.split(",") if e.strip())
-              if emit else cfg.emit),
+              if emit is not None else cfg.emit),
     )

@@ -10,14 +10,15 @@ per-sequence mean of those distances (the model requires a covariate
 vector for every record).
 
 Sequences are rows of an index matrix into the post-novelty flows.  Each
-iteration scores every distinct drawn flow once, gathers the scores into
-an (n_sequences, seq_len) array and finds every sequence's first in-band
-hit in one scan of that array; the outcome is the same as streaming each
-sequence flow by flow.  The outcomes stay in one :class:`SurvivalTable`,
-row i for sequence i, from the scan through the Kaplan-Meier and Cox fits;
+iteration scores every distinct drawn flow once and gathers the scores
+into an (n_sequences, seq_len) array; ``_scan_scores`` takes that array
+and finds every sequence's first in-band hit and covariates in one pass,
+with the same outcome as streaming each sequence flow by flow.  The
+outcomes stay in one :class:`SurvivalTable`, row i for sequence i, from
+the scan through the Kaplan-Meier and Cox fits;
 :func:`flowhazard.survival.write_survival_table` writes it as
-``survival_iterNN.csv``.  :func:`run_sequence` is the one-row view of the
-same scan.
+``survival_iterNN.csv``.  :func:`run_sequence` scores one sequence and
+calls the same scan on one row.
 
 Iterations retrain the classifier and resample sequences from RNG
 streams derived as (master_seed, iteration, purpose), so a whole
@@ -43,14 +44,13 @@ from .errors import (
     FlowHazardError,
     InvalidSpec,
     InvalidValue,
+    LengthMismatch,
     SchemaMismatch,
     check_fields,
     read_config,
 )
 from .flowdata import (
-    FeatureSummary,
     FlowDataset,
-    abs_diff_covariates,
     binary_dataset,
     feature_summary,
     subset,
@@ -70,6 +70,7 @@ from .survival import (
     KMCurve,
     SurvivalRecord,
     SurvivalTable,
+    cox_convergence_report,
     cox_fit,
     km_fit,
 )
@@ -269,18 +270,39 @@ def build_sequences(
     return post.features[_draw_indices(post, n_sequences, seq_len, rng)]
 
 
-def _first_hits(scores: np.ndarray, low: float, high: float):
-    """Per row of ``scores``: whether any score lies in the closed band
-    [low, high], and the index of the first one that does (0 if none)."""
+def _scan_scores(
+    scores: np.ndarray, flows: np.ndarray, idx: np.ndarray,
+    band: tuple[float, float], pre_means: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-hit scan of the (n, L) ``scores`` of the flows
+    ``flows[idx]``: per row, the times, events and covariates of its
+    survival record.
+
+    The event is the first score in the closed band [low, high], at its
+    0-based index, and carries that flow's |x - pre_means|; a row with no
+    in-band score is censored at L and carries the mean of |x - pre_means|
+    over its flows.
+    """
+    low, high = band
     in_band = (scores >= low) & (scores <= high)
-    return in_band.any(axis=1), in_band.argmax(axis=1)
+    hit, first = in_band.any(axis=1), in_band.argmax(axis=1)
+
+    covs = np.empty((idx.shape[0], flows.shape[1]))
+    covs[hit] = np.abs(flows[idx[hit, first[hit]]] - pre_means)
+    # |x - pre_means| of every flow of every censored row, in place on the
+    # gathered copy
+    censored = flows[idx[~hit]]
+    censored -= pre_means
+    covs[~hit] = np.abs(censored, out=censored).mean(axis=1)
+    times = np.where(hit, first, idx.shape[1]).astype(np.float64)
+    return times, hit.astype(np.int64), covs
 
 
 def run_sequence(
     model: TrainedModel,
     sequence: np.ndarray,
     band: tuple[float, float],
-    pre_summary: FeatureSummary,
+    pre_means: np.ndarray,
     sequence_id: int = 0,
 ) -> SequenceResult:
     """Score flows in order and stop at the first in-band score.
@@ -292,21 +314,17 @@ def run_sequence(
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2:
         raise SchemaMismatch("sequence must be a (seq_len, F) matrix")
+    if np.shape(pre_means) != sequence.shape[1:]:
+        raise LengthMismatch("pre_means must hold one mean per feature")
     scores = predict_many(model, sequence)
-    hit, first = _first_hits(scores[None], *band)
-    if hit[0]:
-        i = int(first[0])
-        record = SurvivalRecord(
-            time=float(i),
-            event=1,
-            covariates=abs_diff_covariates(sequence[i], pre_summary),
-        )
-        return SequenceResult(sequence_id, record, i, scores[: i + 1])
-    record = SurvivalRecord(
-        time=float(sequence.shape[0]),
-        event=0,
-        covariates=np.abs(sequence - pre_summary.means).mean(axis=0),
+    times, events, covs = _scan_scores(
+        scores[None], sequence, np.arange(len(sequence))[None], band,
+        pre_means,
     )
+    record = SurvivalRecord(float(times[0]), int(events[0]), covs[0])
+    if record.event:
+        i = int(record.time)
+        return SequenceResult(sequence_id, record, i, scores[: i + 1])
     return SequenceResult(sequence_id, record, None, scores)
 
 
@@ -314,28 +332,16 @@ def _scan_sequences(
     model: TrainedModel,
     post: FlowDataset,
     band: tuple[float, float],
-    pre_summary: FeatureSummary,
+    pre_means: np.ndarray,
     idx: np.ndarray,
 ) -> SurvivalTable:
-    """:func:`run_sequence` for every row of the index matrix ``idx``,
-    scoring each distinct drawn flow once.  Row i of the returned table is
-    the survival record of sequence i."""
+    """Score each distinct flow drawn in the index matrix ``idx`` once
+    and scan the scores.  Row i of the returned table is the survival
+    record of sequence i."""
     uniq, inv = np.unique(idx, return_inverse=True)
     scores = predict_many(model, post.features[uniq])[inv].reshape(idx.shape)
-    hit, first = _first_hits(scores, *band)
-
-    means = pre_summary.means
-    covs = np.empty((idx.shape[0], post.features.shape[1]))
-    covs[hit] = np.abs(post.features[idx[hit, first[hit]]] - means)
-    # |x - means| of every flow of every censored sequence, in place
-    flows = post.features[idx[~hit]]
-    flows -= means
-    covs[~hit] = np.abs(flows, out=flows).mean(axis=1)
-
     return SurvivalTable(
-        np.where(hit, first, idx.shape[1]).astype(np.float64),
-        hit.astype(np.int64),
-        covs,
+        *_scan_scores(scores, post.features, idx, band, pre_means),
         post.schema.feature_names,
     )
 
@@ -573,12 +579,8 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         }
         if o.cox is not None:
             entry["cox"] = {
-                "converged": o.cox.converged,
-                "iterations": o.cox.iterations,
-                "final_grad_norm": float(o.cox.final_grad_norm),
-                "penalty": float(o.cox.penalty),
+                **cox_convergence_report(o.cox),
                 "log_partial_likelihood": float(o.cox.log_partial_likelihood),
-                "warnings": list(o.cox.warnings),
             }
         iterations.append(entry)
     return {

@@ -146,21 +146,6 @@ class FlowDataset:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class FeatureSummary:
-    """Per-feature means."""
-
-    means: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.means, dtype=np.float64)
-        if m.ndim != 1:
-            raise LengthMismatch("means must be 1-D")
-        if not np.all(np.isfinite(m)):
-            raise NonFinite("summary means must be finite")
-        object.__setattr__(self, "means", m)
-
-
 def _normalize_name(name: str) -> str:
     return name.strip().casefold()
 
@@ -346,22 +331,29 @@ def binary_dataset(
     )
 
 
-def feature_summary(dataset: FlowDataset) -> FeatureSummary:
-    """Arithmetic mean of every feature column."""
+def feature_summary(dataset: FlowDataset) -> np.ndarray:
+    """Arithmetic mean of every feature column; a mean that overflows
+    raises :class:`NonFinite` naming its feature."""
     if len(dataset) == 0:
         raise EmptyInput("cannot summarize an empty dataset")
-    return FeatureSummary(means=dataset.features.mean(axis=0))
+    with np.errstate(over="ignore"):
+        means = dataset.features.mean(axis=0)
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        name = dataset.schema.feature_names[bad[0]]
+        raise NonFinite(f"mean of feature {name!r} is not finite")
+    return means
 
 
-def abs_diff_covariates(flow, summary: FeatureSummary) -> np.ndarray:
+def abs_diff_covariates(flow, means: np.ndarray) -> np.ndarray:
     """Elementwise absolute distance of a flow's feature vector from the
-    summary means."""
+    feature means."""
     feats = np.asarray(flow)
-    if feats.shape != summary.means.shape:
+    if feats.shape != means.shape:
         raise LengthMismatch(
-            f"flow has {feats.shape} features, summary has {summary.means.shape}"
+            f"flow has {feats.shape} features, means have {means.shape}"
         )
-    return np.abs(feats - summary.means)
+    return np.abs(feats - means)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def per_sequence_scan(model, post, band, pre_summary, n_sequences, seq_len,
         record = SurvivalRecord(
             time=float(sequence.shape[0]),
             event=0,
-            covariates=np.abs(sequence - pre_summary.means).mean(axis=0),
+            covariates=np.abs(sequence - pre_summary).mean(axis=0),
         )
         results.append(SequenceResult(seq_id, record, None, scores))
     return tuple(results)

@@ -283,6 +283,38 @@ class TestTrainCommand:
         assert sanitization["benign"]["rows_kept"] == 300
 
 
+class TestByteOrderMark:
+    def test_pipeline_config_and_spec_read_as_without_one(self, workspace,
+                                                          tmp_path):
+        tmp, config_path, config = workspace
+        spec = tmp / "bom_spec.json"
+        spec.write_text(json.dumps(SYNTH_SPEC), encoding="utf-8-sig")
+        bom_config = tmp / "bom_config.json"
+        bom_config.write_text(json.dumps(dict(
+            config, inputs=dict(config["inputs"], synthetic_spec=str(spec)),
+        )), encoding="utf-8-sig")
+        assert bom_config.read_bytes().startswith(b"\xef\xbb\xbf")
+        runs = {}
+        for name, path in (("plain", config_path), ("bom", bom_config)):
+            assert main(["pipeline", "--config", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+            runs[name] = tree_bytes(tmp_path / name)
+        assert "report.json" in runs["plain"]
+        assert runs["bom"] == runs["plain"]
+
+    def test_synth_spec_reads_as_without_one(self, workspace, tmp_path):
+        tmp, _, _ = workspace
+        spec = tmp / "bom_spec.json"
+        spec.write_text(json.dumps(SYNTH_SPEC), encoding="utf-8-sig")
+        runs = {}
+        for name, path in (("plain", tmp / "synth_spec.json"), ("bom", spec)):
+            assert main(["synth", "--spec", str(path), "--n", "20",
+                         "--seed", "1", "--out", str(tmp_path / name)]) == 0
+            runs[name] = tree_bytes(tmp_path / name)
+        assert len(runs["plain"]) == 3
+        assert runs["bom"] == runs["plain"]
+
+
 class TestPipelineCommand:
     def test_smoke_run_writes_all_artifacts(self, workspace, capsys):
         tmp, config_path, _ = workspace
@@ -360,6 +392,15 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(quiet)]) == 0
         written = sorted(os.listdir(tmp_path / "quiet"))
         assert written == ["report.json"]
+
+    @pytest.mark.parametrize("flag", ["", ","], ids=["empty", "comma"])
+    def test_empty_emit_flag_writes_only_report(self, workspace, tmp_path,
+                                                flag):
+        _, config_path, _ = workspace
+        out = tmp_path / "quiet"
+        assert main(["pipeline", "--config", str(config_path),
+                     "--out", str(out), "--emit", flag]) == 0
+        assert sorted(os.listdir(out)) == ["report.json"]
 
     def test_unreachable_gate_exits_4_with_achieved_value(
         self, workspace, tmp_path, capsys

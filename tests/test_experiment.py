@@ -13,6 +13,7 @@ from flowhazard.errors import (
     AllIterationsFailed,
     EmptyInput,
     InvalidValue,
+    LengthMismatch,
 )
 from flowhazard.experiment import (
     AttackCombination,
@@ -138,7 +139,7 @@ class TestRunSequence:
         assert res.survival.event == 1
         assert res.survival.time == 0.0
         assert res.score_trace.tolist() == [0.45]
-        expected = np.abs(seq[0] - self.summary.means)
+        expected = np.abs(seq[0] - self.summary)
         np.testing.assert_allclose(res.survival.covariates, expected)
 
     def test_constant_out_of_band_score_censors(self):
@@ -149,7 +150,7 @@ class TestRunSequence:
         assert res.survival.event == 0
         assert res.survival.time == 10.0
         assert res.score_trace.shape == (10,)
-        expected = np.abs(seq - self.summary.means).mean(axis=0)
+        expected = np.abs(seq - self.summary).mean(axis=0)
         np.testing.assert_allclose(res.survival.covariates, expected)
 
     def test_first_hit_scan_with_inclusive_band_edge(self):
@@ -164,8 +165,16 @@ class TestRunSequence:
             res.score_trace, [0.9, 0.61, 0.60], atol=1e-12
         )
         np.testing.assert_allclose(
-            res.survival.covariates, np.abs(seq[2] - self.summary.means)
+            res.survival.covariates, np.abs(seq[2] - self.summary)
         )
+
+    @pytest.mark.parametrize("score", [0.45, 0.99],
+                             ids=["detected", "censored"])
+    def test_means_of_another_width_rejected(self, score):
+        model = linear_model(np.zeros(5), score)
+        seq = np.zeros((4, 5))
+        with pytest.raises(LengthMismatch):
+            run_sequence(model, seq, (0.40, 0.60), self.summary[:4])
 
     def test_result_invariants_on_random_traces(self):
         rng = np.random.default_rng(13)
