@@ -380,10 +380,12 @@ def cmd_cox(args) -> int:
         cox_convergence_report(model),
         os.path.join(args.out, "cox_convergence.json"),
     )
+    dropped = (f" constant, not fitted: {', '.join(model.dropped)}"
+               if model.dropped else "")
     print(
         f"fit {len(table.feature_names)} covariates on {len(table)} records: "
-        f"converged={model.converged} iterations={model.iterations} "
-        f"-> {table_path}"
+        f"converged={model.converged} iterations={model.iterations}"
+        f"{dropped} -> {table_path}"
     )
     return EXIT_OK
 

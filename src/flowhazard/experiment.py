@@ -6,8 +6,11 @@ falls inside the closed band [band_low, band_high] is the event, at the
 0-based flow index; a sequence with no in-band score is censored at the
 sequence length.  Event covariates are the detected flow's absolute
 distance from the pre-novelty feature means; censored sequences carry the
-per-sequence mean of those distances (the model requires a covariate
-vector for every record).
+per-sequence mean of those distances, or exactly the distance that all
+its flows share (the model requires a covariate vector for every
+record).  :func:`run_iteration` hands the whole table to
+:func:`flowhazard.survival.cox_fit`, which leaves the constant columns
+unfitted with beta 0; the iteration names them in ``dropped_covariates``.
 
 Sequences are rows of an index matrix into the post-novelty flows.  Each
 iteration scores every distinct drawn flow once and gathers the scores
@@ -70,6 +73,7 @@ from .survival import (
     KMCurve,
     SurvivalRecord,
     SurvivalTable,
+    constant_columns,
     cox_convergence_report,
     cox_fit,
     km_fit,
@@ -203,8 +207,7 @@ class IterationResult:
     table: SurvivalTable  # one row per sequence, row i = sequence i
     cox: CoxModel | None
     cox_error: str | None
-    dropped_covariates: tuple[str, ...]
-    beta_full: np.ndarray  # length F; dropped columns carry 0.0
+    dropped_covariates: tuple[str, ...]  # the constant columns
 
     @property
     def n_events(self) -> int:
@@ -223,7 +226,7 @@ class ExperimentReport:
     config: ExperimentConfig
     feature_names: tuple[str, ...]
     iterations: tuple[IterationResult | IterationFailure, ...]
-    betas: np.ndarray  # (n_converged, F): beta_full of each converged fit
+    betas: np.ndarray  # (n_converged, F): beta of each converged fit
     pooled_km: KMCurve
     detection_rate: float
 
@@ -281,7 +284,7 @@ def _scan_scores(
     The event is the first score in the closed band [low, high], at its
     0-based index, and carries that flow's |x - pre_means|; a row with no
     in-band score is censored at L and carries the mean of |x - pre_means|
-    over its flows.
+    over its flows, or exactly their value where they all share one.
     """
     low, high = band
     in_band = (scores >= low) & (scores <= high)
@@ -290,10 +293,12 @@ def _scan_scores(
     covs = np.empty((idx.shape[0], flows.shape[1]))
     covs[hit] = np.abs(flows[idx[hit, first[hit]]] - pre_means)
     # |x - pre_means| of every flow of every censored row, in place on the
-    # gathered copy
+    # gathered copy; a value shared by all of a row's flows is kept exactly
     censored = flows[idx[~hit]]
     censored -= pre_means
-    covs[~hit] = np.abs(censored, out=censored).mean(axis=1)
+    dist = np.abs(censored, out=censored)
+    same = dist.min(axis=1) == dist.max(axis=1)
+    covs[~hit] = np.where(same, dist[:, 0], dist.mean(axis=1))
     times = np.where(hit, first, idx.shape[1]).astype(np.float64)
     return times, hit.astype(np.int64), covs
 
@@ -414,24 +419,16 @@ def run_iteration(
         model, post, (config.band_low, config.band_high),
         feature_summary(split.pre), idx,
     )
-    names = table.feature_names
-    varies = table.X.std(axis=0) > 0.0
-    keep = np.flatnonzero(varies)
-    dropped = tuple(name for name, v in zip(names, varies) if not v)
+    constant = constant_columns(table.X)
+    dropped = tuple(table.feature_names[j] for j in np.flatnonzero(constant))
 
     cox = None
     cox_error = None
-    beta_full = np.zeros(len(names))
-    if keep.size == 0:
+    if constant.all():
         cox_error = "all covariate columns are constant"
     else:
-        reduced = SurvivalTable(
-            table.times, table.events, table.X[:, keep],
-            tuple(names[j] for j in keep),
-        )
         try:
-            cox = cox_fit(reduced, config.cox_options)
-            beta_full[keep] = cox.beta
+            cox = cox_fit(table, config.cox_options)
         except FlowHazardError as err:
             cox_error = f"{err.kind}: {err}"
 
@@ -443,7 +440,6 @@ def run_iteration(
         cox=cox,
         cox_error=cox_error,
         dropped_covariates=dropped,
-        beta_full=beta_full,
     )
     log.info(
         "iteration %d: holdout accuracy %.4f, %d/%d events, %s",
@@ -507,7 +503,7 @@ def run_experiment(
     pooled_km = km_fit(pooled)
     detection_rate = int(pooled.events.sum()) / len(pooled)
 
-    converged = [o.beta_full for o in successes
+    converged = [o.cox.beta for o in successes
                  if o.cox is not None and o.cox.converged]
     return ExperimentReport(
         config=config,
@@ -546,11 +542,13 @@ def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
         )
         frac = report.nonzero_fraction(report.config.selection.min_abs_beta)
         chosen = set(report.selected_features)
+        with np.errstate(over="ignore"):  # past float range the ratio is inf
+            ratios = [np.exp(b) for b in report.mean_beta]
         for j, name in enumerate(report.feature_names):
             writer.writerow([
                 name,
                 repr(float(report.mean_beta[j])),
-                repr(float(np.exp(report.mean_beta[j]))),
+                repr(float(ratios[j])),
                 repr(float(frac[j])),
                 int(name in chosen),
             ])
@@ -574,7 +572,8 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             "holdout_accuracy": float(o.accuracy),
             "n_events": int(o.n_events),
             "dropped_covariates": list(o.dropped_covariates),
-            "beta": [float(b) for b in o.beta_full],
+            "beta": ([float(b) for b in o.cox.beta] if o.cox is not None
+                     else [0.0] * len(report.feature_names)),
             "cox_error": o.cox_error,
         }
         if o.cox is not None:

@@ -17,8 +17,8 @@ from typing import ClassVar, Union
 import numpy as np
 
 from ..errors import (
-    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, SchemaMismatch,
-    check_fields, read_config,
+    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, NonFinite,
+    SchemaMismatch, check_fields, read_config,
 )
 from ..flowdata import FlowDataset
 from ..seeding import normalize_key
@@ -134,8 +134,10 @@ def train(kind: RegressorKind, data: FlowDataset, seed) -> TrainedModel:
     """Fit one regressor on a dataset carrying 0.0/1.0 targets.
 
     Deterministic given ``seed`` (an int, or a tuple key path).  Raises
-    :class:`DegenerateData` unless both target values are present, and
-    :class:`InvalidSpec` for a ``kind`` that is not a regressor's params.
+    :class:`DegenerateData` unless both target values are present,
+    :class:`NonFinite` naming a feature whose training mean or standard
+    deviation is not finite, and :class:`InvalidSpec` for a ``kind`` that
+    is not a regressor's params.
     """
     if data.targets is None:
         raise DegenerateData(
@@ -147,8 +149,15 @@ def train(kind: RegressorKind, data: FlowDataset, seed) -> TrainedModel:
             "training requires at least two rows with both target values"
         )
     X = data.features
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        j = bad[0]
+        raise NonFinite(
+            f"feature {data.schema.feature_names[j]!r} cannot be scaled: "
+            f"training mean {mean[j]:.6g}, standard deviation {std[j]:.6g}"
+        )
     std = np.where(std == 0.0, 1.0, std)
     key = normalize_key(seed)
 

@@ -252,6 +252,11 @@ def km_survival_at(curve: KMCurve, t) -> float:
     return step(t)
 
 
+def constant_columns(X: np.ndarray) -> np.ndarray:
+    """Per column of ``X``, whether every value equals its first."""
+    return (X == X[0]).all(axis=0)
+
+
 def _risk_set_sums(eta, X, risk, order):
     """S0, S1, S2 of one risk set under its own max(eta) shift."""
     shift = float(eta[risk].max())
@@ -379,6 +384,7 @@ class CoxModel:
     Coefficients, standard errors and confidence bounds are reported on
     the original covariate scale; ``penalty`` is the ridge strength that
     was actually used (it grows when a singular Hessian forces a retry).
+    ``dropped`` names the constant columns: not fitted, beta 0 and p 1.
     """
 
     feature_names: tuple[str, ...]
@@ -395,6 +401,7 @@ class CoxModel:
     final_grad_norm: float
     baseline_cumhaz: StepFunction
     warnings: tuple[str, ...] = ()
+    dropped: tuple[str, ...] = ()
 
 
 def _newton(blocks, Z, lam, tol, max_iter):
@@ -407,7 +414,7 @@ def _newton(blocks, Z, lam, tol, max_iter):
     grad_norm = np.inf
     while iterations < max_iter:
         grad_pen = grad - lam * beta
-        grad_norm = float(np.abs(grad_pen).max())
+        grad_norm = float(np.abs(grad_pen).max(initial=0.0))
         if grad_norm < tol:
             converged = True
             break
@@ -440,7 +447,7 @@ def _newton(blocks, Z, lam, tol, max_iter):
             break  # no uphill step available; report non-convergence
     else:
         grad_pen = grad - lam * beta
-        grad_norm = float(np.abs(grad_pen).max())
+        grad_norm = float(np.abs(grad_pen).max(initial=0.0))
         converged = grad_norm < tol
     # ray test: at a finite optimum the objective falls from beta to
     # 2 beta; on separated data it keeps rising, however small the gradient
@@ -481,27 +488,36 @@ def cox_fit(table: SurvivalTable,
     2 beta is not below that at beta, and one that ends with some |beta|
     on the standardized scale above :data:`MONOTONE_BETA_BOUND`: the
     likelihood is monotone there (separated data), and a warning on the
-    model says so.
+    model says so.  Constant columns (:func:`constant_columns`) are not
+    fitted; with none left the model is beta = 0, converged at step 0.
 
     The model takes the table's column names.  Raises :class:`NoEvents`
-    when every row is censored.
+    when every row is censored, and :class:`NonFinite` naming a fitted
+    column whose mean or standard deviation is not a finite number > 0.
     """
-    X = table.X
-    width = X.shape[1]
+    width = table.X.shape[1]
     if width == 0:
         raise LengthMismatch("no covariate columns to fit")
     if not table.events.any():
         raise NoEvents("all records are censored; nothing to fit")
     blocks = _tie_blocks(table.times, table.events)
+    constant = constant_columns(table.X)
+    keep = np.flatnonzero(~constant)
+    names = [table.feature_names[j] for j in keep]
+    X = table.X[:, keep]
 
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = X.mean(axis=0), X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mu) & (0.0 < sd) & (sd < np.inf)))
+    if bad.size:
+        j = bad[0]
+        raise NonFinite(f"covariate {names[j]!r} cannot be standardized: "
+                        f"mean {mu[j]:.6g}, standard deviation {sd[j]:.6g}")
     Z = (X - mu) / sd
 
     def attempt(lam):
         *fit, hess = _newton(blocks, Z, lam, options.tol, options.max_iter)
-        neg_hess_pen = -(hess - lam * np.eye(width))
+        neg_hess_pen = -(hess - lam * np.eye(keep.size))
         try:
             cov = np.linalg.inv(neg_hess_pen)
         except np.linalg.LinAlgError:
@@ -529,12 +545,13 @@ def cox_fit(table: SurvivalTable,
         result
     )
     se_std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    largest = int(np.argmax(np.abs(beta_std)))
-    if abs(beta_std[largest]) > MONOTONE_BETA_BOUND:
+    size = np.abs(beta_std)
+    if size.max(initial=0.0) > MONOTONE_BETA_BOUND:
+        largest = int(np.argmax(size))
         converged = False
         warnings.append(
-            f"monotone likelihood: |beta| of {table.feature_names[largest]}"
-            f" is {abs(beta_std[largest]):.3g} per standard deviation, above "
+            f"monotone likelihood: |beta| of {names[largest]} is "
+            f"{size[largest]:.3g} per standard deviation, above "
             f"{MONOTONE_BETA_BOUND:g}; the data look separated"
         )
     elif rising:
@@ -543,10 +560,11 @@ def cox_fit(table: SurvivalTable,
             "that at beta; the data look separated"
         )
 
-    beta = beta_std / sd
-    se = se_std / sd
+    # a constant column keeps beta 0, se 0 and z 0, so p 1
+    beta, se, z = np.zeros((3, width))
+    beta[keep], se[keep] = beta_std / sd, se_std / sd
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se_std > 0, beta_std / se_std, 0.0)
+        z[keep] = np.where(se_std > 0, beta_std / se_std, 0.0)
     p = normal_two_sided_p(z)
     # Breslow baseline from the last Newton scan: on the standardized
     # scale S0 is smaller by a factor of exp(mu . beta).  A separated fit
@@ -555,7 +573,7 @@ def cox_fit(table: SurvivalTable,
     with np.errstate(over="ignore"):
         ratios = np.exp(beta)
         increments = np.exp(np.log(blocks.dead[ev]) - log_s0[::-1]
-                            - float(mu @ beta))
+                            - float(mu @ beta[keep]))
     baseline = StepFunction(blocks.times[ev], np.cumsum(increments))
 
     return CoxModel(
@@ -573,6 +591,8 @@ def cox_fit(table: SurvivalTable,
         final_grad_norm=grad_norm,
         baseline_cumhaz=baseline,
         warnings=tuple(warnings),
+        dropped=tuple(table.feature_names[j]
+                      for j in np.flatnonzero(constant)),
     )
 
 

@@ -122,10 +122,13 @@ def per_sequence_scan(model, post, band, pre_summary, n_sequences, seq_len,
                 SequenceResult(seq_id, record, i, scores[: i + 1])
             )
             continue
+        dist = np.abs(sequence - pre_summary)
+        # a distance shared by every flow is carried exactly, unrounded
+        same = np.array([len(set(col.tolist())) == 1 for col in dist.T])
         record = SurvivalRecord(
             time=float(sequence.shape[0]),
             event=0,
-            covariates=np.abs(sequence - pre_summary).mean(axis=0),
+            covariates=np.where(same, dist[0], dist.mean(axis=0)),
         )
         results.append(SequenceResult(seq_id, record, None, scores))
     return tuple(results)

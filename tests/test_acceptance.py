@@ -274,7 +274,7 @@ def test_c7_planted_signal_end_to_end():
             positive = sum(
                 1 for it in report.successes
                 if it.cox is not None and it.cox.converged
-                and it.beta_full[DRIVER] > 0
+                and it.cox.beta[DRIVER] > 0
             )
             print(
                 f"  {kind.kind}: driver beta positive in "

@@ -913,6 +913,38 @@ class TestCoxCommand:
         assert fit["feature"] == ["x", "dead_col"]
         assert float(fit["beta"][1]) == 0.0
 
+    def test_constant_column_named_and_not_fitted_at_ridge_0(self, tmp_path,
+                                                            capsys):
+        rng = np.random.default_rng(5)
+        rows = [(i, float(i + 1), int(i % 3 != 2), float(rng.normal()), 7.3)
+                for i in range(12)]
+        table = tmp_path / "flat.csv"
+        write_survival_csv(table, rows, features=("x", "flat"))
+        rc = main(["cox", "--table", str(table), "--ridge", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "constant, not fitted: flat ->" in capsys.readouterr().out
+        fit = read_csv_columns(tmp_path / "cox_table.csv")
+        assert [fit[col][1] for col in ("beta", "se", "p")] == [
+            "0.0", "0.0", "1.0"
+        ]
+        assert float(fit["beta"][0]) != 0.0
+        conv = json.loads((tmp_path / "cox_convergence.json").read_text())
+        assert conv["warnings"] == [] and conv["penalty"] == 0.0
+
+    def test_column_past_float_range_is_nonfinite(self, tmp_path, capsys):
+        # the squares of +-1e160 overflow, so no standard deviation exists
+        rows = [(i, float(i + 1), 1, float(i % 4), (-1) ** i * 1e160)
+                for i in range(8)]
+        table = tmp_path / "huge.csv"
+        write_survival_csv(table, rows, features=("x", "huge"))
+        rc = main(["cox", "--table", str(table), "--out", str(tmp_path)])
+        assert rc == 3
+        err = only_error_line(capsys)
+        assert err["error"] == "NonFinite"
+        assert "'huge'" in err["message"]
+        assert not (tmp_path / "cox_table.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--ridge", "-1"), ("--ridge", "inf"), ("--tol", "-1"),
         ("--tol", "nan"), ("--max-iter", "0"),

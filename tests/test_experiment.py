@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +154,17 @@ class TestRunSequence:
         assert res.score_trace.shape == (10,)
         expected = np.abs(seq - self.summary).mean(axis=0)
         np.testing.assert_allclose(res.survival.covariates, expected)
+
+    def test_censored_flows_sharing_a_distance_carry_it_exactly(self):
+        # the mean of 100 copies of 0.7 is 0.7 + 2.2e-16
+        model = linear_model(np.zeros(5), 0.99)
+        seq = np.random.default_rng(2).normal(size=(100, 5))
+        seq[:, 1] = 0.7
+        res = run_sequence(model, seq, (0.40, 0.60), np.zeros(5))
+        assert res.survival.event == 0
+        want = np.abs(seq).mean(axis=0)
+        want[1] = 0.7
+        assert res.survival.covariates.tobytes() == want.tobytes()
 
     def test_first_hit_scan_with_inclusive_band_edge(self):
         # scores [0.9, 0.61, 0.60, 0.2]: 0.60 is inside the closed band
@@ -356,7 +369,7 @@ class TestRunIteration:
         it = run_iteration(cfg, train_on_split(cfg, benign, attack, 1),
                            post, iteration=1)
         assert it.cox is not None and it.cox.converged
-        assert it.beta_full[DRIVER] > 0
+        assert it.cox.beta[DRIVER] > 0
 
 
 class TestRunExperiment:
@@ -372,6 +385,23 @@ class TestRunExperiment:
         for it in report.successes:
             assert it.table.events.all()
             assert (it.table.times == 0.0).all()
+
+    def test_feature_constant_in_the_novel_attack_is_dropped(self):
+        # f_n4 is 7.3 in every novel flow, so every record carries the same
+        # distance, censored ones included; a mean of 100 copies rounds
+        benign, attack, post = planted_world(seed=7, q=0.01)
+        flat = post.features.copy()
+        flat[:, 4] = 7.3
+        post = FlowDataset(SCHEMA, flat, post.labels)
+        cfg = small_config(n_sequences=100, seq_len=100, n_iterations=3)
+        report = run_experiment(cfg, benign, attack, lambda: post)
+        assert report.n_converged == 3
+        for it in report.successes:
+            assert it.dropped_covariates == it.cox.dropped == ("f_n4",)
+            assert it.cox.beta[4] == 0.0
+            assert len(np.unique(it.table.X[:, 4])) == 1
+        assert report.mean_beta[4] == 0.0
+        assert "f_n4" not in report.selected_features
 
     def test_unreachable_band_censors_everything(self):
         benign, attack, post = planted_world(seed=17, n_pre=300, n_post=800,
@@ -406,7 +436,7 @@ class TestRunExperiment:
         report = run_experiment(cfg, benign, attack, lambda: post)
         assert report.n_converged == 1
         it = report.successes[0]
-        np.testing.assert_array_equal(report.mean_beta, it.beta_full)
+        np.testing.assert_array_equal(report.mean_beta, it.cox.beta)
 
     def test_all_iterations_failing_raises(self):
         # consistent gate failures surface as the gate error; other
@@ -516,7 +546,7 @@ class TestSelectFeatures:
         # a feature non-zero in under the required fraction is excluded:
         # with 3 converged fits, min_fraction=0.8 needs all 3
         betas = np.array([
-            it.beta_full for it in report.successes
+            it.cox.beta for it in report.successes
             if it.cox is not None and it.cox.converged
         ])
         frac = np.mean(np.abs(betas) >= 1e-3, axis=0)
@@ -564,3 +594,16 @@ class TestSurvivalTableIO:
         np.testing.assert_array_equal(
             [float(r["hazard_ratio"]) for r in rows], np.exp(report.mean_beta)
         )
+
+    def test_aggregate_ratio_past_float_range_is_inf(self):
+        benign, attack, post = planted_world(seed=47, q=0.02)
+        cfg = small_config(n_sequences=50, seq_len=20, n_iterations=1)
+        report = run_experiment(cfg, benign, attack, lambda: post)
+        huge = dataclasses.replace(report, betas=np.full((1, 5), 1000.0))
+        buf = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aggregate_cox_to_csv(huge, buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert [r["mean_beta"] for r in rows] == ["1000.0"] * 5
+        assert [r["hazard_ratio"] for r in rows] == ["inf"] * 5

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from flowhazard.errors import (
-    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, SchemaMismatch,
+    DegenerateData, EmptyInput, InvalidSpec, InvalidValue, NonFinite,
+    SchemaMismatch,
 )
 from flowhazard.flowdata import FlowDataset, FlowSchema
 from flowhazard.models import (
@@ -97,6 +98,15 @@ class TestTrain:
         y = (np.arange(20) >= 10).astype(float)
         model = train(BayesianRidgeParams(), dataset(feats, y), seed=0)
         assert model.scale_std[0] == 1.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
+    def test_feature_past_float_range_is_nonfinite(self, kind):
+        # the squares of +-1e160 overflow: no finite std to scale by
+        feats = np.column_stack([np.arange(20.0),
+                                 np.resize([1e160, -1e160], 20)])
+        y = (np.arange(20) >= 10).astype(float)
+        with pytest.raises(NonFinite, match="'f1'"):
+            train(kind, dataset(feats, y), seed=0)
 
 
 class TestPredict:

@@ -6,8 +6,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowhazard.errors import InvalidValue, LengthMismatch, NoEvents
+from flowhazard.errors import (
+    FlowHazardError,
+    InvalidValue,
+    LengthMismatch,
+    NoEvents,
+    NonFinite,
+)
 from flowhazard.survival import (
     CoxOptions,
     SurvivalRecord,
@@ -384,6 +392,71 @@ class TestCoxFit:
         assert any("monotone likelihood" in w for w in model.warnings)
 
 
+class TestConstantColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), at=st.integers(0, 5),
+           value=st.floats(allow_nan=False, allow_infinity=False),
+           ridge=st.sampled_from([0.0, 1e-3]))
+    def test_inserted_constant_column_changes_no_other(self, seed, at, value,
+                                                       ridge):
+        table, width = random_instance(np.random.default_rng(seed))
+        at = min(at, width)
+        names = table.feature_names
+        wider = SurvivalTable(
+            table.times, table.events, np.insert(table.X, at, value, axis=1),
+            names[:at] + ("flat",) + names[at:],
+        )
+        options = CoxOptions(ridge=ridge)
+        try:
+            base = cox_fit(table, options)
+        except FlowHazardError as err:
+            with pytest.raises(type(err)) as again:
+                cox_fit(wider, options)
+            assert str(again.value) == str(err)
+            return
+        model = cox_fit(wider, options)
+        assert model.dropped == ("flat",)
+        assert (model.beta[at], model.std_errors[at], model.p_values[at]) == (
+            0.0, 0.0, 1.0
+        )
+        for field in ("beta", "hazard_ratios", "std_errors", "p_values",
+                      "ci95_low", "ci95_high"):
+            got = np.delete(getattr(model, field), at)
+            assert got.tobytes() == getattr(base, field).tobytes(), field
+        for field in ("log_partial_likelihood", "penalty", "converged",
+                      "iterations", "final_grad_norm", "warnings"):
+            assert getattr(model, field) == getattr(base, field), field
+        for field in ("times", "values"):
+            assert (getattr(model.baseline_cumhaz, field).tobytes()
+                    == getattr(base.baseline_cumhaz, field).tobytes())
+
+    def test_all_constant_is_the_zero_fit(self):
+        # Breslow increments 1/5, 1/4, ... at beta = 0, even at ridge 0
+        table = SurvivalTable(np.arange(1.0, 6.0), np.ones(5, dtype=int),
+                              np.c_[np.full(5, 2.5), np.zeros(5)])
+        model = cox_fit(table, CoxOptions(ridge=0.0))
+        assert model.dropped == ("x0", "x1")
+        assert model.converged and model.iterations == 0
+        assert model.warnings == ()
+        assert model.beta.tolist() == [0.0, 0.0]
+        assert model.p_values.tolist() == [1.0, 1.0]
+        assert model.log_partial_likelihood == pytest.approx(-math.log(120))
+        np.testing.assert_allclose(
+            np.diff(model.baseline_cumhaz.values, prepend=0.0),
+            [1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0], rtol=1e-15,
+        )
+
+    @pytest.mark.parametrize("values", [
+        [1e160, -1e160, 1e160, -1e160, 0.5],  # squares overflow
+        [1e-200, 2e-200, 1e-200, 3e-200, 1e-200],  # squares underflow to 0
+    ], ids=["overflow", "underflow"])
+    def test_unscalable_column_is_nonfinite_naming_it(self, values):
+        table = SurvivalTable(np.arange(1.0, 6.0), np.ones(5, dtype=int),
+                              np.c_[np.arange(5.0), values], ("x", "odd"))
+        with pytest.raises(NonFinite, match="'odd'"):
+            cox_fit(table)
+
+
 class TestHazardRatiosAndWald:
     def test_reported_table_values(self):
         betas = np.array([0.157, -0.580, -0.105, 1.506])
@@ -478,12 +551,13 @@ class TestBreslowBaseline:
             "offset": np.c_[x + 30.0, 5.0 - 2.0 * rng.standard_normal(n)],
             # identical columns: singular at ridge 0, so the fit retries
             "retry": np.c_[x, x],
+            # a constant column is not fitted, so nothing is singular
             "constant": np.c_[x, np.full(n, 7.0)],
         }[case]
         table = SurvivalTable(times, events, X)
         model = cox_fit(table, CoxOptions(ridge=0.0))
         assert any("retried" in w for w in model.warnings) == (
-            case != "offset"
+            case == "retry"
         )
         want_times, want_values = per_time_breslow_cumhaz(
             times, table.events, X, model.beta
