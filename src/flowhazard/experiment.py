@@ -30,7 +30,6 @@ experiment is reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections.abc import Callable
@@ -39,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .csvio import open_text
+from .csvio import write_table
 from .errors import (
     AccuracyGateFailed,
     AllIterationsFailed,
@@ -464,7 +463,8 @@ def run_experiment(
     ``mean_beta`` averages converged Cox fits only (the count is
     reported); the pooled curve refits Kaplan-Meier over every survival
     record from every successful iteration.  Raises
-    :class:`AllIterationsFailed` when no iteration produced records.
+    :class:`AllIterationsFailed`, with the first failure's message, when
+    no iteration produced records.
     """
     outcomes: list[IterationResult | IterationFailure] = []
     errors: list[FlowHazardError] = []
@@ -492,7 +492,8 @@ def run_experiment(
         details = "; ".join(
             f"iteration {o.iteration}: {o.error_kind}" for o in outcomes[:5]
         )
-        raise AllIterationsFailed(f"no iteration completed ({details})")
+        raise AllIterationsFailed(f"no iteration completed ({details}); "
+                                  f"first failure: {outcomes[0].message}")
 
     names = post.schema.feature_names
     pooled = SurvivalTable(
@@ -534,24 +535,14 @@ def select_features(
 def aggregate_cox_to_csv(report: ExperimentReport, sink) -> None:
     """Mean-coefficient table: feature, mean beta, hazard ratio, how often
     the coefficient was non-negligible, and whether it was selected."""
-    with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature", "mean_beta", "hazard_ratio", "nonzero_fraction",
-             "selected"]
-        )
-        frac = report.nonzero_fraction(report.config.selection.min_abs_beta)
-        chosen = set(report.selected_features)
-        with np.errstate(over="ignore"):  # past float range the ratio is inf
-            ratios = [np.exp(b) for b in report.mean_beta]
-        for j, name in enumerate(report.feature_names):
-            writer.writerow([
-                name,
-                repr(float(report.mean_beta[j])),
-                repr(float(ratios[j])),
-                repr(float(frac[j])),
-                int(name in chosen),
-            ])
+    chosen = set(report.selected_features)
+    with np.errstate(over="ignore"):  # past float range the ratio is inf
+        ratios = [float(np.exp(b)) for b in report.mean_beta]
+    write_table(sink, ["feature", "mean_beta", "hazard_ratio",
+                       "nonzero_fraction", "selected"],
+                [report.feature_names, report.mean_beta, ratios,
+                 report.nonzero_fraction(report.config.selection.min_abs_beta),
+                 [int(name in chosen) for name in report.feature_names]])
 
 
 def report_to_json_dict(report: ExperimentReport) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .csvio import _CsvChunks, open_text
+from .csvio import _CsvChunks, open_text, write_table
 from .errors import (
     EmptyInput,
     InvalidSpec,
@@ -266,16 +266,10 @@ def _parse_lines(fh, schema: FlowSchema) -> FlowDataset:
 
 
 def serialize_flow_csv(dataset: FlowDataset, sink) -> None:
-    """Write a dataset back to CSV; floats use shortest round-trip repr."""
-    with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.schema.feature_names)
-                        + [dataset.schema.label_column])
-        for i in range(len(dataset)):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.features[i]]
-                + [dataset.labels[i]]
-            )
+    """Write a dataset back to CSV (:func:`csvio.write_table`)."""
+    write_table(sink, [*dataset.schema.feature_names,
+                       dataset.schema.label_column],
+                [*dataset.features.T, dataset.labels])
 
 
 def subset(dataset: FlowDataset, indices) -> FlowDataset:

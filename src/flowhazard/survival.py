@@ -24,7 +24,9 @@ repeated runs are bit-identical.
 
 A table is saved and read back as CSV by :func:`write_survival_table` and
 :func:`read_survival_table`; the curve and the fit are written by
-:func:`km_to_csv` and :func:`cox_to_csv`.
+:func:`km_to_csv` and :func:`cox_to_csv`.  Each writer hands a header
+and its columns to :func:`csvio.write_table`, so all three share one
+format.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _CsvChunks, open_text
+from .csvio import _CsvChunks, open_text, write_table
 from .errors import (
     EmptyInput,
     InvalidValue,
@@ -622,20 +624,10 @@ _FIXED_COLUMNS = ("sequence_id", "time", "event")
 
 
 def write_survival_table(table: SurvivalTable, sink) -> None:
-    """CSV of sequence outcomes: the row index as ``sequence_id``, then
-    time, event and one column per covariate, floats written by ``repr``.
-
-    The header goes through the csv module, which quotes a feature name
-    where it must; data rows, which never need quoting, are joined
-    directly into the same bytes the csv module would write."""
-    with open_text(sink, "w") as fh:
-        csv.writer(fh).writerow(_FIXED_COLUMNS + table.feature_names)
-        rows = zip(table.times.tolist(), table.events.tolist(),
-                   table.X.tolist())
-        fh.writelines(
-            ",".join([str(i), repr(t), str(e), *map(repr, x)]) + "\r\n"
-            for i, (t, e, x) in enumerate(rows)
-        )
+    """CSV of sequence outcomes (:func:`csvio.write_table`): the row index
+    as ``sequence_id``, then time, event and one column per covariate."""
+    write_table(sink, _FIXED_COLUMNS + table.feature_names,
+                [range(len(table)), table.times, table.events, *table.X.T])
 
 
 def read_survival_table(source) -> SurvivalTable:
@@ -754,39 +746,22 @@ def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
 
 
 def km_to_csv(curve: KMCurve, sink) -> None:
-    """One row per distinct observed time (events and censorings), floats
-    written by ``repr``: the bytes the csv module would write, since no
-    cell needs quoting."""
-    rows = zip(curve.times.tolist(), curve.n_risk.tolist(),
-               curve.n_event.tolist(), curve.n_censored.tolist(),
-               curve.survival.tolist(), curve.greenwood_var.tolist())
-    with open_text(sink, "w") as fh:
-        fh.write("time,n_risk,n_event,n_censored,survival,greenwood_var\r\n")
-        fh.writelines(f"{t!r},{r},{e},{c},{s!r},{v!r}\r\n"
-                      for t, r, e, c, s, v in rows)
+    """One row per distinct observed time (events and censorings)."""
+    write_table(sink, ["time", "n_risk", "n_event", "n_censored", "survival",
+                       "greenwood_var"],
+                [curve.times, curve.n_risk, curve.n_event, curve.n_censored,
+                 curve.survival, curve.greenwood_var])
 
 
 def cox_to_csv(model: CoxModel, sink) -> None:
-    with open_text(sink, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature", "beta", "hr", "se", "z", "p", "ci_low", "ci_high"]
-        )
-        # the Wald statistic beta / se, 0 where se is 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(model.std_errors > 0,
-                         model.beta / model.std_errors, 0.0)
-        for j, name in enumerate(model.feature_names):
-            writer.writerow([
-                name,
-                repr(float(model.beta[j])),
-                repr(float(model.hazard_ratios[j])),
-                repr(float(model.std_errors[j])),
-                repr(float(z[j])),
-                repr(float(model.p_values[j])),
-                repr(float(model.ci95_low[j])),
-                repr(float(model.ci95_high[j])),
-            ])
+    # the Wald statistic beta / se, 0 where se is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(model.std_errors > 0, model.beta / model.std_errors, 0.0)
+    write_table(sink, ["feature", "beta", "hr", "se", "z", "p", "ci_low",
+                       "ci_high"],
+                [model.feature_names, model.beta, model.hazard_ratios,
+                 model.std_errors, z, model.p_values, model.ci95_low,
+                 model.ci95_high])
 
 
 def cox_convergence_report(model: CoxModel) -> dict:

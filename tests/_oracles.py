@@ -6,7 +6,8 @@ maximizer is found by brute-force grid search, injection streams each
 sequence through the classifier on its own, and the per-time scans walk
 the distinct times one at a time, growing each risk set block by block.
 The flow-CSV parser reads the whole text and converts cell by cell, the
-survival-table writer formats one record at a time, its reader builds
+table writer sends every row through ``csv.writer``, the survival-table
+writer formats one record at a time, its reader builds
 every row as a list of strings, the Kaplan-Meier writer formats one row
 at a time, the Kaplan-Meier plot reads its censoring marks off a step
 function of the event times, the tree builder recurses and re-sorts
@@ -156,6 +157,15 @@ def csv_writer_write_survival_table(table: SurvivalTable, sink) -> None:
         rows = zip(table.times.tolist(), table.events.tolist(),
                    table.X.tolist())
         writer.writerows([i, t, e, *x] for i, (t, e, x) in enumerate(rows))
+
+
+def csv_writer_write_table(sink, header, columns) -> None:
+    """``csvio.write_table`` with every row through ``csv.writer``."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open_text(sink, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
 
 
 def csv_rows_read_survival_table(source) -> SurvivalTable:

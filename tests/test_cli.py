@@ -1359,6 +1359,27 @@ class TestConfigMutations:
         assert err["exit_code"] == 3
         assert says in err["message"]
 
+    def test_every_iteration_failing_names_the_first_cause(self, workspace,
+                                                           capsys):
+        # a feature past float range fails every iteration's training the
+        # same way; the run's one error line says which feature
+        tmp, _, config = workspace
+        spec = json.loads(json.dumps(SYNTH_SPEC))
+        for features in spec.values():
+            features["big"] = {"mean": 1.7e308, "std": 0.0}
+        (tmp / "big_spec.json").write_text(json.dumps(spec))
+        config = json.loads(json.dumps(config))
+        config["inputs"]["synthetic_spec"] = str(tmp / "big_spec.json")
+        config["experiment"]["regressor"] = {"kind": "random_forest",
+                                             "n_trees": 5}
+        path = tmp / "big.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 3
+        err = only_error_line(capsys)
+        assert err["error"] == "AllIterationsFailed"
+        assert "iteration 1: NonFinite" in err["message"]
+        assert "feature 'big' cannot be scaled" in err["message"]
+
     @settings(max_examples=120)
     @given(drawn=mutated_configs())
     def test_exit_code_and_one_json_line(self, mutation_dir, drawn):

@@ -4,8 +4,8 @@ survival commands load only the survival code and no ``numpy.random``
 or ``logging``, only a CSV-input pipeline or train loads
 ``multiprocessing``, the README library example runs against the
 modules it names, the README's config defaults are the dataclasses'
-own, no code raises a builtin exception class, and no text file is
-opened in the locale's encoding."""
+own, no code raises a builtin exception class, no text file is opened
+in the locale's encoding, and only ``csvio`` makes a ``csv.writer``."""
 
 import ast
 import builtins
@@ -257,3 +257,44 @@ def test_locale_opens_are_found(tmp_path):
 def test_every_text_file_is_opened_as_utf8():
     # output and config files read the same under any locale
     assert locale_opens(PACKAGE) == []
+
+
+def csv_writers(root: Path) -> list[str]:
+    """``path:line`` of each use of the csv module's ``writer`` in the
+    modules under ``root``: ``csv.writer`` or an import of ``writer`` from
+    ``csv``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        lines = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            attribute = (isinstance(node, ast.Attribute)
+                         and node.attr == "writer"
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == "csv")
+            imported = (isinstance(node, ast.ImportFrom)
+                        and node.module == "csv"
+                        and any(a.name == "writer" for a in node.names))
+            if attribute or imported:
+                lines.append(node.lineno)
+        found += [f"{path.relative_to(root)}:{n}" for n in sorted(lines)]
+    return found
+
+
+def test_csv_writers_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import csv\n"
+        "from csv import reader, writer as w\n"
+        "def f(fh, out):\n"
+        "    csv.writer(fh).writerow(['a'])\n"
+        "    csv.reader(fh)\n"
+        "    out.writer(fh)\n"
+        "    make = csv.writer\n"
+    )
+    assert csv_writers(tmp_path) == ["m.py:2", "m.py:4", "m.py:7"]
+
+
+def test_only_csvio_writes_csv():
+    # every table artifact is written by csvio.write_table, so the format
+    # is decided in one place
+    assert [f for f in csv_writers(PACKAGE)
+            if not f.startswith("csvio.py:")] == []
