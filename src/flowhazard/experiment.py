@@ -77,7 +77,8 @@ from .survival import (
     cox_fit,
     km_fit,
 )
-# benchmarks/tracer.py TARGETS wraps these here until ROADMAP item 2
+# benchmarks/tracer.py TARGETS wraps these here until ROADMAP item 1
+# points TARGETS at flowhazard.survival
 from .survival import read_survival_table, write_survival_table
 
 log = logging.getLogger("flowhazard.experiment")
@@ -563,7 +564,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             "holdout_accuracy": float(o.accuracy),
             "n_events": int(o.n_events),
             "dropped_covariates": list(o.dropped_covariates),
-            "beta": ([float(b) for b in o.cox.beta] if o.cox is not None
+            "beta": (o.cox.beta.tolist() if o.cox is not None
                      else [0.0] * len(report.feature_names)),
             "cox_error": o.cox_error,
         }
@@ -577,7 +578,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         "config": report.config.to_json_dict(),
         "feature_names": list(report.feature_names),
         "iterations": iterations,
-        "mean_beta": [float(b) for b in report.mean_beta],
+        "mean_beta": report.mean_beta.tolist(),
         "n_converged_fits": report.n_converged,
         "detection_rate": report.detection_rate,
         "selected_features": list(report.selected_features),

@@ -203,10 +203,6 @@ def evaluate_accuracy(
     return float(np.mean((scores >= cut) == (data.targets == 1.0)))
 
 
-def _floats(arr) -> list[float]:
-    return [float(v) for v in np.asarray(arr).ravel()]
-
-
 def model_to_json(model: TrainedModel,
                   train_report: TrainReport | None = None) -> str:
     """The model as a versioned JSON document, every float exact.  A
@@ -215,18 +211,18 @@ def model_to_json(model: TrainedModel,
         state = {
             "trees": [
                 {
-                    "feature": [int(v) for v in t.feature],
-                    "threshold": _floats(t.threshold),
-                    "left": [int(v) for v in t.left],
-                    "right": [int(v) for v in t.right],
-                    "value": _floats(t.value),
+                    "feature": t.feature.tolist(),
+                    "threshold": t.threshold.tolist(),
+                    "left": t.left.tolist(),
+                    "right": t.right.tolist(),
+                    "value": t.value.tolist(),
                 }
                 for t in model.state.trees
             ]
         }
     else:
         state = {
-            "weights": _floats(model.state.weights),
+            "weights": model.state.weights.tolist(),
             "intercept": float(model.state.intercept),
         }
     doc = {
@@ -235,8 +231,8 @@ def model_to_json(model: TrainedModel,
         "kind": model.kind.kind,
         "hyperparams": asdict(model.kind),
         "scaling": {
-            "mean": _floats(model.scale_mean),
-            "std": _floats(model.scale_std),
+            "mean": model.scale_mean.tolist(),
+            "std": model.scale_std.tolist(),
         },
         "state": state,
     }

@@ -647,11 +647,15 @@ def read_survival_table(source) -> SurvivalTable:
     handle.  A path, bytes and a binary handle are read with
     ``newline=""``, as the csv module expects, so a bare carriage return
     ends a line too; a text handle's lines are the ones it yields.  A
-    byte-order mark at the start is dropped.  Lines are read in chunks: a
-    chunk of plain records with the header's cell count is read by
-    numpy's C reader, and any other chunk by the csv module.  A chunk that
-    holds an error is checked again together with the rest of the file,
-    so the error reported is the one a whole-file read meets first.
+    byte-order mark at the start is dropped.  Lines are read in two
+    phases.  While the header's fixed columns are right, chunks of plain
+    records with the header's cell count are read by numpy's C reader.
+    The first chunk it does not take, and every line after it, go through
+    the csv module in one pass, checked in the order a whole-file read
+    meets the errors: a record the csv module rejects, then the header,
+    then row lengths, then numbers.  So a table with one irregular line
+    reads every line after it by the csv module and holds those rows as
+    Python lists; no table :func:`write_survival_table` writes has one.
     """
     with open_text(source) as fh:
         chunks = _CsvChunks(fh)
@@ -662,72 +666,56 @@ def read_survival_table(source) -> SurvivalTable:
         if header is None:
             raise EmptyInput("empty survival table")
         header = [h.strip() for h in header]
-        try:
-            _check_fixed_columns(header)
-        except SchemaMismatch:
-            # a malformed record outranks the header
-            list(_data_records(chunks.records, 0))
-            raise
+        bad_header = _fixed_columns_error(header)
         blocks = []
         n_rows = 0
-        for _, plain in chunks.blocks(range(1, len(header)),
-                                      n_cells=len(header)):
-            if plain is None:
-                records = _data_records(chunks.records, n_rows)
-                rows = []
-                while chunks.pending:
-                    rows.append(next(records))
-                try:
-                    block = _rows_to_block(header, rows, n_rows)
-                except (LengthMismatch, ValueError):
-                    _rows_to_block(header, rows + list(records), n_rows)
-                    raise
-            else:
-                block = plain[0]
-            blocks.append(block)
-            n_rows += block.shape[0]
-    if not n_rows:
-        raise EmptyInput("survival table has no data rows")
+        if bad_header is None:
+            for _, plain in chunks.blocks(range(1, len(header)),
+                                          n_cells=len(header)):
+                if plain is None:
+                    break
+                blocks.append(plain[0])
+                n_rows += plain[0].shape[0]
+        # the rest, from the chunk the C reader did not take, in one pass
+        rows = []
+        try:
+            for row in chunks.records:
+                if any(c.strip() for c in row):
+                    rows.append(row)
+        except csv.Error as err:
+            raise InvalidValue(
+                f"data row {n_rows + len(rows) + 1}: {err}") from None
+    if bad_header is not None:
+        raise bad_header
+    blocks.append(_rows_to_block(header, rows, n_rows))
     data = np.concatenate(blocks)
+    if not data.shape[0]:
+        raise EmptyInput("survival table has no data rows")
     return SurvivalTable(data[:, 0], data[:, 1], data[:, 2:],
                          tuple(header[len(_FIXED_COLUMNS):]))
 
 
-def _data_records(reader, done: int):
-    """The records of the csv ``reader``, after ``done`` data rows that
-    are not blank; a record it rejects raises :class:`InvalidValue`
-    naming the data row."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as err:
-            raise InvalidValue(f"data row {done + 1}: {err}") from None
-        done += any(c.strip() for c in row)
-        yield row
-
-
-def _check_fixed_columns(header: list[str]) -> None:
+def _fixed_columns_error(header: list[str]) -> SchemaMismatch | None:
+    """The error for the first fixed column ``header`` lacks, or None."""
     for i, required in enumerate(_FIXED_COLUMNS):
         if i >= len(header) or header[i].casefold() != required:
-            raise SchemaMismatch(
+            return SchemaMismatch(
                 f"survival table column {i} must be {required!r}, "
                 f"got {header[i] if i < len(header) else 'nothing'!r}"
             )
+    return None
 
 
 def _rows_to_block(header: list[str], rows, done: int) -> np.ndarray:
-    """The cells after ``sequence_id`` of the csv ``rows`` that are not
-    blank, as floats; data rows are numbered on from ``done``."""
-    body = [row for row in rows if any(c.strip() for c in row)]
-    for i, row in enumerate(body, done + 1):
+    """The cells after ``sequence_id`` of the csv ``rows``, none blank, as
+    floats; data rows are numbered on from ``done``."""
+    for i, row in enumerate(rows, done + 1):
         if len(row) != len(header):
             raise LengthMismatch(
                 f"data row {i} has {len(row)} cells, the header has "
                 f"{len(header)}"
             )
-    cells = [row[1:] for row in body]
+    cells = [row[1:] for row in rows]
     try:
         return np.array(cells, dtype=np.float64).reshape(
             len(cells), len(header) - 1

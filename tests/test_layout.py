@@ -5,7 +5,8 @@ or ``logging``, only a CSV-input pipeline or train loads
 ``multiprocessing``, the README library example runs against the
 modules it names, the README's config defaults are the dataclasses'
 own, no code raises a builtin exception class, no text file is opened
-in the locale's encoding, and only ``csvio`` makes a ``csv.writer``."""
+in the locale's encoding, and only ``csvio`` makes a ``csv.writer`` or a
+``csv.reader``."""
 
 import ast
 import builtins
@@ -259,21 +260,21 @@ def test_every_text_file_is_opened_as_utf8():
     assert locale_opens(PACKAGE) == []
 
 
-def csv_writers(root: Path) -> list[str]:
-    """``path:line`` of each use of the csv module's ``writer`` in the
-    modules under ``root``: ``csv.writer`` or an import of ``writer`` from
-    ``csv``."""
+def csv_uses(root: Path, name: str) -> list[str]:
+    """``path:line`` of each use of the csv module's ``name`` (``writer``
+    or ``reader``) in the modules under ``root``: ``csv.<name>`` or an
+    import of ``name`` from ``csv``."""
     found = []
     for path in sorted(root.rglob("*.py")):
         lines = []
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             attribute = (isinstance(node, ast.Attribute)
-                         and node.attr == "writer"
+                         and node.attr == name
                          and isinstance(node.value, ast.Name)
                          and node.value.id == "csv")
             imported = (isinstance(node, ast.ImportFrom)
                         and node.module == "csv"
-                        and any(a.name == "writer" for a in node.names))
+                        and any(a.name == name for a in node.names))
             if attribute or imported:
                 lines.append(node.lineno)
         found += [f"{path.relative_to(root)}:{n}" for n in sorted(lines)]
@@ -290,11 +291,19 @@ def test_csv_writers_are_found(tmp_path):
         "    out.writer(fh)\n"
         "    make = csv.writer\n"
     )
-    assert csv_writers(tmp_path) == ["m.py:2", "m.py:4", "m.py:7"]
+    assert csv_uses(tmp_path, "writer") == ["m.py:2", "m.py:4", "m.py:7"]
+    assert csv_uses(tmp_path, "reader") == ["m.py:2", "m.py:5"]
 
 
 def test_only_csvio_writes_csv():
     # every table artifact is written by csvio.write_table, so the format
     # is decided in one place
-    assert [f for f in csv_writers(PACKAGE)
+    assert [f for f in csv_uses(PACKAGE, "writer")
+            if not f.startswith("csvio.py:")] == []
+
+
+def test_only_csvio_reads_csv():
+    # every CSV input is cut into records by csvio._CsvChunks, so flow
+    # files and survival tables split lines and fields alike
+    assert [f for f in csv_uses(PACKAGE, "reader")
             if not f.startswith("csvio.py:")] == []

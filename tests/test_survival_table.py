@@ -339,6 +339,20 @@ def _read_outcome(read, source):
             table.events.tobytes(), table.X.tobytes())
 
 
+def _plain_block_calls(monkeypatch) -> list[bool]:
+    """Whether each ``csvio._plain_block`` call from now on took its
+    chunk."""
+    calls = []
+    real = csvio._plain_block
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs) is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csvio, "_plain_block", spy)
+    return calls
+
+
 class TestReaderEqualsWholeFileReader:
     @pytest.mark.parametrize("chunk_lines", [1, 2, 7])
     @settings(max_examples=150)
@@ -358,6 +372,14 @@ class TestReaderEqualsWholeFileReader:
     @example(text="sequence_id,time,event," + _LONG_CELL + "\n0,1,1,2\n",
              as_path=False)
     @example(text="sequence_id,time,event,x\n0,1,1,2\n\n1,2,0,3\r2,3,1,4\n",
+             as_path=False)
+    # a csv error outranks the header, a csv error in a later chunk a
+    # ragged row, and a ragged row an earlier cell that is not a number
+    @example(text="sequence_id,tme,event,x\n0,1,1,2\n1,2,0,3\n2,3,1,"
+                  + _LONG_CELL + "\n", as_path=False)
+    @example(text="sequence_id,time,event,x\n0,1,1\n\n1,2,0,3\n2,3,1,4\n"
+                  "3,4,1," + _LONG_CELL + "\n", as_path=False)
+    @example(text="sequence_id,time,event,x\n0,1,1,zz\n\n1,2,0\n",
              as_path=False)
     def test_same_table_or_same_error(self, chunk_lines, text, as_path,
                                       tmp_path_factory):
@@ -381,15 +403,21 @@ class TestReaderEqualsWholeFileReader:
         write_survival_table(table, buf)
         assert "\r\n" in buf.getvalue()
         monkeypatch.setattr(csvio, "_CHUNK_LINES", 4)
-        calls = []
-        real = csvio._plain_block
-
-        def spy(*args, **kwargs):
-            calls.append(real(*args, **kwargs) is not None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(csvio, "_plain_block", spy)
+        calls = _plain_block_calls(monkeypatch)
         again = read_survival_table(io.StringIO(buf.getvalue()))
         assert calls == [True, True]
         assert again.X.tobytes() == table.X.tobytes()
         assert again.feature_names == ("a,b", 'q"')
+
+    def test_the_rest_after_an_irregular_chunk_takes_one_csv_pass(
+            self, monkeypatch):
+        # the first chunk holds a blank line, so it and every later line
+        # are read by the csv module, plain chunks after it too
+        text = ("sequence_id,time,event,x\r\n0,1,1,2\r\n\r\n1,2,0,3\r\n"
+                "2,3,1,4\r\n3,4,1,5\r\n4,5,0,6\r\n")
+        monkeypatch.setattr(csvio, "_CHUNK_LINES", 2)
+        calls = _plain_block_calls(monkeypatch)
+        got = _read_outcome(read_survival_table, io.StringIO(text))
+        assert calls == [False]
+        assert got == _read_outcome(csv_rows_read_survival_table,
+                                    io.StringIO(text))
