@@ -330,18 +330,13 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     return ll, grad, hess, log_s0
 
 
-def _beta_for(table: SurvivalTable, beta) -> np.ndarray:
+def _scan_at(beta, table: SurvivalTable, order):
     beta = np.asarray(beta, dtype=np.float64)
     width = table.X.shape[1]
     if beta.shape != (width,):
         raise LengthMismatch(
             f"beta has shape {beta.shape}, covariates have width {width}"
         )
-    return beta
-
-
-def _scan_at(beta, table: SurvivalTable, order):
-    beta = _beta_for(table, beta)
     blocks = _tie_blocks(table.times, table.events)
     return _breslow_scan(blocks, table.X, beta, order)
 
@@ -407,23 +402,21 @@ class CoxModel:
 
 
 def _newton(blocks, Z, lam, tol, max_iter):
-    width = Z.shape[1]
-    beta = np.zeros(width)
+    """Newton-Raphson from beta = 0; the fit and its covariance."""
+    penalty = lam * np.eye(Z.shape[1])
+    beta = np.zeros(Z.shape[1])
     ll, grad, hess, log_s0 = _breslow_scan(blocks, Z, beta, order=2)
     ll_pen = ll - 0.5 * lam * float(beta @ beta)
     iterations = 0
-    converged = False
-    grad_norm = np.inf
-    while iterations < max_iter:
+    while True:
         grad_pen = grad - lam * beta
         grad_norm = float(np.abs(grad_pen).max(initial=0.0))
-        if grad_norm < tol:
-            converged = True
+        converged = grad_norm < tol
+        if converged or iterations == max_iter:
             break
         iterations += 1
-        neg_hess = -(hess - lam * np.eye(width))
         try:
-            step = np.linalg.solve(neg_hess, grad_pen)
+            step = np.linalg.solve(-(hess - penalty), grad_pen)
         except np.linalg.LinAlgError:
             raise SingularHessian("Newton step failed: singular Hessian")
         if not np.all(np.isfinite(step)):
@@ -433,7 +426,6 @@ def _newton(blocks, Z, lam, tol, max_iter):
         # the optimum, where a Newton step can lose a few ulps
         floor = ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
         scale = 1.0
-        accepted = False
         for _ in range(20):  # step-halving; an accepted trial's scan is kept
             trial = beta + scale * step
             scan = _breslow_scan(blocks, Z, trial)
@@ -442,15 +434,10 @@ def _newton(blocks, Z, lam, tol, max_iter):
                 beta = trial
                 ll, grad, hess, log_s0 = scan
                 ll_pen = ll_t_pen
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             break  # no uphill step available; report non-convergence
-    else:
-        grad_pen = grad - lam * beta
-        grad_norm = float(np.abs(grad_pen).max(initial=0.0))
-        converged = grad_norm < tol
     # ray test: at a finite optimum the objective falls from beta to
     # 2 beta; on separated data it keeps rising, however small the gradient
     rising = False
@@ -460,7 +447,13 @@ def _newton(blocks, Z, lam, tol, max_iter):
         ll_ray_pen = ll_ray - 0.5 * lam * float(ray @ ray)
         rising = ll_ray_pen >= ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
         converged = not rising
-    return beta, ll, log_s0, converged, iterations, grad_norm, rising, hess
+    try:
+        cov = np.linalg.inv(-(hess - penalty))
+    except np.linalg.LinAlgError:
+        raise SingularHessian("information matrix is singular at the optimum")
+    if not np.all(np.isfinite(cov)):
+        raise SingularHessian("information matrix inversion overflowed")
+    return beta, ll, log_s0, converged, iterations, grad_norm, rising, cov
 
 
 def normal_two_sided_p(z) -> np.ndarray:
@@ -482,16 +475,19 @@ def cox_fit(table: SurvivalTable,
     """Maximize the (optionally ridge-penalized) log partial likelihood.
 
     Newton-Raphson with up to 20 step-halvings per iteration; a step is
-    accepted only if the penalized objective does not decrease.  A
-    singular Hessian triggers one automatic retry with the penalty raised
-    to at least 1e-4 and a warning recorded on the model.  After
-    ``max_iter`` iterations without meeting ``tol`` the model is returned
-    with ``converged=False``.  So is a fit whose penalized likelihood at
-    2 beta is not below that at beta, and one that ends with some |beta|
-    on the standardized scale above :data:`MONOTONE_BETA_BOUND`: the
-    likelihood is monotone there (separated data), and a warning on the
-    model says so.  Constant columns (:func:`constant_columns`) are not
-    fitted; with none left the model is beta = 0, converged at step 0.
+    accepted only if the penalized objective does not decrease.  The fit
+    converges when the penalized gradient norm falls below ``tol``.  It
+    ends with ``converged=False`` after ``max_iter`` iterations, or when
+    20 halvings find no uphill step; neither adds a warning.  It also
+    ends unconverged when the penalized likelihood at 2 beta is not below
+    that at beta, or when some |beta| on the standardized scale is above
+    :data:`MONOTONE_BETA_BOUND`: the likelihood is monotone there
+    (separated data), and a warning on the model says so.  A singular
+    Hessian, in a step or at the end, triggers one retry with the penalty
+    raised to at least 1e-4 and a warning on the model; at a penalty of
+    1e-4 or more it raises :class:`SingularHessian`.  Constant columns
+    (:func:`constant_columns`) are not fitted; with none left the model
+    is beta = 0, converged at step 0.
 
     The model takes the table's column names.  Raises :class:`NoEvents`
     when every row is censored, and :class:`NonFinite` naming a fitted
@@ -517,23 +513,10 @@ def cox_fit(table: SurvivalTable,
                         f"mean {mu[j]:.6g}, standard deviation {sd[j]:.6g}")
     Z = (X - mu) / sd
 
-    def attempt(lam):
-        *fit, hess = _newton(blocks, Z, lam, options.tol, options.max_iter)
-        neg_hess_pen = -(hess - lam * np.eye(keep.size))
-        try:
-            cov = np.linalg.inv(neg_hess_pen)
-        except np.linalg.LinAlgError:
-            raise SingularHessian(
-                "information matrix is singular at the optimum"
-            )
-        if not np.all(np.isfinite(cov)):
-            raise SingularHessian("information matrix inversion overflowed")
-        return (*fit, cov)
-
     warnings: list[str] = []
     lam = options.ridge
     try:
-        result = attempt(lam)
+        fit = _newton(blocks, Z, lam, options.tol, options.max_iter)
     except SingularHessian:
         retry = max(lam, 1e-4)
         if retry == lam:
@@ -542,10 +525,8 @@ def cox_fit(table: SurvivalTable,
             f"singular Hessian at ridge={lam:g}; retried with ridge={retry:g}"
         )
         lam = retry
-        result = attempt(lam)
-    beta_std, ll, log_s0, converged, iterations, grad_norm, rising, cov = (
-        result
-    )
+        fit = _newton(blocks, Z, lam, options.tol, options.max_iter)
+    beta_std, ll, log_s0, converged, iterations, grad_norm, rising, cov = fit
     se_std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     size = np.abs(beta_std)
     if size.max(initial=0.0) > MONOTONE_BETA_BOUND:

@@ -1253,6 +1253,8 @@ class TestConfigMutations:
         (("schema",), {"preset": "cicids2017"}, "schema"),
         (("schema", "preset"), "cicids2017", "preset"),
         (("inputs", "benign_csv"), "does/not/exist.csv", "benign_csv"),
+        (("emit",), ["bogus"], "emit"),
+        (("experiment", "band"), [0.4, float("inf")], "band"),
     ], ids=["rows_per_class", "emit", "schema_features", "seq_len",
             "accuracy_gate", "negative_seed", "float_iterations",
             "float_seq_len", "float_n_sequences", "float_n_iterations",
@@ -1266,7 +1268,8 @@ class TestConfigMutations:
             "unknown_regressor_key", "unknown_combination_key",
             "unknown_selection_key", "schema_unlike_the_synthetic_spec",
             "preset_beside_synthetic_spec", "preset_beside_features",
-            "csv_path_beside_synthetic_spec"])
+            "csv_path_beside_synthetic_spec", "unknown_emit_flag",
+            "infinite_band_high"])
     def test_wrong_type_is_invalid_spec(self, mutation_dir, capsys, path,
                                         value, named):
         config = json.loads(json.dumps(_MUTATED_CONFIG))

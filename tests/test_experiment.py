@@ -20,6 +20,7 @@ from flowhazard.errors import (
 from flowhazard.experiment import (
     AttackCombination,
     ExperimentConfig,
+    IterationFailure,
     SelectionRule,
     _draw_indices,
     _scan_sequences,
@@ -370,6 +371,43 @@ class TestRunIteration:
                            post, iteration=1)
         assert it.cox is not None and it.cox.converged
         assert it.cox.beta[DRIVER] > 0
+
+    def test_pool_of_one_flow_leaves_nothing_to_fit(self):
+        # every drawn flow is the same, so every record, hit or censored,
+        # carries the same distances and no covariate column varies
+        benign, attack, post = planted_world(seed=3, n_pre=200, n_post=50,
+                                             q=0.01)
+        one = FlowDataset(SCHEMA, np.repeat(post.features[:1], 50, axis=0),
+                          post.labels[:1] * 50)
+        cfg = small_config(n_sequences=20, seq_len=10, n_iterations=1)
+        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 0), one)
+        assert it.cox is None
+        assert it.cox_error == "all covariate columns are constant"
+        assert it.dropped_covariates == SCHEMA.feature_names
+        assert len(np.unique(it.table.X, axis=0)) == 1
+
+        report = run_experiment(cfg, benign, attack, lambda: one)
+        entry, = report_to_json_dict(report)["iterations"]
+        assert entry["failed"] is False and "cox" not in entry
+        assert entry["beta"] == [0.0] * SCHEMA.n_features
+        assert entry["cox_error"] == "all covariate columns are constant"
+        assert entry["dropped_covariates"] == list(SCHEMA.feature_names)
+
+    def test_failed_iteration_is_written_as_its_error(self):
+        benign, attack, post = planted_world(seed=3, n_pre=200, n_post=200,
+                                             q=0.01)
+        cfg = small_config(n_sequences=20, seq_len=10, n_iterations=1)
+        report = run_experiment(cfg, benign, attack, lambda: post)
+        failure = IterationFailure(1, "AccuracyGateFailed", "holdout 0.5")
+        report = dataclasses.replace(
+            report, iterations=report.iterations + (failure,)
+        )
+        entries = report_to_json_dict(report)["iterations"]
+        assert entries[1] == {
+            "iteration": 1, "failed": True,
+            "error_kind": "AccuracyGateFailed", "message": "holdout 0.5",
+        }
+        assert entries[0]["failed"] is False
 
 
 class TestRunExperiment:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowhazard.errors import EmptyInput
+from flowhazard.errors import EmptyInput, InvalidValue
 from flowhazard.flowdata import FlowSchema, cicids2017_schema, parse_flow_csv
 from flowhazard import csvio
 
@@ -101,12 +101,20 @@ def _outcome(parse, data):
         ds = parse(data, SCHEMA)
     except EmptyInput as exc:
         return "EmptyInput", str(exc)
+    except InvalidValue as exc:  # a header the csv module rejects
+        assert str(exc).startswith("line 1: ")
+        return "bad header", str(exc).removeprefix("line 1: ")
+    except csv.Error as exc:
+        assert parse is whole_text_parse_flow_csv  # which names no line
+        return "bad header", str(exc)
     return ds.features.shape, ds.features.tobytes(), ds.labels, ds.report
 
 
 @pytest.mark.parametrize("chunk_lines", [1, 2, 7])
 @given(text=flow_csvs())
 @example(text='a,b,Label\n1,2,"multi\nline"\n3,bogus,x\n5,6,y\n')
+@example(text="")
+@example(text="a\rb,Label\n1,x\n")
 @example(
     text='Label,a,b\r\n"q,r",1,2\r\n\r\nInfinity,3,4\r\n, ,\r\nx,1_0,2\r\n',
 )

@@ -260,6 +260,51 @@ class TestCoxFit:
         assert model.converged and model.iterations >= 3
         assert orders == [2] * (model.iterations + 1) + [0]
 
+    @staticmethod
+    def _newton_table():
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((200, 2))
+        times = rng.exponential(1.0 / np.exp(X @ np.array([0.8, -0.4])))
+        events = (times < rng.exponential(2.0, 200)).astype(np.int64)
+        return SurvivalTable(np.round(times, 3), events, X, ("a", "b"))
+
+    def test_max_iter_at_the_converging_step_and_one_short(self):
+        table = self._newton_table()
+        free = cox_fit(table)
+        k = free.iterations
+        assert free.converged and k >= 2
+        capped = cox_fit(table, CoxOptions(max_iter=k))
+        assert capped.converged and capped.iterations == k
+        assert capped.beta.tobytes() == free.beta.tobytes()
+        short = cox_fit(table, CoxOptions(max_iter=k - 1))
+        assert not short.converged and short.iterations == k - 1
+        assert short.final_grad_norm >= CoxOptions().tol
+        assert short.warnings == ()
+
+    def test_no_uphill_step_in_20_halvings_stops_at_beta_zero(
+            self, monkeypatch):
+        # every trial scan after the first (beta = 0) reports ll = -inf,
+        # so the first Newton step halves 20 times and gives up
+        from flowhazard import survival
+
+        table = self._newton_table()
+        scan = survival._breslow_scan
+        orders = []
+
+        def failing_trials(blocks, Z, beta, order=2):
+            ll, *rest = scan(blocks, Z, beta, order)
+            orders.append(order)
+            return (ll if len(orders) == 1 else -np.inf, *rest)
+
+        monkeypatch.setattr(survival, "_breslow_scan", failing_trials)
+        model = cox_fit(table)
+        assert orders == [2] * 21
+        assert not model.converged
+        assert model.iterations == 1
+        assert model.beta.tobytes() == np.zeros(2).tobytes()
+        assert model.final_grad_norm >= CoxOptions().tol
+        assert model.warnings == ()
+
     def test_separation_case(self):
         # lone event with the larger covariate: likelihood is monotone in
         # beta, so the unpenalized path must either flag non-convergence or
