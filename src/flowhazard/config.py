@@ -37,8 +37,13 @@ def _load_json(path: str) -> dict:
 
 
 def load_synthetic_spec(path: str) -> SyntheticSpec:
-    """The synthetic spec in the JSON file at ``path``."""
-    return SyntheticSpec.from_json_dict(_load_json(path))
+    """The synthetic spec in the JSON file at ``path``; an invalid spec
+    is reported under that path."""
+    doc = _load_json(path)
+    try:
+        return SyntheticSpec.from_json_dict(doc)
+    except InvalidSpec as err:
+        raise InvalidSpec(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,17 @@ Two estimators live here:
   fitted by Newton-Raphson on the log partial likelihood with the Breslow
   approximation for tied event times and an optional ridge penalty
   ``-lambda * ||beta||^2 / 2``.  Covariates are standardized internally;
-  reported coefficients are on the original scale.  The Breslow baseline
-  hazard is read off the risk-set sums of the last Newton scan.
+  reported coefficients are on the original scale.  One risk-set scan
+  gives the likelihood, its gradient and Hessian, and log S0 together;
+  the Breslow baseline hazard is read off the last accepted scan.
 
 Both read columnar data (:class:`SurvivalTable`).  Rows are sorted once
 per fit by descending time (stable) and cut into blocks of tied times, so
 every risk set is a prefix of that order: the Kaplan-Meier counts and
 the Cox risk-set sums are cumulative sums over the blocks, read at the
-block ends, with no loop over times.  The reduction order is fixed, so
-repeated runs are bit-identical.
+block ends; only a Cox risk set whose shifted S0 underflows is summed
+again on its own.  The reduction order is fixed, so repeated runs are
+bit-identical.
 
 A table is saved and read back as CSV by :func:`write_survival_table` and
 :func:`read_survival_table`; the curve and the fit are written by
@@ -259,25 +261,15 @@ def constant_columns(X: np.ndarray) -> np.ndarray:
     return (X == X[0]).all(axis=0)
 
 
-def _risk_set_sums(eta, X, risk, order):
-    """S0, S1, S2 of one risk set under its own max(eta) shift."""
-    shift = float(eta[risk].max())
-    w = np.exp(eta[risk] - shift)
-    Xr = X[risk]
-    s1 = w @ Xr if order >= 1 else None
-    s2 = (Xr * w[:, None]).T @ Xr if order >= 2 else None
-    return float(w.sum()), s1, s2, shift
-
-
 # A globally shifted S0 below this is summed again under its own shift.
 # Above it S0 is a normal float, and every d / S0 in the Hessian's
 # reverse cumulative sum, and their total over <= 1e18 events, is finite.
 _S0_FLOOR = 1e-290
 
 
-def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
-    """Log partial likelihood, its derivatives and log S0 per event block
-    (descending time) from cumulative sums.
+def _breslow_scan(blocks: _TieBlocks, X, beta):
+    """Log partial likelihood, its gradient and Hessian, and log S0 per
+    event block (descending time), all from one pass of cumulative sums.
 
     The risk set of an event block is a prefix of the descending-time
     order, so its S0 = sum w and S1 = sum w x are cumulative sums of
@@ -288,49 +280,44 @@ def _breslow_scan(blocks: _TieBlocks, X, beta, order=2):
     per-block F x F matrix is formed.  Exponentials are shifted by the
     global max(eta); the shift cancels in every ratio and is restored in
     the log terms.  An event block whose shifted S0 falls below
-    ``_S0_FLOOR`` is summed again under its own max shift.
+    ``_S0_FLOOR`` is left out of that reverse sum; one loop sums its risk
+    set again under its own max shift, overwrites its S0, shift and S1,
+    and adds its d S2 / S0 term.
     """
     eta = X @ beta
     shift = float(eta.max())
     w = np.exp(eta[blocks.order] - shift)
+    Xd = X[blocks.order]
     ev = np.flatnonzero(blocks.dead)
     d = blocks.dead[ev].astype(np.float64)
     s0 = np.cumsum(np.add.reduceat(w, blocks.starts))[ev]
-    shifts = np.full(ev.shape, shift)
-    low = np.flatnonzero(s0 < _S0_FLOOR)
-    redo = [
-        _risk_set_sums(eta, X, blocks.order[: blocks.ends[ev[k]]], order)
-        for k in low
-    ]
-    for k, (r0, _, _, r_shift) in zip(low, redo):
-        s0[k], shifts[k] = r0, r_shift
-
-    log_s0 = np.log(s0) + shifts
-    ll = float(eta[blocks.event_rows].sum()) - float(d @ log_s0)
-    if order < 1:
-        return ll, None, None, log_s0
-    Xd = X[blocks.order]
     s1 = np.cumsum(
         np.add.reduceat(w[:, None] * Xd, blocks.starts, axis=0), axis=0
     )[ev]
-    for k, (_, r1, _, _) in zip(low, redo):
-        s1[k] = r1
-    xbar = s1 / s0[:, None]
-    grad = X[blocks.event_rows].sum(axis=0) - d @ xbar
-    if order < 2:
-        return ll, grad, None, log_s0
+    shifts = np.full(ev.shape, shift)
+    low = s0 < _S0_FLOOR
     coef = np.zeros(blocks.starts.shape[0])
-    coef[ev] = d / s0
-    coef[ev[low]] = 0.0
+    coef[ev[~low]] = d[~low] / s0[~low]
     a = np.repeat(np.cumsum(coef[::-1])[::-1], blocks.ends - blocks.starts)
     s2 = (Xd * (w * a)[:, None]).T @ Xd
-    for k, (r0, _, r2, _) in zip(low, redo):
-        s2 += d[k] * r2 / r0
+    for k in np.flatnonzero(low):
+        risk = blocks.order[: blocks.ends[ev[k]]]
+        shifts[k] = float(eta[risk].max())
+        w_k = np.exp(eta[risk] - shifts[k])
+        X_k = X[risk]
+        s0[k] = float(w_k.sum())
+        s1[k] = w_k @ X_k
+        s2 += d[k] * ((X_k * w_k[:, None]).T @ X_k) / s0[k]
+
+    log_s0 = np.log(s0) + shifts
+    ll = float(eta[blocks.event_rows].sum()) - float(d @ log_s0)
+    xbar = s1 / s0[:, None]
+    grad = X[blocks.event_rows].sum(axis=0) - d @ xbar
     hess = (xbar * d[:, None]).T @ xbar - s2
     return ll, grad, hess, log_s0
 
 
-def _scan_at(beta, table: SurvivalTable, order):
+def _scan_at(beta, table: SurvivalTable):
     beta = np.asarray(beta, dtype=np.float64)
     width = table.X.shape[1]
     if beta.shape != (width,):
@@ -338,22 +325,22 @@ def _scan_at(beta, table: SurvivalTable, order):
             f"beta has shape {beta.shape}, covariates have width {width}"
         )
     blocks = _tie_blocks(table.times, table.events)
-    return _breslow_scan(blocks, table.X, beta, order)
+    return _breslow_scan(blocks, table.X, beta)
 
 
 def cox_log_partial_likelihood(beta, table: SurvivalTable) -> float:
     """Breslow log partial likelihood at ``beta``; 0.0 with no events."""
-    return _scan_at(beta, table, order=0)[0]
+    return _scan_at(beta, table)[0]
 
 
 def cox_gradient(beta, table: SurvivalTable) -> np.ndarray:
     """Analytic first derivative of the Breslow log partial likelihood."""
-    return _scan_at(beta, table, order=1)[1]
+    return _scan_at(beta, table)[1]
 
 
 def cox_hessian(beta, table: SurvivalTable) -> np.ndarray:
     """Analytic second derivative; negative semi-definite."""
-    return _scan_at(beta, table, order=2)[2]
+    return _scan_at(beta, table)[2]
 
 
 @dataclass(frozen=True)
@@ -402,11 +389,23 @@ class CoxModel:
 
 
 def _newton(blocks, Z, lam, tol, max_iter):
-    """Newton-Raphson from beta = 0; the fit and its covariance."""
+    """Newton-Raphson from beta = 0; the fit and its covariance.
+
+    The start, every step-halving trial and the ray 2 beta are scored by
+    one penalized objective and held to one plateau floor."""
     penalty = lam * np.eye(Z.shape[1])
+
+    def objective(b):
+        scan = _breslow_scan(blocks, Z, b)
+        return scan[0] - 0.5 * lam * float(b @ b), scan
+
+    def floor(value):
+        # "does not decrease" with slack for floating-point plateaus near
+        # the optimum, where a Newton step can lose a few ulps
+        return value - 1e-10 * (abs(value) + 1.0)
+
     beta = np.zeros(Z.shape[1])
-    ll, grad, hess, log_s0 = _breslow_scan(blocks, Z, beta, order=2)
-    ll_pen = ll - 0.5 * lam * float(beta @ beta)
+    ll_pen, (ll, grad, hess, log_s0) = objective(beta)
     iterations = 0
     while True:
         grad_pen = grad - lam * beta
@@ -422,18 +421,13 @@ def _newton(blocks, Z, lam, tol, max_iter):
         if not np.all(np.isfinite(step)):
             raise SingularHessian("Newton step failed: non-finite step")
 
-        # "does not decrease" with slack for floating-point plateaus near
-        # the optimum, where a Newton step can lose a few ulps
-        floor = ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
         scale = 1.0
         for _ in range(20):  # step-halving; an accepted trial's scan is kept
             trial = beta + scale * step
-            scan = _breslow_scan(blocks, Z, trial)
-            ll_t_pen = scan[0] - 0.5 * lam * float(trial @ trial)
-            if np.isfinite(ll_t_pen) and ll_t_pen >= floor:
-                beta = trial
+            trial_pen, scan = objective(trial)
+            if np.isfinite(trial_pen) and trial_pen >= floor(ll_pen):
+                beta, ll_pen = trial, trial_pen
                 ll, grad, hess, log_s0 = scan
-                ll_pen = ll_t_pen
                 break
             scale *= 0.5
         else:
@@ -442,10 +436,7 @@ def _newton(blocks, Z, lam, tol, max_iter):
     # 2 beta; on separated data it keeps rising, however small the gradient
     rising = False
     if converged and beta.any():
-        ray = 2.0 * beta
-        ll_ray = _breslow_scan(blocks, Z, ray, order=0)[0]
-        ll_ray_pen = ll_ray - 0.5 * lam * float(ray @ ray)
-        rising = ll_ray_pen >= ll_pen - 1e-10 * (abs(ll_pen) + 1.0)
+        rising = objective(2.0 * beta)[0] >= floor(ll_pen)
         converged = not rising
     try:
         cov = np.linalg.inv(-(hess - penalty))
@@ -483,9 +474,10 @@ def cox_fit(table: SurvivalTable,
     that at beta, or when some |beta| on the standardized scale is above
     :data:`MONOTONE_BETA_BOUND`: the likelihood is monotone there
     (separated data), and a warning on the model says so.  A singular
-    Hessian, in a step or at the end, triggers one retry with the penalty
-    raised to at least 1e-4 and a warning on the model; at a penalty of
-    1e-4 or more it raises :class:`SingularHessian`.  Constant columns
+    Hessian, in a step or at the end, raises :class:`SingularHessian`
+    when the ridge is 1e-4 or more; below that the fit is run once more
+    at ridge 1e-4, with a warning on the model, and raises if it meets
+    one again.  Constant columns
     (:func:`constant_columns`) are not fitted; with none left the model
     is beta = 0, converged at step 0.
 

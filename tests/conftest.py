@@ -44,3 +44,26 @@ def one_byte_reads():
     """``one_byte_reads(data)`` is a binary handle that reads ``data``
     one byte at a time."""
     return _OneByteReads
+
+
+@pytest.fixture
+def wrap_scan(monkeypatch):
+    """``wrap_scan(transform)`` patches ``survival._breslow_scan`` so that
+    each scan's ``(ll, grad, hess, log_s0)`` is passed through
+    ``transform(scan, calls)`` and returns the list ``calls``, which holds
+    the beta of every scan so far, this one included."""
+    from flowhazard import survival
+
+    scan = survival._breslow_scan
+
+    def wrap(transform=lambda result, calls: result):
+        calls = []
+
+        def wrapped(blocks, X, beta):
+            calls.append(beta.copy())
+            return transform(scan(blocks, X, beta), calls)
+
+        monkeypatch.setattr(survival, "_breslow_scan", wrapped)
+        return calls
+
+    return wrap

@@ -144,8 +144,10 @@ class TestSynth:
         ({"A": {"f": {"std": True}}}, "'A', feature 'f': std"),
         ({"A": {"f": {"truncate_at_zero": "no"}}},
          "'A', feature 'f': truncate_at_zero"),
+        ({}, "spec.json: synthetic spec has no classes"),
     ], ids=["class_not_object", "feature_not_object", "mean_not_number",
-            "string_mean", "bool_std", "string_truncate_at_zero"])
+            "string_mean", "bool_std", "string_truncate_at_zero",
+            "no_classes"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, spec, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -174,12 +176,25 @@ class TestSynth:
         assert named in err["message"]
         assert not out.exists()
 
+    def test_zero_rows_exits_2_before_writing(self, workspace, capsys):
+        tmp, _, _ = workspace
+        out = tmp / "synthed"
+        rc = main(["synth", "--spec", str(tmp / "synth_spec.json"),
+                   "--n", "0", "--out", str(out)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "n >= 1" in err["message"]
+        assert not out.exists()
+
     def test_pipeline_spec_entry_is_checked(self, workspace, capsys):
         tmp, config_path, _ = workspace
         (tmp / "synth_spec.json").write_text(json.dumps({"A": {"f": [1]}}))
         rc = main(["pipeline", "--config", str(config_path)])
         assert rc == 2
-        assert only_error_line(capsys)["error"] == "InvalidSpec"
+        err = only_error_line(capsys)
+        assert err["error"] == "InvalidSpec"
+        assert "synth_spec.json: " in err["message"]
 
     def test_negative_seed_exits_2_with_one_line(self, workspace):
         tmp, _, _ = workspace
@@ -626,6 +641,23 @@ class TestPipelineCommand:
         run = load_pipeline_config(str(config_path), args).experiment
         assert ExperimentConfig.from_json_dict(report["config"]) == run
 
+    def test_singular_fit_is_reported_in_its_iteration(
+            self, workspace, tmp_path, wrap_scan):
+        # the config's ridge is 1e-3, so a NaN Hessian raises with no retry
+        _, config_path, _ = workspace
+        wrap_scan(lambda scan, calls: (
+            *scan[:2], np.full_like(scan[2], np.nan), scan[3]))
+        out = tmp_path / "singular"
+        assert main(["pipeline", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["iterations"]) == 2
+        for entry in report["iterations"]:
+            assert entry["cox_error"] == (
+                "SingularHessian: Newton step failed: non-finite step")
+            assert "cox" not in entry
+            assert entry["beta"] == [0.0, 0.0, 0.0]
+
 
 def run_python(code: str, log=None) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that imports this flowhazard, with
@@ -945,6 +977,25 @@ class TestCoxCommand:
         assert "'huge'" in err["message"]
         assert not (tmp_path / "cox_table.csv").exists()
 
+    def test_singular_hessian_exits_3_before_writing(self, tmp_path, capsys,
+                                                     wrap_scan):
+        # at ridge 1e-3 a NaN Hessian is not retried
+        rows = [(i, float(i + 1), int(i % 3 != 2), float(i % 4))
+                for i in range(12)]
+        table = tmp_path / "table.csv"
+        write_survival_csv(table, rows)
+        calls = wrap_scan(lambda scan, calls: (
+            *scan[:2], np.full_like(scan[2], np.nan), scan[3]))
+        rc = main(["cox", "--table", str(table), "--ridge", "0.001",
+                   "--out", str(tmp_path / "fit")])
+        assert rc == 3
+        err = only_error_line(capsys)
+        assert err["error"] == "SingularHessian"
+        assert err["exit_code"] == 3
+        assert err["message"] == "Newton step failed: non-finite step"
+        assert len(calls) == 1
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--ridge", "-1"), ("--ridge", "inf"), ("--tol", "-1"),
         ("--tol", "nan"), ("--max-iter", "0"),
@@ -1239,6 +1290,11 @@ class TestConfigMutations:
          "max_depth"),
         (("experiment", "regressor"), dict(_FOREST, bootstrap="no"),
          "bootstrap"),
+        (("experiment", "regressor"), dict(_FOREST, max_depth=-1),
+         "max_depth"),
+        (("experiment", "regressor"), dict(_FOREST, features_per_split=0),
+         "features_per_split"),
+        (("schema",), {"features": []}, "at least one feature"),
         (("experiment", "regressor", "tol"), float("inf"), "tol"),
         (("experiment", "cox", "max_iters"), 5, "max_iters"),
         (("zz",), 1, "zz"),
@@ -1262,7 +1318,9 @@ class TestConfigMutations:
             "float_rows_per_class", "bool_seq_len", "bool_accuracy_gate",
             "string_seq_len", "string_accuracy_gate", "nan_accuracy_gate",
             "nan_min_fraction", "negative_min_abs_beta", "float_min_leaf",
-            "float_max_depth", "string_bootstrap", "infinite_ridge_tol",
+            "float_max_depth", "string_bootstrap", "negative_max_depth",
+            "zero_features_per_split", "empty_schema_features",
+            "infinite_ridge_tol",
             "unknown_cox_key", "unknown_top_level_key", "unknown_inputs_key",
             "unknown_schema_key", "unknown_experiment_key",
             "unknown_regressor_key", "unknown_combination_key",

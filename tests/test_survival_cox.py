@@ -15,6 +15,7 @@ from flowhazard.errors import (
     LengthMismatch,
     NoEvents,
     NonFinite,
+    SingularHessian,
 )
 from flowhazard.survival import (
     CoxOptions,
@@ -237,28 +238,19 @@ class TestCoxFit:
             accepted += 1
         assert accepted >= 5
 
-    def test_one_scan_per_accepted_newton_step(self, monkeypatch):
+    def test_one_scan_per_accepted_newton_step(self, wrap_scan):
         # a fit with no step-halving scans beta = 0, each accepted trial
         # (keeping its derivatives) and the ray 2 beta, and nothing else
-        from flowhazard import survival
-
         rng = np.random.default_rng(11)
         X = rng.standard_normal((300, 2))
         hazard = np.exp(X @ np.array([0.5, -0.3]))
         times = rng.exponential(1.0 / hazard)
         events = (times < rng.exponential(2.0, 300)).astype(np.int64)
         table = SurvivalTable(np.round(times, 3), events, X, ("a", "b"))
-        scan = survival._breslow_scan
-        orders = []
-
-        def counting_scan(blocks, Z, beta, order=2):
-            orders.append(order)
-            return scan(blocks, Z, beta, order)
-
-        monkeypatch.setattr(survival, "_breslow_scan", counting_scan)
+        calls = wrap_scan()
         model = cox_fit(table)
         assert model.converged and model.iterations >= 3
-        assert orders == [2] * (model.iterations + 1) + [0]
+        assert len(calls) == model.iterations + 2
 
     @staticmethod
     def _newton_table():
@@ -282,28 +274,65 @@ class TestCoxFit:
         assert short.warnings == ()
 
     def test_no_uphill_step_in_20_halvings_stops_at_beta_zero(
-            self, monkeypatch):
+            self, wrap_scan):
         # every trial scan after the first (beta = 0) reports ll = -inf,
         # so the first Newton step halves 20 times and gives up
-        from flowhazard import survival
-
         table = self._newton_table()
-        scan = survival._breslow_scan
-        orders = []
-
-        def failing_trials(blocks, Z, beta, order=2):
-            ll, *rest = scan(blocks, Z, beta, order)
-            orders.append(order)
-            return (ll if len(orders) == 1 else -np.inf, *rest)
-
-        monkeypatch.setattr(survival, "_breslow_scan", failing_trials)
+        calls = wrap_scan(lambda scan, calls: (
+            scan[0] if len(calls) == 1 else -np.inf, *scan[1:]))
         model = cox_fit(table)
-        assert orders == [2] * 21
+        assert len(calls) == 21
         assert not model.converged
         assert model.iterations == 1
         assert model.beta.tobytes() == np.zeros(2).tobytes()
         assert model.final_grad_norm >= CoxOptions().tol
         assert model.warnings == ()
+
+    @pytest.mark.parametrize("ridge, scans", [
+        (0.0, 2), (1e-4, 1), (1e-3, 1),
+    ])
+    def test_nan_hessian_is_retried_only_below_ridge_1e_4(
+            self, wrap_scan, ridge, scans):
+        # the first Newton step fails, and at ridge 0 fails again at 1e-4
+        calls = wrap_scan(lambda scan, calls: (
+            *scan[:2], np.full_like(scan[2], np.nan), scan[3]))
+        with pytest.raises(SingularHessian,
+                           match="^Newton step failed: non-finite step$"):
+            cox_fit(self._newton_table(), CoxOptions(ridge=ridge))
+        assert len(calls) == scans
+
+    @pytest.mark.parametrize("zero_gradient, message", [
+        (False, "Newton step failed: singular Hessian"),
+        (True, "information matrix is singular at the optimum"),
+    ], ids=["step", "optimum"])
+    def test_hessian_equal_to_the_penalty_raises_at_ridge_1e_3(
+            self, wrap_scan, zero_gradient, message):
+        # the penalized information matrix -(H - 1e-3 I) is exactly zero
+        def singular(scan, calls):
+            ll, grad, hess, log_s0 = scan
+            if zero_gradient:
+                grad = np.zeros_like(grad)
+            return ll, grad, 1e-3 * np.eye(len(grad)), log_s0
+
+        calls = wrap_scan(singular)
+        with pytest.raises(SingularHessian, match=f"^{message}$"):
+            cox_fit(self._newton_table(), CoxOptions(ridge=1e-3))
+        assert len(calls) == 1
+
+    def test_overflowing_covariance_is_retried_at_ridge_1e_4(
+            self, wrap_scan):
+        # a zero gradient ends the fit at beta = 0, where the information
+        # matrix 1e-310 I inverts past float range at ridge 0; at ridge
+        # 1e-4 it inverts
+        calls = wrap_scan(lambda scan, calls: (
+            scan[0], np.zeros_like(scan[1]), -1e-310 * np.eye(2), scan[3]))
+        model = cox_fit(self._newton_table(), CoxOptions(ridge=0.0))
+        assert len(calls) == 2
+        assert model.converged and model.iterations == 0
+        assert model.penalty == 1e-4
+        assert model.warnings == (
+            "singular Hessian at ridge=0; retried with ridge=0.0001",
+        )
 
     def test_separation_case(self):
         # lone event with the larger covariate: likelihood is monotone in
