@@ -251,6 +251,8 @@ class TestCoxFit:
         model = cox_fit(table)
         assert model.converged and model.iterations >= 3
         assert len(calls) == model.iterations + 2
+        assert not calls[0].any()
+        assert np.array_equal(calls[-1], 2.0 * calls[-2])
 
     @staticmethod
     def _newton_table():
