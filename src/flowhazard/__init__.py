@@ -6,8 +6,8 @@ events, and analyze which flow features drive detection with
 Kaplan-Meier curves and Cox proportional hazards models.
 
 Each name is imported from the module that defines it (``flowdata``,
-``csvio``, ``models``, ``experiment``, ``survival``, ``svgplot``,
-``errors``); the package root re-exports nothing.
+``csvio``, ``models``, ``forest``, ``experiment``, ``survival``,
+``svgplot``, ``errors``); the package root re-exports nothing.
 """
 
 __version__ = "0.1.0"

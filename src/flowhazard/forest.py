@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..seeding import rng_from
+from .seeding import rng_from
 
 # Nodes with more rows than this search rank bins; the rest sort.
 _BIG_NODE = 256

@@ -1,10 +1,11 @@
-"""Shared train/predict contract for the three regression classifiers.
+"""The three regression classifiers behind one train/predict contract.
 
 All three kinds regress the 0.0/1.0 class target and return an unclipped
 real score; the novelty band test downstream interprets raw scores.  The
 linear kinds fit on internally standardized features (scaling captured at
-train time); the forest splits on raw features, where split decisions
-depend only on the ordering of training values, so it needs no scaling.
+train time); the forest (``flowhazard.forest``) splits on raw features,
+where split decisions depend only on the ordering of training values, so
+it needs no scaling.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from ..errors import (
+from .errors import (
     DegenerateData, EmptyInput, InvalidSpec, InvalidValue, NonFinite,
     SchemaMismatch, check_fields, read_config,
 )
-from ..flowdata import FlowDataset
-from ..seeding import normalize_key
-from .bayes_ridge import LinearState, fit_bayesian_ridge
+from .flowdata import FlowDataset
 from .forest import ForestState, forest_predict, train_forest
-from .linear_svr import fit_linear_svr
+from .seeding import normalize_key, rng_from
 
 MODEL_FORMAT = "flowhazard-model"
 MODEL_VERSION = 1
+
+_TINY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,98 @@ def regressor_from_dict(spec) -> RegressorKind:
         raise InvalidSpec(f"'regressor' needs a kind in {kinds}, got {spec!r}")
     params = {k: v for k, v in spec.items() if k != "kind"}
     return read_config(params, _KINDS[spec["kind"]], "regressor")
+
+
+@dataclass(frozen=True)
+class LinearState:
+    """Posterior-mean weights of a linear score on standardized features."""
+
+    weights: np.ndarray
+    intercept: float
+
+
+def fit_bayesian_ridge(
+    X: np.ndarray, y: np.ndarray, max_iter: int, tol: float
+) -> LinearState:
+    """Bayesian ridge regression fit by evidence maximization.
+
+    The weight-precision/noise-precision pair is re-estimated from the data
+    each pass (both initialized to 1.0) until the posterior-mean weights stop
+    moving.  Implemented through one eigendecomposition of X'X so each pass
+    is O(F^2).
+    """
+    n, n_features = X.shape
+    y_mean = float(y.mean())
+    yc = y - y_mean
+
+    gram = X.T @ X
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals = np.clip(eigvals, 0.0, None)
+    xty_rot = eigvecs.T @ (X.T @ yc)
+
+    weight_prec = 1.0
+    noise_prec = 1.0
+    w = np.zeros(n_features)
+    for _ in range(max_iter):
+        denom = weight_prec + noise_prec * eigvals
+        w_new = eigvecs @ (noise_prec * xty_rot / denom)
+        gamma = float(np.sum(noise_prec * eigvals / denom))
+        resid = yc - X @ w_new
+        rss = float(resid @ resid)
+        weight_prec = gamma / max(float(w_new @ w_new), _TINY)
+        noise_prec = max(n - gamma, _TINY) / max(rss, _TINY)
+        delta = float(np.abs(w_new - w).sum())
+        w = w_new
+        if delta < tol:
+            break
+    return LinearState(weights=w, intercept=y_mean)
+
+
+# a diverging run overflows to inf and nan silently; it is reported below
+@np.errstate(over="ignore", invalid="ignore")
+def fit_linear_svr(
+    X: np.ndarray, y: np.ndarray, params, seed_key
+) -> LinearState:
+    """Linear support vector regression fit by averaged subgradient descent.
+
+    Per-sample subgradients of the epsilon-insensitive objective
+    ``||w||^2 / 2 + C * sum_i max(0, |y_i - w.x_i - b| - eps)`` are applied in
+    a seeded shuffle order; the returned weights are the running average of
+    all iterates (Polyak averaging), which smooths the non-smooth loss.  A
+    learning rate too large for the data makes the iterates overflow; the
+    fit then raises :class:`NonFinite` instead of returning them.
+    """
+    n, n_features = X.shape
+    reg = 1.0 / (params.C * n)
+    eta = params.learning_rate
+    eps = params.epsilon
+    rng = rng_from(*seed_key)
+
+    w = np.zeros(n_features)
+    b = 0.0
+    w_sum = np.zeros(n_features)
+    b_sum = 0.0
+    steps = 0
+    for _ in range(params.epochs):
+        for i in rng.permutation(n):
+            resid = y[i] - (X[i] @ w + b)
+            w *= 1.0 - eta * reg
+            if resid > eps:
+                w += eta * X[i]
+                b += eta
+            elif resid < -eps:
+                w -= eta * X[i]
+                b -= eta
+            w_sum += w
+            b_sum += b
+            steps += 1
+    weights, intercept = w_sum / steps, b_sum / steps
+    if not (np.isfinite(weights).all() and np.isfinite(intercept)):
+        raise NonFinite(
+            f"linear SVR diverged: the averaged weights are not finite at "
+            f"learning_rate={eta!r}"
+        )
+    return LinearState(weights=weights, intercept=intercept)
 
 
 @dataclass(frozen=True)
@@ -191,16 +284,14 @@ def predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return (Z * model.state.weights).sum(axis=1) + model.state.intercept
 
 
-def evaluate_accuracy(
-    model: TrainedModel, data: FlowDataset, cut: float = 0.5
-) -> float:
-    """Fraction of rows where (score >= cut) agrees with (target == 1)."""
+def evaluate_accuracy(model: TrainedModel, data: FlowDataset) -> float:
+    """Fraction of rows where (score >= 0.5) agrees with (target == 1)."""
     if len(data) == 0:
         raise EmptyInput("cannot evaluate on an empty dataset")
     if data.targets is None:
         raise DegenerateData("dataset has no targets to evaluate against")
     scores = predict_many(model, data.features)
-    return float(np.mean((scores >= cut) == (data.targets == 1.0)))
+    return float(np.mean((scores >= 0.5) == (data.targets == 1.0)))
 
 
 def model_to_json(model: TrainedModel,

@@ -40,7 +40,7 @@ from flowhazard.flowdata import (
     abs_diff_covariates,
 )
 from flowhazard.models import predict_many
-from flowhazard.models.forest import ForestState, Tree
+from flowhazard.forest import ForestState, Tree
 from flowhazard.seeding import rng_from
 from flowhazard.survival import (
     _FIXED_COLUMNS,
@@ -378,16 +378,14 @@ def per_time_km_svg(rows: KMCurve,
 """
 
 
-def _own_shift_sums(eta, X, risk, order):
+def _own_shift_sums(eta, X, risk):
     shift = float(eta[risk].max())
     w = np.exp(eta[risk] - shift)
     Xr = X[risk]
-    s1 = w @ Xr if order >= 1 else None
-    s2 = (Xr * w[:, None]).T @ Xr if order >= 2 else None
-    return float(w.sum()), s1, s2, shift
+    return float(w.sum()), w @ Xr, (Xr * w[:, None]).T @ Xr, shift
 
 
-def per_time_breslow_scan(times, events, X, beta, order=2):
+def per_time_breslow_scan(times, events, X, beta):
     """Breslow log partial likelihood, gradient and Hessian in one
     descending pass, one Python step per distinct time.
 
@@ -401,8 +399,8 @@ def per_time_breslow_scan(times, events, X, beta, order=2):
 
     desc = np.argsort(-times, kind="stable")
     ll = 0.0
-    grad = np.zeros(width) if order >= 1 else None
-    hess = np.zeros((width, width)) if order >= 2 else None
+    grad = np.zeros(width)
+    hess = np.zeros((width, width))
 
     s0 = 0.0
     s1 = np.zeros(width)
@@ -417,22 +415,18 @@ def per_time_breslow_scan(times, events, X, beta, order=2):
         wb = w[block]
         Xb = X[block]
         s0 += float(wb.sum())
-        if order >= 1:
-            s1 += wb @ Xb
-        if order >= 2:
-            s2 += (Xb * wb[:, None]).T @ Xb
+        s1 += wb @ Xb
+        s2 += (Xb * wb[:, None]).T @ Xb
         ev = block[events[block] == 1]
         n_dead = ev.shape[0]
         if n_dead:
             r0, r1, r2, r_shift = s0, s1, s2, shift
             if s0 == 0.0:
-                r0, r1, r2, r_shift = _own_shift_sums(eta, X, desc[:j], order)
+                r0, r1, r2, r_shift = _own_shift_sums(eta, X, desc[:j])
             ll += float(eta[ev].sum()) - n_dead * (math.log(r0) + r_shift)
-            if order >= 1:
-                xbar = r1 / r0
-                grad += X[ev].sum(axis=0) - n_dead * xbar
-            if order >= 2:
-                hess -= n_dead * (r2 / r0 - np.outer(xbar, xbar))
+            xbar = r1 / r0
+            grad += X[ev].sum(axis=0) - n_dead * xbar
+            hess -= n_dead * (r2 / r0 - np.outer(xbar, xbar))
         i = j
     return ll, grad, hess
 

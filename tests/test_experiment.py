@@ -36,12 +36,12 @@ from flowhazard.experiment import (
 from flowhazard.flowdata import FlowDataset, feature_summary, subset
 from flowhazard.models import (
     BayesianRidgeParams,
+    LinearState,
     LinearSVRParams,
     RandomForestParams,
     TrainedModel,
     predict_many,
 )
-from flowhazard.models.bayes_ridge import LinearState
 from flowhazard.seeding import rng_from
 from flowhazard.survival import (
     km_survival_at,
@@ -524,8 +524,7 @@ class TestRunExperiment:
     def test_scores_no_training_row(self, kind, monkeypatch):
         # one iteration scores its holdout for the gate and each distinct
         # injected flow once; the training set is not scored
-        from flowhazard import experiment
-        from flowhazard.models import base
+        from flowhazard import experiment, models
 
         benign, attack, post = planted_world(seed=61, q=0.01)
         cfg = small_config(regressor=kind, n_sequences=50, seq_len=30,
@@ -539,7 +538,7 @@ class TestRunExperiment:
             scored.append(len(X))
             return predict_many(model, X)
 
-        monkeypatch.setattr(base, "predict_many", counting)
+        monkeypatch.setattr(models, "predict_many", counting)
         monkeypatch.setattr(experiment, "predict_many", counting)
         run_experiment(cfg, benign, attack, lambda: post)
         assert scored == [len(holdout), np.unique(idx).size]

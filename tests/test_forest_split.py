@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowhazard import forest
 from flowhazard.errors import InvalidValue
 from flowhazard.flowdata import FlowDataset, FlowSchema, binary_dataset
+from flowhazard.forest import train_forest, tree_apply
 from flowhazard.models import RandomForestParams
-from flowhazard.models import forest
-from flowhazard.models.forest import train_forest, tree_apply
 
 from _oracles import masked_tree_apply, per_feature_sort_train_forest
 from _worlds import planted_world

@@ -1,5 +1,6 @@
-"""The package layout: every module imports on its own, importing the
-CLI and ``--help`` load no numpy, ``dataclasses`` or ``logging``, the
+"""The package layout: the package holds no subpackage, every module
+imports on its own and imports no name just to re-export it, importing
+the CLI and ``--help`` load no numpy, ``dataclasses`` or ``logging``, the
 survival commands load only the survival code and no ``numpy.random``
 or ``logging``, only a CSV-input pipeline or train loads
 ``multiprocessing``, the README library example runs against the
@@ -25,11 +26,8 @@ import flowhazard
 
 PACKAGE = Path(flowhazard.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
-MODULES = sorted(
-    ".".join(("flowhazard",) + path.relative_to(PACKAGE).with_suffix("").parts)
-    .removesuffix(".__init__")
-    for path in PACKAGE.rglob("*.py")
-)
+MODULES = sorted(f"flowhazard.{path.stem}".removesuffix(".__init__")
+                 for path in PACKAGE.glob("*.py"))
 
 
 def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
@@ -40,6 +38,64 @@ def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = str(PACKAGE.parent)
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True)
+
+
+def test_package_holds_no_subpackage():
+    # one module per name's home, so ``MODULES`` lists every module
+    assert [p for p in PACKAGE.rglob("*.py") if p.parent != PACKAGE] == []
+
+
+def unread_relative_imports(root: Path) -> list[str]:
+    """``path:name`` of each name that a relative ``from .x import ...``
+    outside ``if TYPE_CHECKING:`` binds in a module under ``root`` and
+    that the module never reads: a name imported only to be re-exported."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        typing_only = {
+            id(inner) for node in ast.walk(tree)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"
+            for stmt in node.body for inner in ast.walk(stmt)
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        imports = sorted(
+            (node for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             and id(node) not in typing_only),
+            key=lambda node: node.lineno)
+        found += [f"{path.relative_to(root)}:{a.asname or a.name}"
+                  for node in imports for a in node.names
+                  if (a.asname or a.name) not in read]
+    return found
+
+
+def test_unread_relative_imports_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from os import sep\n"
+        "from .a import used, kept as alias, unused\n"
+        "from . import b\n"
+        "if TYPE_CHECKING:\n"
+        "    from .c import Hint\n"
+        "def f():\n"
+        "    from .d import late\n"
+        "    unused = b.x\n"
+        "    return used, alias\n"
+    )
+    assert unread_relative_imports(tmp_path) == ["m.py:unused", "m.py:late"]
+
+
+def test_no_name_is_imported_only_to_be_re_exported():
+    # each name is imported from the module that defines it; the two
+    # survival-table functions stay bound in ``experiment`` because
+    # benchmarks/tracer.py wraps them there by name
+    assert unread_relative_imports(PACKAGE) == [
+        "experiment.py:read_survival_table",
+        "experiment.py:write_survival_table",
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES)
