@@ -86,7 +86,9 @@ def _require_path(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, whatever the locale."""
-    with open(path, "w", encoding="utf-8") as fh:
+    from .csvio import open_text
+
+    with open_text(path, "w") as fh:
         fh.write(text)
 
 
@@ -469,12 +471,11 @@ def main(argv=None) -> int:
     except FlowHazardError as err:
         return _fail(err, verbose)
     except OSError as err:
-        # an input that cannot be opened or an output that cannot be
-        # created, such as a directory given as a file or the reverse
-        if err.filename is None:
-            raise
-        return _fail(UnusablePath(f"{err.filename}: {err.strerror}"),
-                     verbose)
+        # an input that cannot be opened or an output that cannot be created
+        # or written: a directory given as a file, the reverse, a full disk
+        message = (str(err) if err.filename is None
+                   else f"{err.filename}: {err.strerror}")
+        return _fail(UnusablePath(message), verbose)
 
 
 def entrypoint() -> None:

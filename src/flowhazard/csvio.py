@@ -1,10 +1,10 @@
 """CSV reading and writing shared by flow ingest, survival tables and
 every table artifact.
 
-:func:`open_text` is the one text layer for every CSV file read or
-written: it turns a path, ``bytes``, or an open text or binary handle
-into a text handle, decoding bytes as UTF-8 with undecodable bytes
-replaced.
+:func:`open_text` is the one text layer for every CSV file read and
+every file written: it turns a path, ``bytes``, or an open text or
+binary handle into a text handle, decoding bytes as UTF-8 with
+undecodable bytes replaced.
 :func:`write_table` is the one table writer: a header through the csv
 module, every number written by ``repr``, ``"\\r\\n"`` line ends.
 :class:`_CsvChunks` takes the lines the handle yields, a leading
@@ -37,11 +37,18 @@ def open_text(source, mode: str = "r", newline: str = ""):
     through and left open.  ``newline`` is :func:`open`'s: ``""`` (the
     csv module's choice) ends lines at ``"\n"``, ``"\r\n"`` or a bare
     ``"\r"``, ``"\n"`` at ``"\n"`` alone; neither translates line ends.
+    An ``OSError`` that names no file, raised while a path is open (a
+    write to a full disk), gets that path as its ``filename``.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, mode, encoding="utf-8", errors="replace",
-                  newline=newline) as fh:
-            yield fh
+        try:
+            with open(source, mode, encoding="utf-8", errors="replace",
+                      newline=newline) as fh:
+                yield fh
+        except OSError as err:
+            if err.filename is None:
+                err.filename = os.fspath(source)
+            raise
     elif hasattr(source, "encoding"):
         yield source
     else:

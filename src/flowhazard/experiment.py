@@ -203,7 +203,6 @@ class SequenceResult:
 class IterationResult:
     iteration: int
     accuracy: float
-    model: TrainedModel
     table: SurvivalTable  # one row per sequence, row i = sequence i
     cox: CoxModel | None
     cox_error: str | None
@@ -435,7 +434,6 @@ def run_iteration(
     result = IterationResult(
         iteration=iteration,
         accuracy=accuracy,
-        model=model,
         table=table,
         cox=cox,
         cox_error=cox_error,

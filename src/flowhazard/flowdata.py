@@ -351,15 +351,6 @@ def abs_diff_covariates(flow, means: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClassSpec:
-    """Per-feature normal parameters for one synthetic class."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    truncate_at_zero: np.ndarray  # bool per feature
-
-
-@dataclass(frozen=True)
 class _Normal:
     """One feature's entry in a synthetic spec."""
 
@@ -377,17 +368,11 @@ class _Normal:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Synthetic flow distributions: class name -> per-feature normals."""
+    """Synthetic flow distributions: ``classes`` maps each class name to
+    its features' ``_Normal`` entries, in ``schema`` order."""
 
     schema: FlowSchema
-    classes: dict[str, ClassSpec]
-
-    def __post_init__(self):
-        for name, cls in self.classes.items():
-            if len(cls.means) != self.schema.n_features:
-                raise InvalidSpec(
-                    f"class {name!r} spec length does not match schema"
-                )
+    classes: dict[str, tuple[_Normal, ...]]
 
     @classmethod
     def from_json_dict(cls, spec: dict):
@@ -413,14 +398,11 @@ class SyntheticSpec:
                     f"class {label!r} does not define the same features as "
                     f"the first class"
                 )
-            dists = [
+            classes[label] = tuple(
                 read_config(feats[name], _Normal,
                             f"class {label!r}, feature {name!r}")
                 for name in schema.feature_names
-            ]
-            means, stds, clips = zip(*map(astuple, dists))
-            classes[label] = ClassSpec(np.array(means), np.array(stds),
-                                       np.array(clips))
+            )
         return cls(schema=schema, classes=classes)
 
 
@@ -437,12 +419,10 @@ def synthesize_flows(spec: SyntheticSpec, n: int, seed) -> FlowDataset:
     rng = rng_from(*normalize_key(seed))
     blocks = []
     labels: list[str] = []
-    for label, cls in spec.classes.items():
-        z = rng.standard_normal((n, spec.schema.n_features))
-        block = cls.means + cls.stds * z
-        block[:, cls.truncate_at_zero] = np.clip(
-            block[:, cls.truncate_at_zero], 0.0, None
-        )
+    for label, normals in spec.classes.items():
+        means, stds, clip = map(np.array, zip(*map(astuple, normals)))
+        block = means + stds * rng.standard_normal((n, len(normals)))
+        block[:, clip] = np.clip(block[:, clip], 0.0, None)
         blocks.append(block)
         labels.extend([label] * n)
     return FlowDataset(

@@ -104,112 +104,102 @@ def _gains(k, c1, n, total, min_leaf, distinct):
     return np.where(valid, parent_sse - left_sse - right_sse, -np.inf)
 
 
-class _TreeBuilder:
-    def __init__(self, cols: _Columns, y, max_depth, min_leaf, mtry, rng):
-        self.cols = cols
-        self.y = y
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.mtry = mtry
-        self.rng = rng
+def _grow_tree(cols: _Columns, y_all, idx, max_depth, min_leaf, mtry,
+               rng) -> Tree:
+    """One tree over the rows ``idx``, drawing each split node's
+    candidate features from ``rng``."""
+    n_features = cols.n_values.size
+    feature, threshold, left, right, value = [], [], [], [], []
+    # (rows, depth, parent node, parent's child list to link into)
+    stack = [(idx, 0, -1, None)]
+    while stack:
+        idx, depth, parent, link = stack.pop()
+        node = len(feature)
+        if link is not None:
+            link[parent] = node
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        y = y_all[idx]
+        total = float(y.sum())  # 0/1 targets: pure at 0 or idx.size
+        split = None
+        if not (
+            (max_depth is not None and depth >= max_depth)
+            or idx.size < 2 * min_leaf
+            or total in (0.0, idx.size)
+        ):
+            feats = (np.arange(n_features) if mtry >= n_features else
+                     np.sort(rng.choice(n_features, mtry, replace=False)))
+            search = _split_by_bins if idx.size > _BIG_NODE else _split_by_sort
+            split = search(cols, min_leaf, idx, y, feats, total)
+        if split is None:
+            value.append(total / idx.size)
+            continue
+        value.append(0.0)
+        feat, lo, hi = split
+        v = cols.values[feat]
+        go_left = cols.ranks[feat, idx] <= lo
+        feature[node] = feat
+        threshold[node] = _threshold(v[lo], v[hi])
+        # the left child is popped first, so nodes number in preorder
+        stack.append((idx[~go_left], depth + 1, node, right))
+        stack.append((idx[go_left], depth + 1, node, left))
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
 
-    def build(self, idx: np.ndarray) -> Tree:
-        feature, threshold, left, right, value = [], [], [], [], []
-        # (rows, depth, parent node, parent's child list to link into)
-        stack = [(idx, 0, -1, None)]
-        while stack:
-            idx, depth, parent, link = stack.pop()
-            node = len(feature)
-            if link is not None:
-                link[parent] = node
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            y = self.y[idx]
-            total = float(y.sum())  # 0/1 targets: pure at 0 or idx.size
-            split = None
-            if not (
-                (self.max_depth is not None and depth >= self.max_depth)
-                or idx.size < 2 * self.min_leaf
-                or total in (0.0, idx.size)
-            ):
-                search = (self._split_by_bins if idx.size > _BIG_NODE
-                          else self._split_by_sort)
-                split = search(idx, y, self._candidate_features(), total)
-            if split is None:
-                value.append(total / idx.size)
-                continue
-            value.append(0.0)
-            feat, lo, hi = split
-            v = self.cols.values[feat]
-            go_left = self.cols.ranks[feat, idx] <= lo
-            feature[node] = feat
-            threshold[node] = _threshold(v[lo], v[hi])
-            # the left child is popped first, so nodes number in preorder
-            stack.append((idx[~go_left], depth + 1, node, right))
-            stack.append((idx[go_left], depth + 1, node, left))
-        return Tree(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.int32),
-            right=np.array(right, dtype=np.int32),
-            value=np.array(value, dtype=np.float64),
-        )
 
-    def _candidate_features(self) -> np.ndarray:
-        n_features = self.cols.n_values.size
-        if self.mtry >= n_features:
-            return np.arange(n_features)
-        return np.sort(self.rng.choice(n_features, self.mtry, replace=False))
+def _split_by_bins(cols: _Columns, min_leaf, idx, y, feats, total):
+    n = idx.size
+    # each candidate's ranks shifted past the previous candidates'
+    # values, so one bincount covers them all, feature by feature
+    sizes = cols.n_values[feats]
+    first = np.cumsum(sizes) - sizes
+    ranks = cols.ranks[feats]
 
-    def _split_by_bins(self, idx, y, feats, total):
-        n = idx.size
-        # each candidate's ranks shifted past the previous candidates'
-        # values, so one bincount covers them all, feature by feature
-        sizes = self.cols.n_values[feats]
-        first = np.cumsum(sizes) - sizes
-        ranks = self.cols.ranks[feats]
+    def per_value(rows):
+        bins = ranks.take(rows, axis=1) + first[:, None]
+        return np.bincount(bins.ravel(), minlength=int(sizes.sum()))
 
-        def per_value(rows):
-            bins = ranks.take(rows, axis=1) + first[:, None]
-            return np.bincount(bins.ravel(), minlength=int(sizes.sum()))
+    counts = per_value(idx)
+    present = np.flatnonzero(counts > 0)
+    k = np.cumsum(counts[present])
+    c1 = np.cumsum(per_value(idx[y == 1.0])[present]).astype(np.float64)
+    # every candidate holds all n rows, so candidate s's counts start
+    # after s * n rows and s * total targets
+    slot = (k - 1) // n
+    k -= slot * n
+    c1 -= slot * total
+    # the cut after a candidate's largest value has n - k == 0 and is
+    # never valid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = _gains(k, c1, n, total, min_leaf, True)
+    pos = int(np.argmax(gain))  # first max: lowest feature, then value
+    if not gain[pos] > 0.0:
+        return None
+    s = slot[pos]
+    return (int(feats[s]), int(present[pos] - first[s]),
+            int(present[pos + 1] - first[s]))
 
-        counts = per_value(idx)
-        present = np.flatnonzero(counts > 0)
-        k = np.cumsum(counts[present])
-        c1 = np.cumsum(per_value(idx[y == 1.0])[present]).astype(np.float64)
-        # every candidate holds all n rows, so candidate s's counts start
-        # after s * n rows and s * total targets
-        slot = (k - 1) // n
-        k -= slot * n
-        c1 -= slot * total
-        # the cut after a candidate's largest value has n - k == 0 and is
-        # never valid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = _gains(k, c1, n, total, self.min_leaf, True)
-        pos = int(np.argmax(gain))  # first max: lowest feature, then value
-        if not gain[pos] > 0.0:
-            return None
-        s = slot[pos]
-        return (int(feats[s]), int(present[pos] - first[s]),
-                int(present[pos + 1] - first[s]))
 
-    def _split_by_sort(self, idx, y, feats, total):
-        n = idx.size
-        block = self.cols.ranks[feats[:, None], idx]  # (mtry, n)
-        order = np.argsort(block, axis=1, kind="stable")
-        sr = np.take_along_axis(block, order, axis=1)
-        c1 = np.cumsum(y[order], axis=1)[:, :-1]
-        k = np.arange(1, n)
-        gain = _gains(
-            k, c1, n, total, self.min_leaf, sr[:, :-1] < sr[:, 1:]
-        )
-        # first max: lowest feature, then lowest value
-        j, p = divmod(int(np.argmax(gain)), n - 1)
-        if not gain[j, p] > 0.0:
-            return None
-        return int(feats[j]), int(sr[j, p]), int(sr[j, p + 1])
+def _split_by_sort(cols: _Columns, min_leaf, idx, y, feats, total):
+    n = idx.size
+    block = cols.ranks[feats[:, None], idx]  # (mtry, n)
+    order = np.argsort(block, axis=1, kind="stable")
+    sr = np.take_along_axis(block, order, axis=1)
+    c1 = np.cumsum(y[order], axis=1)[:, :-1]
+    k = np.arange(1, n)
+    gain = _gains(k, c1, n, total, min_leaf, sr[:, :-1] < sr[:, 1:])
+    # first max: lowest feature, then lowest value
+    j, p = divmod(int(np.argmax(gain)), n - 1)
+    if not gain[j, p] > 0.0:
+        return None
+    return int(feats[j]), int(sr[j, p]), int(sr[j, p + 1])
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, params, seed_key) -> ForestState:
@@ -225,10 +215,8 @@ def train_forest(X: np.ndarray, y: np.ndarray, params, seed_key) -> ForestState:
             idx = np.sort(rng.integers(0, n, size=n))
         else:
             idx = np.arange(n)
-        builder = _TreeBuilder(
-            cols, y, params.max_depth, params.min_leaf, mtry, rng
-        )
-        trees.append(builder.build(idx))
+        trees.append(_grow_tree(cols, y, idx, params.max_depth,
+                                params.min_leaf, mtry, rng))
     return ForestState(trees=tuple(trees))
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -21,9 +22,7 @@ from hypothesis import strategies as st
 import flowhazard
 from flowhazard.cli import _load_role_datasets, main
 from flowhazard.config import load_pipeline_config
-from flowhazard.experiment import (
-    ExperimentConfig, run_iteration, train_on_split,
-)
+from flowhazard.experiment import ExperimentConfig, train_on_split
 from flowhazard.models import TrainReport, evaluate_accuracy, model_to_json
 
 from _oracles import grid_search_beta, stack_records
@@ -220,14 +219,17 @@ class TestMalformedJson:
     @pytest.mark.parametrize("command, flag", [
         ("pipeline", "--config"), ("train", "--config"), ("synth", "--spec"),
     ])
-    @pytest.mark.parametrize("text, problem", [
-        ("{bad", "not valid JSON"),
-        ("[1]", "expected a JSON object, got list"),
-    ], ids=["undecodable", "not_an_object"])
+    @pytest.mark.parametrize("content, problem", [
+        (b"{bad", "not valid JSON"),
+        (b"[1]", "expected a JSON object, got list"),
+        # JSON is read strictly: only CSV inputs replace undecodable bytes
+        (b'{"a": "\xff"}',
+         "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["invalid_json", "not_an_object", "non_utf8"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, flag,
-                                     text, problem):
+                                     content, problem):
         bad = tmp_path / "broken.json"
-        bad.write_text(text)
+        bad.write_bytes(content)
         rc = main([command, flag, str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = only_error_line(capsys)
@@ -275,14 +277,13 @@ class TestTrainCommand:
         tmp, config_path, _ = workspace
         assert main(["train", "--config", str(config_path)]) == 0
         cfg = load_pipeline_config(str(config_path), argparse.Namespace())
-        benign, attack, load_post = _load_role_datasets(cfg)
+        benign, attack, _ = _load_role_datasets(cfg)
         split = train_on_split(cfg.experiment, benign, attack, 0)
-        it = run_iteration(cfg.experiment, split, load_post(), iteration=0)
         train_report = TrainReport(
-            len(split.train), evaluate_accuracy(it.model, split.train)
+            len(split.train), evaluate_accuracy(split.model, split.train)
         )
         assert (tmp / "out" / "model.json").read_text() == model_to_json(
-            it.model, train_report
+            split.model, train_report
         )
 
     def test_oversized_csv_field_drops_one_row(self, workspace, tmp_path):
@@ -963,6 +964,28 @@ class TestCoxCommand:
         assert float(fit["beta"][0]) != 0.0
         conv = json.loads((tmp_path / "cox_convergence.json").read_text())
         assert conv["warnings"] == [] and conv["penalty"] == 0.0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("artifact",
+                             ["cox_table.csv", "cox_convergence.json"],
+                             ids=["csv_writer", "json_writer"])
+    def test_full_disk_exits_2_naming_the_file(self, tmp_path, capsys,
+                                               artifact):
+        # the file opens, and its write fails with no filename of its own
+        table = tmp_path / "table.csv"
+        write_survival_csv(table, [(0, 1.0, 1, 0.0), (1, 2.0, 1, 1.0),
+                                   (2, 3.0, 1, 0.0), (3, 4.0, 1, 1.0)])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / artifact).symlink_to("/dev/full")
+        rc = main(["cox", "--table", str(table), "--out", str(out)])
+        assert rc == 2
+        err = only_error_line(capsys)
+        assert err["error"] == "UnusablePath"
+        assert err["message"] == (
+            f"{out / artifact}: {os.strerror(errno.ENOSPC)}"
+        )
 
     def test_column_past_float_range_is_nonfinite(self, tmp_path, capsys):
         # the squares of +-1e160 overflow, so no standard deviation exists

@@ -304,11 +304,11 @@ class TestBulkScanMatchesPerSequenceOracle:
                                              q=0.05)
         cfg = small_config(regressor=_SCAN_KINDS[kind], n_sequences=40,
                            seq_len=30, accuracy_gate=0.0)
-        it = run_iteration(cfg, train_on_split(cfg, benign, attack, 1),
-                           post, iteration=1)
+        split = train_on_split(cfg, benign, attack, 1)
+        it = run_iteration(cfg, split, post, iteration=1)
         oracle = per_sequence_scan(
-            it.model, post, (cfg.band_low, cfg.band_high),
-            feature_summary(train_on_split(cfg, benign, attack, 1).pre),
+            split.model, post, (cfg.band_low, cfg.band_high),
+            feature_summary(split.pre),
             cfg.n_sequences, cfg.seq_len, rng_from(cfg.master_seed, 1, 3),
         )
         _same_table(it.table, oracle)

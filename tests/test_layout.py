@@ -1,5 +1,6 @@
 """The package layout: the package holds no subpackage, every module
-imports on its own and imports no name just to re-export it, importing
+imports on its own and imports no name just to re-export it, every
+public name has a reader in the package or a listed reason, importing
 the CLI and ``--help`` load no numpy, ``dataclasses`` or ``logging``, the
 survival commands load only the survival code and no ``numpy.random``
 or ``logging``, only a CSV-input pipeline or train loads
@@ -96,6 +97,70 @@ def test_no_name_is_imported_only_to_be_re_exported():
         "experiment.py:read_survival_table",
         "experiment.py:write_survival_table",
     ]
+
+
+def unread_public_names(root: Path) -> list[str]:
+    """``path:name`` of each public top-level function or class of a
+    module under ``root`` whose name is read (as a name or an attribute)
+    nowhere under ``root`` outside its own definition."""
+    defined, read = [], set()
+    for path in sorted(root.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = stmt.name if isinstance(stmt, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_"):
+                defined.append((path.relative_to(root).as_posix(), own))
+            read |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if (isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+                or isinstance(node, ast.Attribute)
+            } - {own}
+    return [f"{module}:{name}" for module, name in defined
+            if name not in read]
+
+
+def test_unread_public_names_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used(): pass\n"
+        "def by_attribute(): pass\n"
+        "class Hint: pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def imported_only(): pass\n"
+        "def _private(): pass\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+        "    return outer\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import used, imported_only\n"
+        "def _reader(h: Hint):\n"
+        "    return used(), a.by_attribute\n"
+    )
+    assert unread_public_names(tmp_path) == [
+        "a.py:recursive", "a.py:imported_only", "a.py:outer",
+    ]
+
+
+# Public names no module of the package reads, each with its reason.
+# Deleting what no command runs (ROADMAP item 11) shortens this list.
+UNREAD_PUBLIC_NAMES = {
+    "survival.py:km_survival_at": "README library example; acceptance C9",
+    "survival.py:cox_survival_at": "README library example; ROADMAP item 13",
+    "survival.py:cox_log_partial_likelihood": "acceptance C4 derivative checks",
+    "survival.py:cox_gradient": "acceptance C4 derivative checks",
+    "survival.py:cox_hessian": "acceptance C4 derivative checks",
+    # until ROADMAP items 1 and 11
+    "experiment.py:run_sequence": "wrapped by benchmarks/tracer.py TARGETS",
+    "experiment.py:build_sequences": "wrapped by benchmarks/tracer.py TARGETS",
+    "flowdata.py:abs_diff_covariates": "wrapped by benchmarks/tracer.py TARGETS",
+}
+
+
+def test_every_public_name_has_a_reader():
+    assert sorted(unread_public_names(PACKAGE)) == sorted(UNREAD_PUBLIC_NAMES)
 
 
 @pytest.mark.parametrize("module", MODULES)
