@@ -239,9 +239,9 @@ def _load_role_datasets(cfg: PipelineConfig):
             finally:
                 child.join()
                 conn.close()
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        _dump_json({role: ds.report.to_json_dict()
-                    for role, ds in datasets.items()},
+        from dataclasses import asdict
+
+        _dump_json({role: asdict(ds.report) for role, ds in datasets.items()},
                    os.path.join(cfg.output_dir, "sanitization.json"))
         return datasets["post_attack"]
 
@@ -268,7 +268,6 @@ def cmd_synth(args) -> int:
         slugs[slug] = label
     n = getattr(args, "n", SyntheticInputs.rows_per_class)
     dataset = synthesize_flows(spec, n, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     for slug, label in slugs.items():
         path = os.path.join(args.out, f"{slug}.csv")
         serialize_flow_csv(filter_label(dataset, label), path)
@@ -279,7 +278,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     from .config import load_pipeline_config
     from .experiment import train_on_split
-    from .models import TrainReport, evaluate_accuracy, model_to_json
+    from .models import evaluate_accuracy, model_to_json_dict
 
     cfg = load_pipeline_config(args.config, args)
     exp = cfg.experiment
@@ -293,10 +292,11 @@ def cmd_train(args) -> int:
     model, holdout_acc = split.model, split.accuracy
     train_acc = evaluate_accuracy(model, split.train)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "model.json")
-    _write_text(model_path,
-                model_to_json(model, TrainReport(len(split.train), train_acc)))
+    _dump_json({**model_to_json_dict(model),
+                "train_report": {"n_rows": len(split.train),
+                                 "train_accuracy": train_acc}},
+               model_path)
     report = {
         "kind": exp.regressor.kind,
         "n_train": len(split.train),
@@ -331,7 +331,6 @@ def cmd_pipeline(args) -> int:
     )
     report = run_experiment(cfg.experiment, benign, pre_attack, load_post)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     _dump_json(
         report_to_json_dict(report),
         os.path.join(cfg.output_dir, "report.json"),
@@ -375,7 +374,6 @@ def cmd_cox(args) -> int:
     options = CoxOptions(**{k: getattr(args, k) for k in
                             ("ridge", "tol", "max_iter") if hasattr(args, k)})
     model = cox_fit(table, options)
-    os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "cox_table.csv")
     cox_to_csv(model, table_path)
     _dump_json(
@@ -384,10 +382,11 @@ def cmd_cox(args) -> int:
     )
     dropped = (f" constant, not fitted: {', '.join(model.dropped)}"
                if model.dropped else "")
+    warned = "".join(f"; {w}" for w in model.warnings)
     print(
         f"fit {len(table.feature_names)} covariates on {len(table)} records: "
         f"converged={model.converged} iterations={model.iterations}"
-        f"{dropped} -> {table_path}"
+        f"{dropped}{warned} -> {table_path}"
     )
     return EXIT_OK
 
@@ -398,7 +397,6 @@ def cmd_km(args) -> int:
 
     table = read_survival_table(_require_path(args.table))
     curve = km_fit(table)
-    os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "km_curve.csv")
     km_to_csv(curve, curve_path)
     if args.svg:

@@ -4,7 +4,7 @@ every table artifact.
 :func:`open_text` is the one text layer for every CSV file read and
 every file written: it turns a path, ``bytes``, or an open text or
 binary handle into a text handle, decoding bytes as UTF-8 with
-undecodable bytes replaced.
+undecodable bytes replaced, and makes the directory of a path it writes.
 :func:`write_table` is the one table writer: a header through the csv
 module, every number written by ``repr``, ``"\\r\\n"`` line ends.
 :class:`_CsvChunks` takes the lines the handle yields, a leading
@@ -37,10 +37,14 @@ def open_text(source, mode: str = "r", newline: str = ""):
     through and left open.  ``newline`` is :func:`open`'s: ``""`` (the
     csv module's choice) ends lines at ``"\n"``, ``"\r\n"`` or a bare
     ``"\r"``, ``"\n"`` at ``"\n"`` alone; neither translates line ends.
-    An ``OSError`` that names no file, raised while a path is open (a
-    write to a full disk), gets that path as its ``filename``.
+    A path opened with mode ``"w"`` gets its directory made first, so
+    the first file written into an output directory creates it.  An
+    ``OSError`` that names no file, raised while a path is open (a write
+    to a full disk), gets that path as its ``filename``.
     """
     if isinstance(source, (str, os.PathLike)):
+        if mode == "w":
+            os.makedirs(os.path.dirname(source) or ".", exist_ok=True)
         try:
             with open(source, mode, encoding="utf-8", errors="replace",
                       newline=newline) as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class ParseReport:
     rows_kept: int
     nonfinite_dropped: int
     malformed_dropped: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

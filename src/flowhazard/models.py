@@ -10,7 +10,6 @@ it needs no scaling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Union
@@ -198,14 +197,6 @@ def fit_linear_svr(
 
 
 @dataclass(frozen=True)
-class TrainReport:
-    """The training set's size and the model's accuracy on it."""
-
-    n_rows: int
-    train_accuracy: float
-
-
-@dataclass(frozen=True)
 class TrainedModel:
     """Fitted state plus the train-time feature scaling.
 
@@ -294,10 +285,8 @@ def evaluate_accuracy(model: TrainedModel, data: FlowDataset) -> float:
     return float(np.mean((scores >= 0.5) == (data.targets == 1.0)))
 
 
-def model_to_json(model: TrainedModel,
-                  train_report: TrainReport | None = None) -> str:
-    """The model as a versioned JSON document, every float exact.  A
-    ``train_report``, when given, is recorded in the document."""
+def model_to_json_dict(model: TrainedModel) -> dict:
+    """The model as a versioned JSON document, every float exact."""
     if isinstance(model.state, ForestState):
         state = {
             "trees": [
@@ -316,7 +305,7 @@ def model_to_json(model: TrainedModel,
             "weights": model.state.weights.tolist(),
             "intercept": float(model.state.intercept),
         }
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind.kind,
@@ -327,6 +316,3 @@ def model_to_json(model: TrainedModel,
         },
         "state": state,
     }
-    if train_report is not None:
-        doc["train_report"] = asdict(train_report)
-    return json.dumps(doc, sort_keys=True, indent=2)

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import flowhazard
 from flowhazard.cli import _load_role_datasets, main
 from flowhazard.config import load_pipeline_config
 from flowhazard.experiment import ExperimentConfig, train_on_split
-from flowhazard.models import TrainReport, evaluate_accuracy, model_to_json
+from flowhazard.models import evaluate_accuracy, model_to_json_dict
 
 from _oracles import grid_search_beta, stack_records
 
@@ -250,6 +251,20 @@ class TestTrainCommand:
         assert (tmp / "out" / "model.json").exists()
         assert "holdout accuracy 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fraction", [0.35, 0.0005])
+    def test_holdout_fraction_sets_the_holdout_size(self, workspace,
+                                                    fraction):
+        tmp, _, config = workspace
+        config = copy.deepcopy(config)
+        config["experiment"]["holdout_fraction"] = fraction
+        path = tmp / "holdout.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path)]) == 0
+        report = json.loads((tmp / "out" / "train_report.json").read_text())
+        n = report["n_train"] + report["n_holdout"]
+        assert n == 800
+        assert report["n_holdout"] == max(1, round(fraction * n))
+
     def test_missing_input_exits_2_with_error_kind(self, workspace, capsys):
         tmp, config_path, config = workspace
         config = dict(config)
@@ -279,12 +294,14 @@ class TestTrainCommand:
         cfg = load_pipeline_config(str(config_path), argparse.Namespace())
         benign, attack, _ = _load_role_datasets(cfg)
         split = train_on_split(cfg.experiment, benign, attack, 0)
-        train_report = TrainReport(
-            len(split.train), evaluate_accuracy(split.model, split.train)
-        )
-        assert (tmp / "out" / "model.json").read_text() == model_to_json(
-            split.model, train_report
-        )
+        train_report = {
+            "n_rows": len(split.train),
+            "train_accuracy": evaluate_accuracy(split.model, split.train),
+        }
+        doc = {**model_to_json_dict(split.model), "train_report": train_report}
+        assert (tmp / "out" / "model.json").read_text() == json.dumps(
+            doc, sort_keys=True, indent=2
+        ) + "\n"
 
     def test_oversized_csv_field_drops_one_row(self, workspace, tmp_path):
         csv_config = csv_workspace(workspace, tmp_path)
@@ -778,7 +795,7 @@ class TestNovelAttackReader:
         sanitization = json.loads(
             (tmp_path / "csv_run" / "sanitization.json").read_text()
         )
-        assert sanitization["post_attack"] == parsed.report.to_json_dict()
+        assert sanitization["post_attack"] == asdict(parsed.report)
 
     def test_read_in_another_process(self, workspace, tmp_path,
                                      monkeypatch):
@@ -964,6 +981,18 @@ class TestCoxCommand:
         assert float(fit["beta"][0]) != 0.0
         conv = json.loads((tmp_path / "cox_convergence.json").read_text())
         assert conv["warnings"] == [] and conv["penalty"] == 0.0
+
+    def test_summary_names_the_fit_warnings(self, tmp_path, capsys):
+        # the row with the larger x dies first: the likelihood is monotone
+        table = tmp_path / "separated.csv"
+        write_survival_csv(table, [(0, 1.0, 1, 1.0), (1, 2.0, 1, 0.0)])
+        rc = main(["cox", "--table", str(table), "--out", str(tmp_path)])
+        assert rc == 0
+        line = capsys.readouterr().out
+        assert "converged=False" in line
+        assert "monotone likelihood" in line
+        conv = json.loads((tmp_path / "cox_convergence.json").read_text())
+        assert all(w in line for w in conv["warnings"])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

@@ -16,6 +16,7 @@ from flowhazard.errors import (
     EmptyInput,
     InvalidValue,
     LengthMismatch,
+    SchemaMismatch,
 )
 from flowhazard.experiment import (
     AttackCombination,
@@ -189,6 +190,11 @@ class TestRunSequence:
         seq = np.zeros((4, 5))
         with pytest.raises(LengthMismatch):
             run_sequence(model, seq, (0.40, 0.60), self.summary[:4])
+
+    def test_sequence_not_a_matrix_rejected(self):
+        model = linear_model(np.zeros(5), 0.5)
+        with pytest.raises(SchemaMismatch, match="matrix"):
+            run_sequence(model, np.zeros(5), (0.40, 0.60), self.summary)
 
     def test_result_invariants_on_random_traces(self):
         rng = np.random.default_rng(13)

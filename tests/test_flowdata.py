@@ -175,6 +175,21 @@ class TestFilterLabel:
         assert str(err.value) == f"no rows labeled 'D'; {says}"
 
 
+class TestFlowDataset:
+    def test_matrix_of_another_width_rejected(self):
+        with pytest.raises(SchemaMismatch, match="3 features"):
+            make_dataset(np.zeros((2, 2)), ["B"] * 2,
+                         schema=FlowSchema(("a", "b", "c")))
+
+    def test_one_label_per_row(self):
+        with pytest.raises(LengthMismatch, match="one label per row"):
+            make_dataset(np.zeros((3, 2)), ["B"] * 2)
+
+    def test_one_target_per_row(self):
+        with pytest.raises(LengthMismatch, match="one target per row"):
+            make_dataset(np.zeros((3, 2)), ["B"] * 3, targets=[0.0, 1.0])
+
+
 class TestBinaryDataset:
     def test_counts_and_targets(self):
         benign = make_dataset(np.zeros((10, 2)), ["B"] * 10)

@@ -7,8 +7,8 @@ or ``logging``, only a CSV-input pipeline or train loads
 ``multiprocessing``, the README library example runs against the
 modules it names, the README's config defaults are the dataclasses'
 own, no code raises a builtin exception class, no text file is opened
-in the locale's encoding, and only ``csvio`` makes a ``csv.writer`` or a
-``csv.reader``."""
+in the locale's encoding, only ``csvio`` makes a ``csv.writer`` or a
+``csv.reader`` or an output directory, and only ``cli`` formats JSON."""
 
 import ast
 import builtins
@@ -381,21 +381,21 @@ def test_every_text_file_is_opened_as_utf8():
     assert locale_opens(PACKAGE) == []
 
 
-def csv_uses(root: Path, name: str) -> list[str]:
-    """``path:line`` of each use of the csv module's ``name`` (``writer``
-    or ``reader``) in the modules under ``root``: ``csv.<name>`` or an
-    import of ``name`` from ``csv``."""
+def module_uses(root: Path, module: str, *names: str) -> list[str]:
+    """``path:line`` of each use of one of ``names`` from the standard
+    module ``module`` in the modules under ``root``: ``<module>.<name>``
+    or an import of the name from ``module``."""
     found = []
     for path in sorted(root.rglob("*.py")):
         lines = []
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             attribute = (isinstance(node, ast.Attribute)
-                         and node.attr == name
+                         and node.attr in names
                          and isinstance(node.value, ast.Name)
-                         and node.value.id == "csv")
+                         and node.value.id == module)
             imported = (isinstance(node, ast.ImportFrom)
-                        and node.module == "csv"
-                        and any(a.name == name for a in node.names))
+                        and node.module == module
+                        and any(a.name in names for a in node.names))
             if attribute or imported:
                 lines.append(node.lineno)
         found += [f"{path.relative_to(root)}:{n}" for n in sorted(lines)]
@@ -412,19 +412,50 @@ def test_csv_writers_are_found(tmp_path):
         "    out.writer(fh)\n"
         "    make = csv.writer\n"
     )
-    assert csv_uses(tmp_path, "writer") == ["m.py:2", "m.py:4", "m.py:7"]
-    assert csv_uses(tmp_path, "reader") == ["m.py:2", "m.py:5"]
+    assert module_uses(tmp_path, "csv", "writer") == [
+        "m.py:2", "m.py:4", "m.py:7"]
+    assert module_uses(tmp_path, "csv", "reader") == ["m.py:2", "m.py:5"]
+
+
+def test_directory_makers_and_json_writers_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import json, os\n"
+        "from os import makedirs as md, path\n"
+        "from json import dumps, loads\n"
+        "def f(fh, doc, out):\n"
+        "    os.makedirs(path.dirname(out), exist_ok=True)\n"
+        "    json.dump(doc, fh)\n"
+        "    json.loads(fh.read())\n"
+        "    return json.dumps(doc), os.path.join(out, 'a')\n"
+    )
+    assert module_uses(tmp_path, "os", "makedirs") == ["m.py:2", "m.py:5"]
+    assert module_uses(tmp_path, "json", "dump", "dumps") == [
+        "m.py:3", "m.py:6", "m.py:8"]
 
 
 def test_only_csvio_writes_csv():
     # every table artifact is written by csvio.write_table, so the format
     # is decided in one place
-    assert [f for f in csv_uses(PACKAGE, "writer")
+    assert [f for f in module_uses(PACKAGE, "csv", "writer")
             if not f.startswith("csvio.py:")] == []
 
 
 def test_only_csvio_reads_csv():
     # every CSV input is cut into records by csvio._CsvChunks, so flow
     # files and survival tables split lines and fields alike
-    assert [f for f in csv_uses(PACKAGE, "reader")
+    assert [f for f in module_uses(PACKAGE, "csv", "reader")
             if not f.startswith("csvio.py:")] == []
+
+
+def test_only_csvio_makes_directories():
+    # csvio.open_text makes the directory of every path it writes, so an
+    # output directory appears with its first file and never before
+    assert [f for f in module_uses(PACKAGE, "os", "makedirs")
+            if not f.startswith("csvio.py:")] == []
+
+
+def test_only_cli_writes_json():
+    # cli._dump_json writes every JSON artifact and cli._fail the error
+    # line, so the JSON format is decided in one module
+    assert [f for f in module_uses(PACKAGE, "json", "dump", "dumps")
+            if not f.startswith("cli.py:")] == []

@@ -14,9 +14,8 @@ from flowhazard.models import (
     BayesianRidgeParams,
     LinearSVRParams,
     RandomForestParams,
-    TrainReport,
     evaluate_accuracy,
-    model_to_json,
+    model_to_json_dict,
     predict_many,
     train,
 )
@@ -82,15 +81,15 @@ class TestTrain:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_same_seed_byte_identical(self, kind):
         data = separable_toy(seed=3)
-        a = model_to_json(train(kind, data, seed=42))
-        b = model_to_json(train(kind, data, seed=42))
+        a = model_to_json_dict(train(kind, data, seed=42))
+        b = model_to_json_dict(train(kind, data, seed=42))
         assert a == b
 
     def test_different_seed_changes_forest(self):
         data = separable_toy(seed=3)
         kind = RandomForestParams(n_trees=10)
-        a = model_to_json(train(kind, data, seed=1))
-        b = model_to_json(train(kind, data, seed=2))
+        a = model_to_json_dict(train(kind, data, seed=1))
+        b = model_to_json_dict(train(kind, data, seed=2))
         assert a != b
 
     def test_constant_feature_scaling_recorded_as_one(self):
@@ -313,8 +312,7 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
     def test_document_holds_the_model_exactly(self, kind):
         model = train(kind, separable_toy(seed=47), seed=9)
-        report = TrainReport(n_rows=120, train_accuracy=0.975)
-        doc = json.loads(model_to_json(model, report))
+        doc = json.loads(json.dumps(model_to_json_dict(model)))
         assert (doc["format"], doc["version"]) == ("flowhazard-model", 1)
         assert doc["kind"] == kind.kind
         assert doc["hyperparams"] == asdict(kind)
@@ -332,7 +330,6 @@ class TestSerialization:
             assert_written_exactly(state["weights"], model.state.weights)
             assert_written_exactly([state["intercept"]],
                                    [model.state.intercept])
-        assert doc["train_report"] == asdict(report)
 
 
 class TestHyperparameterValidation:

@@ -697,3 +697,9 @@ class TestBreslowBaseline:
 
         with pytest.raises(InvalidValue, match="NaN"):
             cox_survival_at(self.six_row_fit(), [0.5], t)
+
+    def test_covariates_of_another_length_rejected(self):
+        from flowhazard.survival import cox_survival_at
+
+        with pytest.raises(LengthMismatch, match="model has"):
+            cox_survival_at(self.six_row_fit(), [0.5, 1.0], 3.0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowhazard.errors import EmptyInput, InvalidValue
+from flowhazard.errors import EmptyInput, InvalidValue, LengthMismatch
 from flowhazard.survival import (
+    StepFunction,
     SurvivalRecord,
     SurvivalTable,
     km_fit,
@@ -142,6 +143,14 @@ class TestReadOff:
     def test_nan_time_is_invalid_value(self, t):
         with pytest.raises(InvalidValue, match="NaN"):
             km_survival_at(self.curve, t)
+
+    @pytest.mark.parametrize("times, values", [
+        ([1.0, 2.0], [0.5]),
+        ([[1.0, 2.0]], [[0.5, 0.25]]),
+    ], ids=["unequal_length", "not_1d"])
+    def test_step_function_needs_equal_1d_knots(self, times, values):
+        with pytest.raises(LengthMismatch, match="1-D of equal length"):
+            StepFunction(times, values)
 
 
 def _table(times, events):
