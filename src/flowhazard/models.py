@@ -129,7 +129,9 @@ def fit_bayesian_ridge(
     gram = X.T @ X
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
-    xty_rot = eigvecs.T @ (X.T @ yc)
+    # einsum, not BLAS's X.T @ yc, which sums in another order when it
+    # splits the rows over threads
+    xty_rot = eigvecs.T @ np.einsum("ni,n->i", X, yc)
 
     weight_prec = 1.0
     noise_prec = 1.0

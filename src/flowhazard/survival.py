@@ -299,7 +299,9 @@ def _breslow_scan(blocks: _TieBlocks, X, beta):
     coef = np.zeros(blocks.starts.shape[0])
     coef[ev[~low]] = d[~low] / s0[~low]
     a = np.repeat(np.cumsum(coef[::-1])[::-1], blocks.ends - blocks.starts)
-    s2 = (Xd * (w * a)[:, None]).T @ Xd
+    # products over rows by einsum, not BLAS: a BLAS product split over
+    # threads sums in another order, so the fit would depend on their count
+    s2 = np.einsum("ni,nj->ij", Xd * (w * a)[:, None], Xd)
     for k in np.flatnonzero(low):
         risk = blocks.order[: blocks.ends[ev[k]]]
         shifts[k] = float(eta[risk].max())
@@ -307,13 +309,13 @@ def _breslow_scan(blocks: _TieBlocks, X, beta):
         X_k = X[risk]
         s0[k] = float(w_k.sum())
         s1[k] = w_k @ X_k
-        s2 += d[k] * ((X_k * w_k[:, None]).T @ X_k) / s0[k]
+        s2 += d[k] * np.einsum("ni,nj->ij", X_k * w_k[:, None], X_k) / s0[k]
 
     log_s0 = np.log(s0) + shifts
     ll = float(eta[blocks.event_rows].sum()) - float(d @ log_s0)
     xbar = s1 / s0[:, None]
     grad = X[blocks.event_rows].sum(axis=0) - d @ xbar
-    hess = (xbar * d[:, None]).T @ xbar - s2
+    hess = np.einsum("ki,kj->ij", xbar * d[:, None], xbar) - s2
     return ll, grad, hess, log_s0
 
 

@@ -298,7 +298,7 @@ class TestTrainCommand:
             "n_rows": len(split.train),
             "train_accuracy": evaluate_accuracy(split.model, split.train),
         }
-        doc = {**model_to_json_dict(split.model), "train_report": train_report}
+        doc = dict(model_to_json_dict(split.model), train_report=train_report)
         assert (tmp / "out" / "model.json").read_text() == json.dumps(
             doc, sort_keys=True, indent=2
         ) + "\n"
@@ -1109,6 +1109,57 @@ class TestCoxCommand:
         assert err["exit_code"] == 2
         assert "data row 2" in err["message"]
         assert f"column {column!r}" in err["message"]
+
+
+class TestBlasThreadCount:
+    """Artifacts do not depend on how many threads BLAS runs.  Each
+    thread count runs in its own process, with the count set for that
+    process only; at 500 x 77 and 6,400 x 78 a BLAS product split over
+    two threads sums in another order than one thread does."""
+
+    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
+        rng = np.random.default_rng(1212)
+        n, width = 500, 77
+        X = rng.standard_normal((n, width))
+        times = np.ceil(100.0 * rng.exponential(np.exp(-0.3 * X[:, 0])))
+        events = (rng.random(n) < 0.7).astype(int)
+        table = tmp_path / "wide.csv"
+        write_survival_csv(
+            table, [(i, times[i], events[i], *X[i]) for i in range(n)],
+            features=[f"x{j}" for j in range(width)])
+        # 78 features, 4,000 rows per class: a 6,400-row training set
+        means = rng.normal(0.0, 0.5, (3, 78))
+        spec = {label: {f"f{j}": {"mean": float(m), "std": 1.0}
+                        for j, m in enumerate(row)}
+                for label, row in zip(("BENIGN", "DoS-ish", "web-ish"), means)}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "inputs": {"synthetic_spec": str(tmp_path / "spec.json"),
+                       "rows_per_class": 4000},
+            "experiment": {"regressor": {"kind": "bayesian_ridge"},
+                           "combination": {"pre_attack": "DoS-ish",
+                                           "post_attack": "web-ish"}},
+        }))
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(
+                           os.path.dirname(flowhazard.__file__)))
+            for argv in (["cox", "--table", table, "--ridge", "0.001"],
+                         ["train", "--config", config]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "flowhazard.cli", *map(str, argv),
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            written[threads] = {
+                name: (out / name).read_bytes() for name in
+                ("cox_table.csv", "cox_convergence.json", "model.json")}
+        assert [name for name, data in written["1"].items()
+                if data != written["2"][name]] == []
 
 
 class TestKMCommand:
