@@ -126,11 +126,12 @@ def fit_bayesian_ridge(
     y_mean = float(y.mean())
     yc = y - y_mean
 
+    # products over rows by einsum, not BLAS, which sums in another order
+    # when it splits the rows over threads; BLAS forms X'X the same way at
+    # every thread count tried
     gram = X.T @ X
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = np.clip(eigvals, 0.0, None)
-    # einsum, not BLAS's X.T @ yc, which sums in another order when it
-    # splits the rows over threads
     xty_rot = eigvecs.T @ np.einsum("ni,n->i", X, yc)
 
     weight_prec = 1.0
@@ -140,8 +141,8 @@ def fit_bayesian_ridge(
         denom = weight_prec + noise_prec * eigvals
         w_new = eigvecs @ (noise_prec * xty_rot / denom)
         gamma = float(np.sum(noise_prec * eigvals / denom))
-        resid = yc - X @ w_new
-        rss = float(resid @ resid)
+        resid = yc - np.einsum("ni,i->n", X, w_new)
+        rss = float(np.einsum("n,n->", resid, resid))
         weight_prec = gamma / max(float(w_new @ w_new), _TINY)
         noise_prec = max(n - gamma, _TINY) / max(rss, _TINY)
         delta = float(np.abs(w_new - w).sum())

@@ -1114,20 +1114,27 @@ class TestCoxCommand:
 class TestBlasThreadCount:
     """Artifacts do not depend on how many threads BLAS runs.  Each
     thread count runs in its own process, with the count set for that
-    process only; at 500 x 77 and 6,400 x 78 a BLAS product split over
-    two threads sums in another order than one thread does."""
+    process only.  Split over two threads, a BLAS product sums in another
+    order than one thread does: X' W X from 500 x 77, X'y from 6,400 x 78,
+    and Xb, w'X and a dot product from about 10,000 rows (the long case
+    trains on 20,800)."""
 
-    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
+    @pytest.mark.parametrize("n, rows_per_class", [(500, 4000),
+                                                   (12000, 13000)],
+                             ids=["gram", "long"])
+    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path, n,
+                                                    rows_per_class):
         rng = np.random.default_rng(1212)
-        n, width = 500, 77
+        width = 77
         X = rng.standard_normal((n, width))
-        times = np.ceil(100.0 * rng.exponential(np.exp(-0.3 * X[:, 0])))
-        events = (rng.random(n) < 0.7).astype(int)
+        # distinct times, so the long table has over 10,000 event blocks
+        times = rng.exponential(np.exp(-0.3 * X[:, 0]))
+        events = (rng.random(n) < 0.9).astype(int)
         table = tmp_path / "wide.csv"
         write_survival_csv(
             table, [(i, times[i], events[i], *X[i]) for i in range(n)],
             features=[f"x{j}" for j in range(width)])
-        # 78 features, 4,000 rows per class: a 6,400-row training set
+        # 78 features; 80% of the two known classes' rows train the model
         means = rng.normal(0.0, 0.5, (3, 78))
         spec = {label: {f"f{j}": {"mean": float(m), "std": 1.0}
                         for j, m in enumerate(row)}
@@ -1136,7 +1143,7 @@ class TestBlasThreadCount:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "inputs": {"synthetic_spec": str(tmp_path / "spec.json"),
-                       "rows_per_class": 4000},
+                       "rows_per_class": rows_per_class},
             "experiment": {"regressor": {"kind": "bayesian_ridge"},
                            "combination": {"pre_attack": "DoS-ish",
                                            "post_attack": "web-ish"}},
